@@ -311,6 +311,8 @@ def _run_simulate(spec, outdir):
         "survival_rate": stats.survival_rate,
         "se": stats.survival_se,
         "functionals_csv_path": csv_path,
+        "live_by_block": stats.live_by_block.tolist(),
+        "cluster_share": stats.cluster_share,
     }
     report_path = os.path.join(outdir, "report.json")
     _write_json(report_path, report)
@@ -564,14 +566,17 @@ def write_preset(name, outdir, seed=20260808):
 
 
 def _apply_thread_cap(threads):
+    """Cap BLAS threads; raises ImportError when threadpoolctl is missing.
+
+    numpy has loaded its BLAS by the time arguments are parsed, so setting
+    OMP_NUM_THREADS here would be silently ignored; threadpoolctl is the only
+    way the cap can take effect.
+    """
     if threads is None:
         return
-    try:
-        import threadpoolctl
+    import threadpoolctl
 
-        threadpoolctl.threadpool_limits(int(threads))
-    except ImportError:
-        os.environ["OMP_NUM_THREADS"] = str(int(threads))
+    threadpoolctl.threadpool_limits(int(threads))
 
 
 def main(argv=None):
@@ -579,7 +584,9 @@ def main(argv=None):
         prog="stablebranch",
         description="Experiment runner for critical stable-branching models.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="cap BLAS threads (needs threadpoolctl)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a JSON experiment spec")
@@ -624,7 +631,11 @@ def main(argv=None):
     p_delay.add_argument("--outdir", default=None)
 
     args = parser.parse_args(argv)
-    _apply_thread_cap(args.threads)
+    try:
+        _apply_thread_cap(args.threads)
+    except ImportError:
+        print("error: --threads needs threadpoolctl, which is not installed", file=sys.stderr)
+        return EXIT_SCHEMA
     outdir = getattr(args, "outdir", None) or os.environ.get(
         "STABLEBRANCH_OUTDIR", "."
     )

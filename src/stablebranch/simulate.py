@@ -31,7 +31,10 @@ the threshold the frozen-coefficient stable kick is accurate and cheaper.
 
 Replicate r draws from its own counter-based stream Philox(key = seed << 64 | r),
 consuming uniforms and exponentials in a fixed block order, so results are
-bit-reproducible and independent of any execution partition.
+bit-reproducible and independent of any execution partition.  Zero is
+absorbing and no replicate shares a stream, so a replicate whose sites are all
+exactly zero is dropped from the batch: it draws and branches no further, and
+its final state is the zero vector it would have kept.
 """
 
 from __future__ import annotations
@@ -94,13 +97,22 @@ class SimConfig:
 
 @dataclass
 class PathStats:
-    """Ensemble summary: survival counts and survivor functionals X_T(f)."""
+    """Ensemble summary: survival counts and survivor functionals X_T(f).
+
+    Run telemetry: live_by_block[i] counts the replicates with a nonzero site
+    at the end of draw block i (blocks of 1024 steps), so it never increases;
+    its last entry equals survivors unless a state underflows to zero mass.
+    cluster_share is the share of live site-steps that took the exact cluster
+    branch instead of the stable kick.
+    """
 
     replicates: int
     survivors: int
     functional_values: np.ndarray  # X_T(f) per surviving path, replicate order
     functional_description: str
     final_states: np.ndarray | None = field(default=None, repr=False)
+    live_by_block: np.ndarray | None = None
+    cluster_share: float | None = None
 
     def __post_init__(self):
         if self.survivors > self.replicates:
@@ -179,8 +191,26 @@ def sample_positive_stable(gamma_idx, rng, size=None):
     return _stable_transform(g, b, u01, w)
 
 
-def _replicate_rng(seed, replicate):
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(replicate)))
+class _ReplicateStreams:
+    """The streams Philox(key = seed << 64 | r) from one re-keyed bit generator.
+
+    Pointing one Philox instance at a new key yields the same stream as
+    constructing Generator(Philox(key)) for the replicate, at a fraction of
+    the cost; a replicate's position is carried across draw blocks by saving
+    and restoring the bit generator state.
+    """
+
+    def __init__(self, seed):
+        self.bit_generator = np.random.Philox(key=0)
+        self.rng = np.random.Generator(self.bit_generator)
+        self._fresh = self.bit_generator.state
+        self._key = self._fresh["state"]["key"]  # (low, high) 64-bit words
+        self._key[1] = seed
+
+    def start(self, replicate):
+        """Position the generator at the start of the replicate's stream."""
+        self._key[0] = replicate
+        self.bit_generator.state = self._fresh
 
 
 # Sites with z * w_h at or below this use the exact cluster branch.
@@ -213,11 +243,20 @@ class _StepKernel:
         self.m = model.m
         self.m_pow = self.m ** ((1.0 - self.gamma) / self.gamma)
         self.drift_matrix = model.mean_adjoint
+        # the constants of the stable kick, site by site
+        self._site_consts = list(zip(self.gamma, self.b, self.kappa, self.inv_gamma, self.m_pow))
 
     def extinction_weight(self, h):
         """w_h: per-density one-step extinction weight, per site."""
         g1 = self.gamma - 1.0
         return self.m * (self.kappa * g1 * h) ** (-1.0 / g1)
+
+    @staticmethod
+    def _kicked(Zp, u01, w_exp, h, gamma, b, kappa, inv_gamma, m_pow):
+        """Zp plus the frozen-coefficient stable kick, before the clamp at 0."""
+        S = _stable_transform(gamma, b, u01, w_exp)
+        sigma = np.power(kappa * Zp * h, inv_gamma) * m_pow
+        return Zp + sigma * S
 
     def advance(self, Z, u01, w_exp, h):
         """One step for a (B, d) batch; consumes matching (B, d) draw blocks.
@@ -225,19 +264,31 @@ class _StepKernel:
         The mean (motion + linear rate) update is applied first and the
         branching outcome is drawn from the post-drift mass, so step inflow is
         subject to extinction thinning like standing mass; otherwise coupled
-        dust would be re-seeded deterministically and could never die.
+        dust would be re-seeded deterministically and could never die.  The
+        stable transform is evaluated only on the entries that take the kick.
+        Returns the new state and the number of entries on the cluster branch.
         """
         Zp = np.clip(Z + h * (Z @ self.drift_matrix.T), 0.0, None)
-        S = _stable_transform(self.gamma, self.b, u01, w_exp)
-        sigma = np.power(self.kappa * Zp * h, self.inv_gamma) * self.m_pow
-        branched = Zp + sigma * S
         w_h = self.extinction_weight(h)
         lam = Zp * w_h
         cluster = lam <= _CLUSTER_THRESHOLD
-        if cluster.any():
+        branched = np.empty_like(Zp)
+        # kick site by site: a site whose entries all kick needs no gather
+        for x, consts in enumerate(self._site_consts):
+            kick = ~cluster[:, x]
+            n_kick = int(np.count_nonzero(kick))
+            if n_kick == kick.size:
+                branched[:, x] = self._kicked(Zp[:, x], u01[:, x], w_exp[:, x], h, *consts)
+            elif n_kick:
+                col = branched[:, x]
+                col[kick] = self._kicked(
+                    Zp[:, x][kick], u01[:, x][kick], w_exp[:, x][kick], h, *consts
+                )
+        n_cluster = int(np.count_nonzero(cluster))
+        if n_cluster:
             N = _poisson_quantile(lam[cluster], u01[cluster])
             branched[cluster] = N * w_exp[cluster] / np.broadcast_to(w_h, Zp.shape)[cluster]
-        return np.clip(branched, 0.0, None)
+        return np.clip(branched, 0.0, None), n_cluster
 
 
 def step_euler(model, state, h, rng, mass_floor=0.0):
@@ -254,7 +305,8 @@ def step_euler(model, state, h, rng, mass_floor=0.0):
     kernel = _StepKernel(model)
     u01 = rng.random((1, model.d))
     w = rng.standard_exponential((1, model.d))
-    Z = kernel.advance(state[None, :], u01, w, h)[0]
+    Z, _ = kernel.advance(state[None, :], u01, w, h)
+    Z = Z[0]
     if not np.all(np.isfinite(Z)):
         raise FloatingPointError("non-finite state after step (scale misconfiguration)")
     Z[Z * model.m < mass_floor] = 0.0
@@ -277,47 +329,85 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     d = model.d
     m = model.m
     kernel = _StepKernel(model)
+    streams = _ReplicateStreams(config.seed)
     f_weights = f * m
+    ones = np.ones(d)
     hs = np.asarray(config.step_sizes)
     n_steps = hs.size
+    block_starts = range(0, n_steps, _BLOCK_STEPS)
+    # draw buffers, reused by every chunk and block
+    draw_shape = (min(_CHUNK_REPLICATES, config.replicates), min(_BLOCK_STEPS, n_steps), d)
+    U_all, W_all = np.empty(draw_shape), np.empty(draw_shape)
 
-    surv_idx = []
+    survivors = 0
     surv_vals = []
     finals = [] if keep_final_states else None
+    live_by_block = np.zeros(len(block_starts), dtype=np.int64)
+    cluster_site_steps = live_site_steps = 0
 
     for start in range(0, config.replicates, _CHUNK_REPLICATES):
         count = min(_CHUNK_REPLICATES, config.replicates - start)
-        rngs = [_replicate_rng(config.seed, start + j) for j in range(count)]
+        rows = np.arange(count)  # chunk positions of the live replicates
+        saved = None  # their stream states at the last block boundary
         Z = np.broadcast_to(mu, (count, d)).copy()
-        step = 0
-        while step < n_steps:
+        for block, step in enumerate(block_starts):
+            if rows.size == 0:
+                break
             nb = min(_BLOCK_STEPS, n_steps - step)
-            U = np.empty((count, nb, d))
-            W = np.empty((count, nb, d))
-            for j, rng in enumerate(rngs):
-                U[j] = rng.random((nb, d))
-                W[j] = rng.standard_exponential((nb, d))
+            more_blocks = step + nb < n_steps
+            U, W = U_all[: rows.size, :nb], W_all[: rows.size, :nb]
+            states = []
+            for j, r in enumerate(rows):
+                if saved is None:
+                    streams.start(start + r)
+                else:
+                    streams.bit_generator.state = saved[j]
+                streams.rng.random(out=U[j])
+                streams.rng.standard_exponential(out=W[j])
+                if more_blocks:
+                    states.append(streams.bit_generator.state)
+            pos = None  # rows of U and W still live; None while all are
             for k in range(nb):
-                Z = kernel.advance(Z, U[:, k, :], W[:, k, :], hs[step + k])
+                u01, w_exp = U[:, k], W[:, k]
+                if pos is not None:
+                    u01, w_exp = u01.take(pos, axis=0), w_exp.take(pos, axis=0)
+                Z, n_cluster = kernel.advance(Z, u01, w_exp, hs[step + k])
+                cluster_site_steps += n_cluster
+                live_site_steps += Z.size
                 if config.mass_floor > 0.0:
                     Z[Z * m < config.mass_floor] = 0.0
-            step += nb
+                live = (Z @ ones) != 0.0  # Z >= 0: zero row sum means all sites zero
+                if not live.all():
+                    pos = np.flatnonzero(live) if pos is None else pos[live]
+                    Z = Z[live]
+                    if pos.size == 0:
+                        break
+            if pos is not None:
+                rows = rows[pos]
+                if more_blocks:
+                    states = [states[i] for i in pos]
+            saved = states
+            live_by_block[block] += rows.size
         if not np.all(np.isfinite(Z)):
             raise FloatingPointError("non-finite state (scale misconfiguration)")
-        alive = (Z @ m) > 0.0
-        vals = Z @ f_weights
-        surv_idx.append(np.nonzero(alive)[0] + start)
-        surv_vals.append(vals[alive])
+        # scatter back to the full chunk so the reductions see the same matrix
+        # as an uncompacted run: dropped rows are exactly zero
+        Z_full = np.zeros((count, d))
+        Z_full[rows] = Z
+        alive = (Z_full @ m) > 0.0
+        survivors += int(np.count_nonzero(alive))
+        surv_vals.append((Z_full @ f_weights)[alive])
         if keep_final_states:
-            finals.append(Z)
+            finals.append(Z_full)
 
-    survivors = int(sum(len(ix) for ix in surv_idx))
     return PathStats(
         replicates=config.replicates,
         survivors=survivors,
-        functional_values=np.concatenate(surv_vals) if surv_vals else np.empty(0),
+        functional_values=np.concatenate(surv_vals),
         functional_description=f"field({np.array2string(f, precision=6, max_line_width=200)})",
         final_states=np.concatenate(finals) if keep_final_states else None,
+        live_by_block=live_by_block,
+        cluster_share=cluster_site_steps / live_site_steps,
     )
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -107,6 +109,8 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         for key in ("survivors", "survival_rate", "se", "functionals_csv_path"):
             assert key in report
+        assert report["live_by_block"][-1] == report["survivors"]
+        assert 0.0 <= report["cluster_share"] <= 1.0
 
     def test_mixture_check(self, tmp_path):
         params = {
@@ -182,3 +186,19 @@ class TestMain:
     def test_cli_preset_writes_files(self, tmp_path, capsys):
         assert main(["preset", "scalar-csbp", "--outdir", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "scalar-csbp_model.json").exists()
+
+    def test_cli_threads_without_threadpoolctl_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        argv = ["--threads", "1", "delay-eq", "--a", "1.5", "--outdir", str(tmp_path)]
+        assert main(argv) == EXIT_SCHEMA
+        assert "threadpoolctl" in capsys.readouterr().err
+        assert not (tmp_path / "delay_eq.csv").exists()
+
+    def test_cli_threads_applies_cap(self, tmp_path, monkeypatch):
+        calls = []
+        fake = types.SimpleNamespace(threadpool_limits=calls.append)
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        argv = ["--threads", "2", "delay-eq", "--a", "1.5", "--theta-max", "1.0",
+                "--outdir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert calls == [2]

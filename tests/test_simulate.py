@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ from stablebranch.simulate import (
 
 def replicate_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+
+
+def survivor_digest(stats):
+    """SHA-256 of the survivor count and survivor functionals, bit for bit."""
+    h = hashlib.sha256(np.int64(stats.survivors).tobytes())
+    h.update(np.ascontiguousarray(stats.functional_values, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def state_digest(Z):
+    return hashlib.sha256(np.ascontiguousarray(Z, dtype="<f8").tobytes()).hexdigest()
 
 
 class TestStableSampler:
@@ -101,6 +114,71 @@ class TestDeterminism:
         a = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=1, **base))
         b = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=2, **base))
         assert not np.array_equal(a.functional_values, b.functional_values)
+
+
+class TestGoldenDigests:
+    """Outputs pinned bit for bit under the per-replicate stream contract.
+
+    The digests were recorded with the full-batch kernel that drew, kicked and
+    branched every replicate to the horizon; any rewrite of the replicate loop
+    must reproduce them exactly.
+    """
+
+    def test_scalar_mostly_extinct(self, scalar_model):
+        # 4,000 steps span four draw blocks; 99% of the replicates die
+        cfg = SimConfig(step_size=5e-3, horizon=20.0, replicates=512, seed=777)
+        stats = simulate_paths(scalar_model, np.array([1.0]), cfg)
+        assert stats.survivors == 5
+        assert survivor_digest(stats) == (
+            "0a7132a5c77771c68ab45f82f9692328ede5cb6abe3ec7ee62c8598f811bb316"
+        )
+
+    @pytest.mark.parametrize(
+        "mass_floor, survivors, expected",
+        [
+            (0.0, 1257, "a8b88bb17bcfabb3e18429a0f588e553c689c3bdf8b5548e8b4c5f0232518795"),
+            (1e-5, 124, "e73709958d05a18c59fdfb8fc0cc3786dcdf9d8189d1a0549bed73ae67df26af"),
+        ],
+    )
+    def test_two_site_small_mass(self, two_site_model, mass_floor, survivors, expected):
+        # takes the cluster branch and crosses the 2,048-replicate chunk boundary
+        cfg = SimConfig(1e-3, 1.0, 2500, seed=4321, mass_floor=mass_floor)
+        stats = simulate_paths(two_site_model, np.array([4e-4, 4e-4]), cfg)
+        assert stats.survivors == survivors
+        assert survivor_digest(stats) == expected
+
+    def test_final_states(self, weighted_model):
+        cfg = SimConfig(step_size=4e-4, horizon=0.6, replicates=600, seed=99)
+        stats = simulate_paths(weighted_model, np.array([2e-3, 1e-3]), cfg, keep_final_states=True)
+        Z = stats.final_states
+        assert Z.shape == (600, 2)
+        assert stats.survivors == 44
+        assert np.count_nonzero(Z.any(axis=1)) == 44  # dead rows are exactly zero
+        assert survivor_digest(stats) == (
+            "e901cc143e738aa39ee557f0c9e2a4657e14d3c0bdb5adacb4bc922422d6b889"
+        )
+        assert state_digest(Z) == (
+            "3fc62f03840b7ddeafacd9e7f94f79fa3037e62a62539f4cde1979332000a9be"
+        )
+
+
+class TestRunTelemetry:
+    def test_live_counts_by_block(self, scalar_model):
+        # 2,400 steps in three draw blocks; 2,100 replicates span two chunks
+        cfg = SimConfig(step_size=5e-3, horizon=12.0, replicates=2100, seed=5)
+        stats = simulate_paths(scalar_model, np.array([1.0]), cfg)
+        live = stats.live_by_block
+        assert live.shape == (3,)
+        assert live[0] <= 2100 and np.all(np.diff(live) <= 0)
+        assert live[-1] == stats.survivors
+
+    def test_cluster_share_follows_mass(self, two_site_model):
+        # at small mass the gamma = 1.8 site resolves into clusters; order-one
+        # mass takes the stable kick almost everywhere
+        base = dict(step_size=1e-3, horizon=0.05, replicates=200, seed=3)
+        small = simulate_paths(two_site_model, np.array([4e-4, 4e-4]), SimConfig(**base))
+        bulk = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(**base))
+        assert 0.0 <= bulk.cluster_share < 0.1 < 0.4 < small.cluster_share <= 1.0
 
 
 class TestAgainstOde:
