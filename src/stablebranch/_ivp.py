@@ -1,17 +1,28 @@
-"""Adaptive integrator for the branching evolution u' = A u - kappa * u^gamma.
+"""Implicit integrator for the branching evolution u' = A u - kappa * u^gamma.
 
-Primary engine: embedded Dormand-Prince 5(4) with a quartic dense interpolant
-and step rejection on negative excursions.  When the run becomes stability
-limited (step rejections pile up, or progress stalls at a pinned step size),
-the solve switches to an exponential integrator (ETD2RK with exact phi
-functions of A) whose step size is unconstrained by the linear spectrum.
+One engine: scipy's Radau IIA collocation method (order 5, L-stable; Hairer &
+Wanner, *Solving ODEs II*, section IV.5) with the analytic Jacobian
 
-Runs started from an infinite-initial-condition warm start can be nonlinearly
-stiff: on sites whose stable index exceeds the minimum, the state is slaved to
-the inflow from faster-blowing sites and relaxes at a rate far beyond any
-explicit stability limit.  For those runs an L-stable TR-BDF2 phase with
-Newton iteration integrates the initial layer and hands off to the explicit
-engine once the local relaxation rate has subsided (stiff_start=True).
+    J(u) = A - diag(kappa * gamma * u^(gamma-1)),
+
+dense for a single system and block-diagonal sparse for a batch.  L-stability
+covers both kinds of stiffness the flow has: the linear spectrum of A on long
+near-linear tails, and the nonlinear relaxation of sites with a large stable
+index slaved to the inflow of faster-blowing sites after an
+infinite-initial-condition warm start.
+
+Extinction runs integrate in the Bernoulli variable z = u^(1-gamma0), with
+gamma0 = min(gamma) (private argument `_bernoulli`).  Along the tail
+u ~ c t^(-1/(gamma0-1)) the variable z grows linearly in t, so the step size
+is limited by accuracy only where the solution actually bends.  There
+
+    z' = (1-gamma0) u^(-gamma0) F(u),
+    J_z = diag(u^-gamma0) J(u) diag(u^gamma0) - diag(gamma0 F(u) / u),
+
+with F(u) = A u - kappa u^gamma.  A relative error e in z is a relative error
+e / (gamma0-1) in u, so z is controlled purely relatively with
+rtol_z = (gamma0-1) * rtol.  The state must be strictly positive there; the
+plain variable u is used wherever it may vanish.
 
 State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
@@ -22,155 +33,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+from scipy.integrate import solve_ivp
 
 __all__ = ["SolverError", "SolverReport", "OdeSolution", "solve_branching_ode"]
 
-REJECTION_FALLBACK_LIMIT = 1000
-STALL_STEP_LIMIT = 20_000
-STALL_SPAN_RATIO = 1000.0
-MAX_STEPS = 5_000_000
-
-# Enter the implicit layer phase when the nonlinear relaxation rate exceeds
-# every other scale by LAYER_ENTRY_FACTOR.  Hand back to the explicit engine
-# once rate * max(t, 10 h) <= LAYER_HANDOFF_PRODUCT: accuracy steps downstream
-# grow like the larger of those scales, so this keeps the explicit phase a
-# safe factor below its nonlinear stability limit (the rate only decays).
-LAYER_ENTRY_FACTOR = 1e4
-LAYER_HANDOFF_PRODUCT = 50.0
-_TR_GAMMA = 2.0 - np.sqrt(2.0)
-# |local truncation error constant| of TR-BDF2 at gamma = 2 - sqrt(2).
-_TR_ERRC = abs((-3 * _TR_GAMMA**2 + 4 * _TR_GAMMA - 2) / (12 * (2 - _TR_GAMMA)))
-
 
 class SolverError(RuntimeError):
-    """Step-size underflow, iteration caps, or non-finite states."""
-
-
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# Shampine's quartic interpolant for the pair above.
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+    """The integrator failed: step-size underflow or non-finite states."""
 
 
 @dataclass
 class SolverReport:
-    accepted: int = 0
-    rejected: int = 0
-    negativity_rejections: int = 0
-    engine: str = "rk45"
-    switch_time: float | None = None
-    max_error_estimate: float = 0.0
+    """Counts of one solve, read off scipy's result.
 
-
-class _LinearPropagator:
-    """Actions of exp(hA), phi1(hA), phi2(hA) on (B, d) states.
-
-    Uses the eigendecomposition of A when it is well conditioned; otherwise
-    falls back to Pade exponentials of an augmented block matrix, which yields
-    the same phi functions without requiring diagonalizability.
+    scipy does not count rejected steps, so `rejected` stays 0.
     """
 
-    def __init__(self, A):
-        self.A = A
-        self.d = A.shape[0]
-        self._cache = {}
-        self.use_eigen = False
-        try:
-            w, P = scipy.linalg.eig(A)
-            Pinv = scipy.linalg.inv(P)
-            recon = (P * w[None, :]) @ Pinv
-            scale = max(1.0, float(np.abs(A).max()))
-            if np.abs(recon - A).max() <= 1e-10 * scale:
-                self.w, self.P, self.Pinv = w, P, Pinv
-                self.use_eigen = True
-        except scipy.linalg.LinAlgError:
-            pass
-
-    @staticmethod
-    def _phi_scalars(z):
-        z = np.asarray(z, dtype=complex)
-        small = np.abs(z) < 1e-4
-        zs = np.where(small, 0.0, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.exp(z)
-            phi1 = np.where(small, 1 + z / 2 + z**2 / 6 + z**3 / 24, (e - 1) / zs)
-            phi2 = np.where(
-                small, 0.5 + z / 6 + z**2 / 24 + z**3 / 120, (e - 1 - zs) / zs**2
-            )
-        return e, phi1, phi2
-
-    def _tables(self, h):
-        tab = self._cache.get(h)
-        if tab is None:
-            if self.use_eigen:
-                tab = self._phi_scalars(h * self.w)
-            else:
-                d = self.d
-                aug = np.zeros((3 * d, 3 * d))
-                aug[:d, :d] = h * self.A
-                aug[:d, d : 2 * d] = np.eye(d)
-                aug[d : 2 * d, 2 * d :] = np.eye(d)
-                M = scipy.linalg.expm(aug)
-                tab = (M[:d, :d], M[:d, d : 2 * d], M[:d, 2 * d :])
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[h] = tab
-        return tab
-
-    def apply(self, h, v, which):
-        """which: 0 -> exp, 1 -> phi1, 2 -> phi2; v has shape (B, d)."""
-        tab = self._tables(h)
-        if self.use_eigen:
-            coeff = v @ self.Pinv.T
-            return np.real((coeff * tab[which][None, :]) @ self.P.T)
-        return v @ tab[which].T
-
-
-@dataclass
-class _Segment:
-    t0: float
-    h: float
-    kind: str  # "rk" or "etd"
-    y0: np.ndarray
-    payload: object
+    accepted: int = 0
+    rejected: int = 0
+    engine: str = "radau"
+    variable: str = "u"  # "u", or "z" for z = u^(1-gamma0)
+    nfev: int = 0
+    njev: int = 0
+    nlu: int = 0
 
 
 class OdeSolution:
-    """Dense solution over [t_start, t_end]; callable on scalars or arrays."""
+    """Dense solution over [t_start, t_end]; callable on scalars or arrays.
 
-    def __init__(self, segments, t_start, t_end, squeeze, rhs, propagator, report):
-        self._segments = segments
+    Returns (d,) per time for a single system and (B, d) for a batch, clipped
+    to be nonnegative.
+    """
+
+    def __init__(self, dense, t_start, t_end, shape, squeeze, to_u, report):
+        self._dense = dense
         self.t_start = t_start
         self.t_end = t_end
+        self._shape = shape
         self._squeeze = squeeze
-        self._rhs = rhs
-        self._prop = propagator
+        self._to_u = to_u
         self.report = report
-        self._starts = np.array([s.t0 for s in segments])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -180,348 +83,86 @@ class OdeSolution:
             raise ValueError(
                 f"dense evaluation outside [{self.t_start}, {self.t_end}]"
             )
-        idx = np.clip(np.searchsorted(self._starts, t_arr, side="right") - 1, 0, len(self._segments) - 1)
-        B, d = self._segments[0].y0.shape
-        out = np.empty((t_arr.size, B, d))
-        for seg_i in np.unique(idx):
-            seg = self._segments[seg_i]
-            sel = np.nonzero(idx == seg_i)[0]
-            out[sel] = self._eval_segment(seg, t_arr[sel])
-        out = np.clip(out, 0.0, None)
+        y = self._dense(np.clip(t_arr, self.t_start, self.t_end))  # (n, size)
+        out = np.clip(self._to_u(y.T), 0.0, None).reshape((t_arr.size,) + self._shape)
         if self._squeeze:
             out = out[:, 0, :]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
 
-    def _eval_segment(self, seg, ts):
-        theta = (ts - seg.t0) / seg.h if seg.h > 0 else np.zeros_like(ts)
-        theta = np.clip(theta, 0.0, 1.0)
-        if seg.kind == "rk":
-            Q = seg.payload  # (B, d, 4)
-            powers = np.vstack([theta, theta**2, theta**3, theta**4])  # (4, nq)
-            incr = np.einsum("bdp,pq->qbd", Q, powers)
-            return seg.y0[None] + seg.h * incr
-        if seg.kind == "quad3":
-            # Quadratic through the step's three states at theta = 0, gamma, 1.
-            yg, y1 = seg.payload
-            g = _TR_GAMMA
-            l0 = (theta - g) * (theta - 1.0) / g
-            l1 = theta * (theta - 1.0) / (g * (g - 1.0))
-            l2 = theta * (theta - g) / (1.0 - g)
-            return (
-                seg.y0[None] * l0[:, None, None]
-                + yg[None] * l1[:, None, None]
-                + y1[None] * l2[:, None, None]
-            )
-        # ETD segment: one ETD2RK substep from the stored state to each query.
-        N0 = seg.payload
-        res = np.empty((ts.size,) + seg.y0.shape)
-        for j, th in enumerate(theta):
-            s = th * seg.h
-            if s == 0.0:
-                res[j] = seg.y0
-            else:
-                res[j] = _etd2_step(self._prop, self._rhs, seg.y0, N0, s)[0]
-        return res
 
-
-def _etd2_step(prop, nonlinear, y, Ny, h):
-    """One ETD2RK step of size h; returns (y_new, N(y_new_predictor))."""
-    a = prop.apply(h, y, 0) + h * prop.apply(h, Ny, 1)
-    Na = nonlinear(a)
-    y_new = a + h * prop.apply(h, Na - Ny, 2)
-    return y_new, Na
-
-
-def _layer_rate(kappa, gamma, y):
-    """Max local nonlinear relaxation rate gamma*kappa*u^(gamma-1)."""
-    u = np.clip(y, 0.0, None)
-    rate = np.where(u > 0, gamma * kappa * np.power(np.maximum(u, 1e-300), gamma - 1.0), 0.0)
-    return float(rate.max())
+def _assemble(blocks):
+    """One system's dense Jacobian, or a batch's block-diagonal sparse one."""
+    return blocks[0] if len(blocks) == 1 else scipy.sparse.block_diag(blocks, format="csc")
 
 
 def solve_branching_ode(
-    A,
-    kappa,
-    gamma,
-    u0,
-    t_span,
-    rtol=1e-10,
-    atol=1e-12,
-    max_step=np.inf,
-    first_step=None,
-    allow_fallback=True,
-    rejection_limit=REJECTION_FALLBACK_LIMIT,
-    stiff_start=False,
+    A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, max_step=np.inf, _bernoulli=False
 ):
-    """Integrate u' = A u - kappa * clip(u,0)^gamma over t_span with dense output."""
+    """Integrate u' = A u - kappa * clip(u,0)^gamma over t_span with dense output.
+
+    `_bernoulli=True` integrates z = u^(1-min(gamma)) under purely relative
+    control (atol is not used); u0 must then be strictly positive.
+    """
     A = np.asarray(A, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     squeeze = u0.ndim == 1
-    y = np.atleast_2d(u0).astype(float).copy()
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), y.shape).copy()
-    t, t_end = map(float, t_span)
-    if t_end < t:
+    y0 = np.atleast_2d(u0).astype(float)
+    shape = y0.shape
+    B, d = shape
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), shape)
+    t0, t_end = map(float, t_span)
+    if t_end < t0:
         raise ValueError("t_span must be increasing")
+    diag = np.arange(d)
 
-    def nonlinear(u):
-        return -kappa * np.power(np.clip(u, 0.0, None), gamma)
+    def F(u):
+        return u @ A.T - kappa * np.power(np.clip(u, 0.0, None), gamma)
 
-    def rhs(u):
-        return u @ A.T + nonlinear(u)
+    def J(u):
+        blocks = np.broadcast_to(A, (B, d, d)).copy()
+        blocks[:, diag, diag] -= kappa * gamma * np.power(np.clip(u, 0.0, None), gamma - 1.0)
+        return blocks
 
-    report = SolverReport()
-    segments = []
-    prop = None
+    if _bernoulli:
+        if np.any(y0 <= 0.0):
+            raise ValueError("the z = u^(1-gamma0) variable needs a strictly positive state")
+        g0 = float(gamma.min())
+        p = 1.0 - g0
 
-    if t_end == t:
-        seg = _Segment(t0=t, h=0.0, kind="rk", y0=y.copy(), payload=np.zeros(y.shape + (4,)))
-        return OdeSolution([seg], t, t_end, squeeze, nonlinear, None, report)
+        def to_u(z):
+            return np.power(z, 1.0 / p)
 
-    a_scale = float(np.abs(A).sum(axis=1).max())
-    span = t_end - t
+        def fun(t, z):
+            u = to_u(z.reshape(shape))
+            return (p * np.power(u, -g0) * F(u)).ravel()
 
-    def nl_stiff(state, entry=False):
-        rate = _layer_rate(kappa, gamma, state)
-        if entry:
-            return rate >= LAYER_ENTRY_FACTOR * max(1.0, a_scale, 1.0 / span)
-        return rate >= 10.0 * max(1.0, a_scale)
+        def jac(t, z):
+            u = to_u(z.reshape(shape))
+            blocks = J(u) * (np.power(u, -g0)[:, :, None] * np.power(u, g0)[:, None, :])
+            blocks[:, diag, diag] -= g0 * F(u) / u
+            return _assemble(blocks)
 
-    h = None if first_step is None else float(first_step)
-    unbatched = y.shape[0] == 1
-    phases = []
+        y_start, tols = np.power(y0, p), dict(rtol=(g0 - 1.0) * rtol, atol=0.0)
+    else:
+        to_u = np.asarray
 
-    def tag(name):
-        if not phases or phases[-1] != name:
-            phases.append(name)
-        report.engine = "+".join(phases)
+        def fun(t, u):
+            return F(u.reshape(shape)).ravel()
 
-    first_entry = True
-    while t < t_end:
-        if stiff_start and unbatched and nl_stiff(y, entry=first_entry):
-            tag("trbdf2")
-            t, y = _implicit_phase(
-                A, kappa, gamma, nonlinear, rhs, y, t, t_end, rtol, atol, max_step,
-                segments, report,
-            )
-            h = None
-            if t >= t_end:
-                break
-        first_entry = False
-        tag("rk45")
-        t, y, h, finished = _rk45_phase(
-            A, nonlinear, rhs, y, t, t_end, h, rtol, atol, max_step,
-            segments, report, allow_fallback, rejection_limit,
-        )
-        if finished:
-            break
-        # Fallback trigger fired: dispatch on the nature of the stiffness.
-        if stiff_start and unbatched and nl_stiff(y):
-            continue  # nonlinear relaxation dominates: back to the implicit phase
-        prop = _LinearPropagator(A)
-        tag("etd2")
-        report.switch_time = t
-        t, y, segments = _etd_phase(
-            prop, nonlinear, y, t, t_end, h, rtol, atol, max_step, segments, report
-        )
-        break
+        def jac(t, u):
+            return _assemble(J(u.reshape(shape)))
 
-    return OdeSolution(segments, segments[0].t0, t_end, squeeze, nonlinear, prop, report)
+        y_start, tols = y0, dict(rtol=rtol, atol=atol)
 
-
-def _rk45_phase(
-    A, nonlinear, rhs, y, t, t_end, h, rtol, atol, max_step,
-    segments, report, allow_fallback, rejection_limit,
-):
-    """Explicit phase; returns (t, y, h, finished) where finished=False means a
-    fallback trigger fired (rejection pile-up or stability-pinned stall)."""
-    f = rhs(y)
-    if h is None:
-        sc = atol + rtol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / sc) ** 2))
-        d1 = np.sqrt(np.mean((f / sc) ** 2))
-        h = 0.01 * d0 / d1 if d1 > 0 else (t_end - t) / 100.0
-    h = max(min(h, max_step, max(t_end - t, 1e-300)), 1e-300)
-
-    rejected_here = 0
-    accepted_here = 0
-    K = np.empty((7,) + y.shape)
-    while t < t_end:
-        if report.accepted + report.rejected > MAX_STEPS:
-            raise SolverError("step budget exhausted")
-        h = min(h, max_step, t_end - t)
-        if h <= abs(t) * 1e-15 + 1e-300:
-            raise SolverError("step-size underflow (stiffness failure)")
-
-        K[0] = f
-        for i in range(1, 7):
-            yi = y + h * np.tensordot(_A[i], K[:i], axes=(0, 0))
-            K[i] = rhs(yi)
-        y_new = y + h * np.tensordot(_B5, K, axes=(0, 0))
-        err_vec = h * np.tensordot(_E, K, axes=(0, 0))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-
-        neg_floor = -np.maximum(atol, 1e-13 * np.abs(y))
-        negative = bool(np.any(y_new < neg_floor))
-        if not np.all(np.isfinite(y_new)):
-            negative, err = True, np.inf
-
-        if err <= 1.0 and not negative:
-            Q = np.einsum("s...,sp->...p", K, _P)
-            segments.append(_Segment(t0=t, h=h, kind="rk", y0=y.copy(), payload=Q))
-            y = np.clip(y_new, 0.0, None)
-            f = K[6] if np.array_equal(y, y_new) else rhs(y)
-            t += h
-            report.accepted += 1
-            accepted_here += 1
-            report.max_error_estimate = max(report.max_error_estimate, err)
-            if err > 0:
-                h *= min(5.0, max(0.2, 0.9 * err ** (-0.2)))
-            else:
-                h *= 5.0
-        else:
-            report.rejected += 1
-            rejected_here += 1
-            if negative:
-                report.negativity_rejections += 1
-                h *= 0.5
-            else:
-                h *= min(1.0, max(0.2, 0.9 * err ** (-0.2)))
-
-        if allow_fallback and t < t_end:
-            stalled = (
-                accepted_here > STALL_STEP_LIMIT
-                and (t_end - t) > STALL_SPAN_RATIO * h
-            )
-            if rejected_here > rejection_limit or stalled:
-                return t, y, h, False
-    return t, y, h, True
-
-
-def _implicit_phase(
-    A, kappa, gamma, nonlinear, rhs, y, t, t_end, rtol, atol, max_step, segments, report
-):
-    """L-stable TR-BDF2 layer integrator (unbatched) with filtered error control.
-
-    Both implicit stages share the iteration matrix I - k J with
-    k = gamma_tr * h / 2, so a single factorization per step serves the
-    trapezoidal and the BDF2 stage.  Hands off once the nonlinear relaxation
-    rate times the step/time scale clears LAYER_HANDOFF_PRODUCT, i.e. once an
-    explicit method will stay stable for the remainder of the run.
-    """
-    d = y.shape[1]
-    g = _TR_GAMMA
-    kap = kappa[0]
-    eye = np.eye(d)
-
-    def jac(u):
-        u0 = np.clip(u, 0.0, None)[0]
-        du = np.where(u0 > 0, gamma * kap * np.power(np.maximum(u0, 1e-300), gamma - 1.0), 0.0)
-        return A - np.diag(du)
-
-    def newton(Minv, k, rhs_vec, u_start):
-        u = u_start.copy()
-        for _ in range(10):
-            res = u - k * rhs(u) - rhs_vec
-            du = res @ Minv.T
-            u = u - du
-            sc = atol + rtol * np.abs(u)
-            if float(np.max(np.abs(du) / sc)) < 3e-2:
-                return u, True
-        return u, False
-
-    h = 0.01 / max(_layer_rate(kap, gamma, y), 1e-300)
-    h_floor = 1e-14 * h
-    accepted_here = 0
-    while t < t_end:
-        if report.accepted + report.rejected > MAX_STEPS:
-            raise SolverError("step budget exhausted")
-        h = min(h, max_step, t_end - t)
-        if h <= max(abs(t) * 1e-15, h_floor):
-            raise SolverError("step-size underflow (stiffness failure)")
-
-        k = g * h / 2.0
-        F0 = rhs(y)
-        try:
-            Minv = np.linalg.inv(eye - k * jac(y))
-        except np.linalg.LinAlgError:
-            h *= 0.3
-            report.rejected += 1
-            continue
-
-        ug, ok1 = newton(Minv, k, y + k * F0, y + g * h * F0)
-        c1 = 1.0 / (g * (2.0 - g))
-        c2 = (1.0 - g) ** 2 / (g * (2.0 - g))
-        u1, ok2 = (None, False)
-        if ok1:
-            u1, ok2 = newton(Minv, k, c1 * ug - c2 * y, ug)
-        if not (ok1 and ok2) or not np.all(np.isfinite(u1)):
-            h *= 0.3
-            report.rejected += 1
-            continue
-
-        Fg, F1 = rhs(ug), rhs(u1)
-        raw = 2.0 * _TR_ERRC * h * ((F1 - Fg) / (1.0 - g) - (Fg - F0) / g)
-        filtered = raw @ Minv.T
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(u1))
-        err = float(np.sqrt(np.mean((filtered / sc) ** 2)))
-        negative = bool(np.any(u1 < -np.maximum(atol, 1e-13 * np.abs(y))))
-
-        if err <= 1.0 and not negative:
-            segments.append(
-                _Segment(t0=t, h=h, kind="quad3", y0=y.copy(), payload=(ug.copy(), u1.copy()))
-            )
-            y = np.clip(u1, 0.0, None)
-            t += h
-            report.accepted += 1
-            report.max_error_estimate = max(report.max_error_estimate, err)
-            accepted_here += 1
-            accepted_h = h
-            h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 3)))
-            rate = _layer_rate(kap, gamma, y)
-            # The first steps sit below the explicit stability limit by
-            # construction; let the controller ramp before testing handoff.
-            if accepted_here >= 8 and rate * max(t, 10.0 * accepted_h) <= LAYER_HANDOFF_PRODUCT:
-                break
-        else:
-            report.rejected += 1
-            h *= 0.5 if negative else min(1.0, max(0.2, 0.9 * err ** (-1 / 3)))
-    return t, y
-
-
-def _etd_phase(prop, nonlinear, y, t, t_end, h, rtol, atol, max_step, segments, report):
-    """Exponential-integrator continuation; Richardson-controlled ETD2RK."""
-    h = min(max(h, 1e-300) * 2.0, max_step, t_end - t)
-    Ny = nonlinear(y)
-    while t < t_end:
-        if report.accepted + report.rejected > MAX_STEPS:
-            raise SolverError("step budget exhausted")
-        h = min(h, max_step, t_end - t)
-        if h <= abs(t) * 1e-15 + 1e-300:
-            raise SolverError("step-size underflow (stiffness failure)")
-
-        y_big, _ = _etd2_step(prop, nonlinear, y, Ny, h)
-        y_mid, _ = _etd2_step(prop, nonlinear, y, Ny, 0.5 * h)
-        N_mid = nonlinear(y_mid)
-        y_half2, _ = _etd2_step(prop, nonlinear, y_mid, N_mid, 0.5 * h)
-
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_half2))
-        err = float(np.max(np.abs(y_big - y_half2) / sc)) / 3.0
-        if not np.all(np.isfinite(y_half2)):
-            err = np.inf
-
-        if err <= 1.0:
-            segments.append(_Segment(t0=t, h=h, kind="etd", y0=y.copy(), payload=Ny.copy()))
-            y = np.clip(y_half2 + (y_half2 - y_big) / 3.0, 0.0, None)
-            Ny = nonlinear(y)
-            t += h
-            report.accepted += 1
-            report.max_error_estimate = max(report.max_error_estimate, err)
-            h *= min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** (-1 / 3)))
-        else:
-            report.rejected += 1
-            h *= min(1.0, max(0.2, 0.9 * err ** (-1 / 3)))
-    return t, y, segments
+    res = solve_ivp(
+        fun, (t0, t_end), y_start.ravel(), method="Radau", dense_output=True,
+        jac=jac, max_step=max_step, **tols,
+    )
+    if res.status != 0:
+        raise SolverError(f"Radau failed at t={res.t[-1]:.6g}: {res.message}")
+    report = SolverReport(accepted=res.t.size - 1, variable="z" if _bernoulli else "u",
+                          nfev=res.nfev, njev=res.njev, nlu=res.nlu)
+    return OdeSolution(res.sol, t0, t_end, shape, squeeze, to_u, report)

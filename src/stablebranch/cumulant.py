@@ -5,11 +5,15 @@ V_t f is equivalent to the site-wise ODE
 
     du/dt = A u - kappa * u^gamma,      u(0) = f,
 
-with A the calibrated mean generator.  The extinction cumulant v_t (the
-infinite-initial-condition limit) is started analytically: over a vanishing
-initial window the motion is negligible and each site evolves as the scalar
-stable branching flow, giving v(t0, x) = (kappa(x) (gamma(x)-1) t0)^(-1/(gamma(x)-1)).
-The warm start is certified by halving t0 and bounding the induced change.
+with A the calibrated mean generator, integrated by the Radau IIA engine of
+`_ivp`.  The extinction cumulant v_t (the infinite-initial-condition limit) is
+started analytically: over a vanishing initial window the motion is negligible
+and each site evolves as the scalar stable branching flow, giving
+v(t0, x) = (kappa(x) (gamma(x)-1) t0)^(-1/(gamma(x)-1)).  The warm start is
+certified by halving t0 and bounding the induced change; the bound achieved is
+kept on the returned curve.  Extinction runs integrate the Bernoulli variable
+z = v^(1-gamma0), in which the tail v ~ c t^(-1/(gamma0-1)) is linear in t;
+runs from a finite field f stay in u, because f may vanish on some sites.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ class CumulantCurve:
 
     values[i, x] is the solution at times[i], site x; nonnegative throughout.
     For the extinction curve (initial == "infinity") each site trace is
-    nonincreasing in t.
+    nonincreasing in t, and certification_bound is the relative warm-start
+    change the certification achieved at the first reported time (None for
+    other curves).
     """
 
     times: np.ndarray
@@ -67,6 +73,7 @@ class CumulantCurve:
     initial: str
     solver_report: SolverReport
     _dense: OdeSolution
+    certification_bound: float | None = None
 
     def evaluate(self, t):
         """Dense-output values at arbitrary t inside the solved span."""
@@ -106,17 +113,7 @@ def solve_cumulant(model, f, times, opts=None):
     if np.any(f < 0):
         raise ValueError("initial field must be nonnegative")
     times = _check_times(times)
-    sol = solve_branching_ode(
-        model.A,
-        model.mechanism.kappa,
-        model.mechanism.gamma,
-        f,
-        (0.0, float(times[-1])),
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        max_step=opts.max_step,
-        stiff_start=True,  # engages only for enormous initial fields
-    )
+    sol = _cumulant_flow(model, f, float(times[-1]), opts)
     return CumulantCurve(
         times=times,
         values=sol(times),
@@ -152,7 +149,25 @@ def _warm_start(model, t0):
     return w
 
 
+def _cumulant_flow(model, F, T, opts, kappa=None):
+    """Dense solution of the u-flow over [0, T] from F, one field (d,) or a
+    batch (B, d); kappa defaults to the model's (see _yaglom_batch)."""
+    return solve_branching_ode(
+        model.A,
+        model.mechanism.kappa if kappa is None else kappa,
+        model.mechanism.gamma,
+        F,
+        (0.0, float(T)),
+        rtol=opts.rel_tol,
+        atol=opts.abs_tol,
+        max_step=opts.max_step,
+    )
+
+
 def _extinction_solution(model, t0, t_max, opts, rtol=None):
+    # Values traverse many decades and stay strictly positive: integrate the
+    # Bernoulli variable z = u^(1-gamma0), whose tail is linear in t, under
+    # purely relative control.
     return solve_branching_ode(
         model.A,
         model.mechanism.kappa,
@@ -160,9 +175,8 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
         _warm_start(model, t0),
         (t0, t_max),
         rtol=rtol if rtol is not None else opts.rel_tol,
-        atol=0.0,  # values traverse many decades; control is purely relative
         max_step=opts.max_step,
-        stiff_start=True,
+        _bernoulli=True,
     )
 
 
@@ -224,6 +238,7 @@ def solve_extinction(model, times, opts=None):
         initial="infinity",
         solver_report=fine.report,
         _dense=fine,
+        certification_bound=bound,
     )
 
 
@@ -287,16 +302,7 @@ def _yaglom_batch(model, f, thetas, T, opts):
         thetas[:, None] * eta_T, gamma[None, :] - 1.0
     )
     u0 = np.broadcast_to(f, (thetas.size, model.d)).copy()
-    sol = solve_branching_ode(
-        model.A,
-        kappa_eff,
-        gamma,
-        u0,
-        (0.0, float(T)),
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        max_step=opts.max_step,
-    )
+    sol = _cumulant_flow(model, u0, T, opts, kappa=kappa_eff)
     w_T = sol(float(T))
     return thetas[:, None] * w_T / model.phi[None, :]
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._mapped import mapped_zeros
 from .model import eta
 
 __all__ = [
@@ -337,7 +338,7 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     block_starts = range(0, n_steps, _BLOCK_STEPS)
     # draw buffers, reused by every chunk and block
     draw_shape = (min(_CHUNK_REPLICATES, config.replicates), min(_BLOCK_STEPS, n_steps), d)
-    U_all, W_all = np.empty(draw_shape), np.empty(draw_shape)
+    U_all, W_all = mapped_zeros((2, *draw_shape))
 
     survivors = 0
     surv_vals = []

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .cumulant import SolverOptions, solve_cumulant
+from ._mapped import mapped_zeros
+from .cumulant import SolverOptions, _cumulant_flow
 
 __all__ = [
     "SpineChain",
@@ -183,23 +184,32 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
 
 def _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau):
     """Cumulative exponent integrals: W_k(y, tau) = int_0^tau (kappa gamma
-    V_u(r_k f)^{gamma-1})(y) du, tabulated on a fine tau grid per node."""
+    V_u(r_k f)^{gamma-1})(y) du, tabulated on a fine tau grid per node.
+
+    Without supplied curves the K node solves run as one (K, d) batch.  The
+    tables are views into one (n_tau, K, d) array on a map of its own (see
+    `_mapped`) that is filled in place, the dense output in pieces of about
+    128 KB: glibc raises its mmap threshold to the size of the largest block
+    freed, so a large temporary freed here would raise the peak memory of the
+    path phase by several MB."""
     kappa = model.mechanism.kappa
     gamma = model.mechanism.gamma
     tau = np.linspace(0.0, T, n_tau)
-    tables = []
-    for k, r in enumerate(r_nodes):
-        if curves is not None:
-            curve = curves[k]
-        else:
-            curve = solve_cumulant(model, r * f, [T], opts)
-        V = curve.evaluate(tau)  # (n_tau, d)
-        integrand = kappa * gamma * np.power(np.clip(V, 0.0, None), gamma - 1.0)
-        W = np.concatenate(
-            [np.zeros((1, model.d)), cumulative_simpson(integrand, x=tau, axis=0)]
-        )
-        tables.append(W)
-    return tau, tables
+    K = len(r_nodes)
+    W = mapped_zeros((n_tau, K, model.d))
+    if curves is None:
+        sol = _cumulant_flow(model, np.outer(r_nodes, f), T, opts)
+        for chunk in np.array_split(np.arange(n_tau), max(1, W.nbytes // 2**17)):
+            W[chunk] = sol(tau[chunk])
+    else:
+        for k, curve in enumerate(curves):
+            W[:, k] = curve.evaluate(tau)
+    np.power(np.clip(W, 0.0, None, out=W), gamma - 1.0, out=W)
+    W *= kappa * gamma
+    for k in range(K):
+        W[1:, k] = cumulative_simpson(W[:, k], x=tau, axis=0)
+        W[0, k] = 0.0
+    return tau, [W[:, k] for k in range(K)]
 
 
 def _composite_geometric_nodes(theta, n_panels=12, per_panel=4):
@@ -276,7 +286,7 @@ def feynman_kac_estimate(
     d = model.d
 
     starts = np.repeat(np.arange(d), n_paths)
-    I = np.zeros((starts.size, K))
+    I = mapped_zeros((starts.size, K))
 
     def hook(sites, t0, t1, idx):
         # int_{t0}^{t1} g(T - s) ds = W(T - t0) - W(T - t1)
@@ -293,7 +303,8 @@ def feynman_kac_estimate(
 
     final_site = _batch_paths_accumulate(chain, starts, T, rng, hook)
     ratio = (f / model.phi)[final_site]
-    vals = ratio * (np.exp(-I) @ r_weights)
+    np.exp(np.negative(I, out=I), out=I)
+    vals = ratio * (I @ r_weights)
 
     est = np.empty(d)
     se = np.empty(d)

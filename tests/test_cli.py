@@ -1,10 +1,12 @@
 import json
 import os
+import platform
 import sys
 import types
 
 import numpy as np
 import pytest
+import scipy
 
 from stablebranch.cli import (
     EXIT_OK,
@@ -144,6 +146,35 @@ class TestRun:
             assert key in manifest
         assert manifest["status"] == "ok"
 
+    def test_manifest_records_environment(self, preset_dir, tmp_path):
+        model_path = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        run(make_spec("calibrate", model_path, {}, tmp_path))
+        env = json.loads((tmp_path / "run_manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["cpus"] >= 1
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+    def test_scalar_preset_runs_clean(self, tmp_path):
+        # every shipped spec must pass its own gates; the scalar yaglom errors
+        # sit at the solver's noise floor at every horizon
+        paths = write_preset("scalar-csbp", str(tmp_path))
+        for path in paths[1:]:
+            spec = ExperimentSpec.from_file(path)
+            assert run(spec) == EXIT_OK, spec.kind
+
+    def test_yaglom_trend_gated_above_noise_floor(self, preset_dir, tmp_path):
+        # reversed horizons make the sup error grow far above 10 rel_tol
+        model_path = preset_dir / "two-site" / "two-site_model.json"
+        params = {
+            "thetaGrid": {"min": 0.1, "max": 10.0, "count": 3},
+            "horizons": [1e3, 1e2],
+            "relTol": 1e-7,
+            "supTolerance": 1.0,
+        }
+        assert run(make_spec("yaglom", model_path, params, tmp_path)) == EXIT_TOLERANCE
+
     def test_rv_fit_runs_with_tolerance(self, preset_dir, tmp_path):
         model_path = preset_dir / "two-site" / "two-site_model.json"
         params = {
@@ -196,7 +227,7 @@ class TestMain:
 
     def test_cli_threads_applies_cap(self, tmp_path, monkeypatch):
         calls = []
-        fake = types.SimpleNamespace(threadpool_limits=calls.append)
+        fake = types.SimpleNamespace(threadpool_limits=calls.append, threadpool_info=list)
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         argv = ["--threads", "2", "delay-eq", "--a", "1.5", "--theta-max", "1.0",
                 "--outdir", str(tmp_path)]

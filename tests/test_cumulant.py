@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from stablebranch.cumulant import (
     CertificationError,
     SolverOptions,
+    _warm_start,
+    _yaglom_batch,
     conservation_residual,
     solve_cumulant,
     solve_extinction,
@@ -125,6 +128,65 @@ class TestSolveExtinction:
             solve_extinction(scalar_model, [1e-8])
 
 
+class TestMultiSiteAccuracy:
+    """Multi-site extinction curves meet their stated tolerance globally.
+
+    Two independent routes: the weighted conservation identity, and a plain-u
+    Radau solve at rtol 1e-12 from the same warm start.
+    """
+
+    CASES = [
+        ("two_site_model", np.array([0.1, 0.3, 1.0]), 1e-8),
+        ("three_site_model", np.geomspace(1e3, 1e6, 4), 1e-7),
+    ]
+
+    @staticmethod
+    def reference(model, times):
+        A, kappa, gamma = model.A, model.mechanism.kappa, model.mechanism.gamma
+        t0 = SolverOptions().warm_start_time / 2.0  # the start of the returned run
+
+        def fun(t, u):
+            return A @ u - kappa * np.clip(u, 0.0, None) ** gamma
+
+        def jac(t, u):
+            return A - np.diag(kappa * gamma * np.clip(u, 0.0, None) ** (gamma - 1.0))
+
+        sol = solve_ivp(fun, (t0, times[-1]), _warm_start(model, t0), method="Radau",
+                        t_eval=times, rtol=1e-12, atol=0.0, jac=jac)
+        assert sol.status == 0
+        return sol.y.T
+
+    @pytest.mark.parametrize("name,times,rel_tol", CASES)
+    def test_conservation_and_reference(self, request, name, times, rel_tol):
+        model = request.getfixturevalue(name)
+        curve = solve_extinction(model, times, SolverOptions(rel_tol=rel_tol))
+        s, t = times[0], times[-1]
+        # quadrature tolerance scaled to the value checked, as in the benchmark
+        base = float(curve.evaluate(s) @ (model.phi_star * model.m))
+        res = conservation_residual(model, curve, s, t, quad_tol=1e-3 * rel_tol * base)
+        assert res / base <= 10 * rel_tol
+        ref = self.reference(model, times)
+        assert np.abs(curve.values / ref - 1.0).max() <= 10 * rel_tol
+
+
+class TestSolverTelemetry:
+    def test_extinction_report_and_bound(self, two_site_model):
+        opts = SolverOptions(rel_tol=1e-8)
+        curve = solve_extinction(two_site_model, [1.0], opts)
+        rep = curve.solver_report
+        assert rep.engine == "radau" and rep.variable == "z"
+        assert rep.accepted > 0 and rep.rejected == 0
+        assert rep.nfev > rep.accepted and rep.njev >= 1 and rep.nlu >= 2
+        assert 0.0 <= curve.certification_bound <= 10 * opts.rel_tol
+
+    def test_cumulant_report(self, two_site_model):
+        curve = solve_cumulant(two_site_model, np.array([0.8, 1.9]), [1.0])
+        rep = curve.solver_report
+        assert rep.engine == "radau" and rep.variable == "u"
+        assert rep.accepted > 0 and rep.nfev > rep.accepted
+        assert curve.certification_bound is None
+
+
 class TestSurvival:
     def test_scalar_values(self, scalar_model):
         assert survival_probability(scalar_model, np.array([1.0]), 1.0) == pytest.approx(
@@ -174,6 +236,16 @@ class TestYaglomSurface:
     def test_zero_theta(self, two_site_model):
         f = normalized_ones(two_site_model)
         assert np.all(yaglom_surface(two_site_model, f, 0.0, 10.0) == 0.0)
+
+    def test_batch_matches_single_solves(self, two_site_model, loose_opts):
+        # the batch runs on a block-diagonal sparse Jacobian, one theta alone
+        # on a dense one
+        f = normalized_ones(two_site_model)
+        thetas = np.array([0.2, 1.0, 4.0])
+        batch = _yaglom_batch(two_site_model, f, thetas, 100.0, loose_opts)
+        for theta, row in zip(thetas, batch):
+            single = yaglom_surface(two_site_model, f, theta, 100.0, loose_opts)
+            assert np.abs(row / single - 1.0).max() <= 1e-5
 
     def test_unnormalized_rejected(self, two_site_model):
         with pytest.raises(ValueError, match="phi_star"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stablebranch.cumulant import solve_cumulant, solve_extinction, SolverOptions
+from stablebranch._mapped import mapped_zeros
 from stablebranch.model import eta
 from stablebranch.simulate import (
     PathStats,
@@ -114,6 +115,15 @@ class TestDeterminism:
         a = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=1, **base))
         b = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=2, **base))
         assert not np.array_equal(a.functional_values, b.functional_values)
+
+
+def test_mapped_scratch_is_zeroed_and_writable():
+    # feynman_kac_estimate accumulates into such an array from zero
+    a = mapped_zeros((3, 4, 2))
+    assert a.shape == (3, 4, 2) and a.dtype == np.float64
+    assert not a.any()
+    a[1] = 2.5
+    assert a.sum() == 20.0
 
 
 class TestGoldenDigests:

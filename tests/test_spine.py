@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stablebranch.cumulant import solve_cumulant
+from stablebranch.cumulant import SolverOptions, solve_cumulant
 from stablebranch.model import CriticalModel, semigroup_apply
 from stablebranch.spine import (
+    _composite_geometric_nodes,
+    _exponent_tables,
     ergodic_average_check,
     feynman_kac_estimate,
     simulate_spine,
@@ -129,6 +131,17 @@ class TestFeynmanKac:
             curves.append(est)
         assert np.all(curves[1] >= curves[0] - 1e-9)
         assert np.all(curves[2] >= curves[1] - 1e-9)
+
+    def test_batched_tables_match_node_solves(self, two_site_model):
+        # one (K, d) batch against one solve_cumulant per node
+        f = normalized_ones(two_site_model)
+        nodes, _ = _composite_geometric_nodes(1.0)
+        opts, T = SolverOptions(rel_tol=1e-8), 2.0
+        curves = [solve_cumulant(two_site_model, r * f, [T], opts) for r in nodes]
+        tau, batch = _exponent_tables(two_site_model, f, nodes, T, opts, None, 257)
+        _, single = _exponent_tables(two_site_model, f, nodes, T, opts, curves, 257)
+        for b, s in zip(batch, single):
+            assert np.allclose(b, s, rtol=1e-6, atol=1e-12)
 
     def test_supplied_curves_used(self, two_site_model, rng):
         f = normalized_ones(two_site_model)
