@@ -217,20 +217,33 @@ class _ReplicateStreams:
 # Sites with z * w_h at or below this use the exact cluster branch.
 _CLUSTER_THRESHOLD = 5.0
 _POISSON_KMAX = 64
+_POISSON_COMPACT_MIN = 1024
 
 
 def _poisson_quantile(lam, u):
-    """Elementwise Poisson quantile: smallest N with CDF(N) >= u."""
+    """Elementwise Poisson quantile of 1-D lam and u: smallest N with CDF(N) >= u.
+
+    The cdf never falls, so an entry once resolved stays resolved.  Each entry
+    counts the steps it was unresolved; the search set is compacted when half
+    of it has resolved, once it holds at least _POISSON_COMPACT_MIN entries
+    (below that, numpy's per-call cost exceeds the arithmetic saved)."""
+    N = np.empty_like(lam)
+    pos = np.arange(lam.size)
     pmf = np.exp(-lam)
     cdf = pmf.copy()
-    N = np.zeros_like(lam)
+    n = np.zeros_like(lam)
     for k in range(1, _POISSON_KMAX + 1):
         todo = u > cdf
-        if not todo.any():
-            break
-        N[todo] += 1.0
+        n += todo
+        left = np.count_nonzero(todo)
+        if not left or (2 * left <= pos.size and pos.size >= _POISSON_COMPACT_MIN):
+            N[pos] = n
+            if not left:
+                return N
+            pos, lam, u, pmf, cdf, n = (a[todo] for a in (pos, lam, u, pmf, cdf, n))
         pmf = pmf * lam / k
         cdf = cdf + pmf
+    N[pos] = n
     return N
 
 

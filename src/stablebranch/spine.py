@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
+_HOOK_ROWS = 2048  # path rows per table gather in feynman_kac_estimate
 
 
 @dataclass(frozen=True)
@@ -183,33 +184,62 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
 
 
 def _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau):
-    """Cumulative exponent integrals: W_k(y, tau) = int_0^tau (kappa gamma
-    V_u(r_k f)^{gamma-1})(y) du, tabulated on a fine tau grid per node.
+    """Cumulative exponent integrals W(y, tau, k) = int_0^tau (kappa gamma
+    V_u(r_k f)^{gamma-1})(y) du on the uniform grid tau = linspace(0, T, n_tau).
 
-    Without supplied curves the K node solves run as one (K, d) batch.  The
-    tables are views into one (n_tau, K, d) array on a map of its own (see
-    `_mapped`) that is filled in place, the dense output in pieces of about
-    128 KB: glibc raises its mmap threshold to the size of the largest block
+    Returns (tau, W, S).  W has shape (d, n_tau, K), so one gather W[y, j]
+    gives every node's value at site y and grid point j.  S has the same shape
+    and holds np.interp's slopes, S[y, j] = (W[y, j+1] - W[y, j]) /
+    (tau[j+1] - tau[j]), with a zero row at j = n_tau - 1 so that
+    `_table_lookup` can read S at the last grid point.
+
+    Without supplied curves the K node solves run as one (K, d) batch.  Both
+    arrays live on maps of their own (see `_mapped`) and are filled in place,
+    the dense output in pieces of about 128 KB and the integrals one node at a
+    time: glibc raises its mmap threshold to the size of the largest block
     freed, so a large temporary freed here would raise the peak memory of the
     path phase by several MB."""
-    kappa = model.mechanism.kappa
-    gamma = model.mechanism.gamma
+    kappa = model.mechanism.kappa[:, None, None]
+    gamma = model.mechanism.gamma[:, None, None]
     tau = np.linspace(0.0, T, n_tau)
     K = len(r_nodes)
-    W = mapped_zeros((n_tau, K, model.d))
+    W = mapped_zeros((model.d, n_tau, K))
     if curves is None:
         sol = _cumulant_flow(model, np.outer(r_nodes, f), T, opts)
         for chunk in np.array_split(np.arange(n_tau), max(1, W.nbytes // 2**17)):
-            W[chunk] = sol(tau[chunk])
+            W[:, chunk] = sol(tau[chunk]).transpose(2, 0, 1)
     else:
         for k, curve in enumerate(curves):
-            W[:, k] = curve.evaluate(tau)
+            W[:, :, k] = curve.evaluate(tau).T
     np.power(np.clip(W, 0.0, None, out=W), gamma - 1.0, out=W)
     W *= kappa * gamma
     for k in range(K):
-        W[1:, k] = cumulative_simpson(W[:, k], x=tau, axis=0)
-        W[0, k] = 0.0
-    return tau, [W[:, k] for k in range(K)]
+        W[:, 1:, k] = cumulative_simpson(W[:, :, k], x=tau, axis=1)
+        W[:, 0, k] = 0.0
+    S = mapped_zeros(W.shape)
+    np.subtract(W[:, 1:], W[:, :-1], out=S[:, :-1])
+    S[:, :-1] /= np.diff(tau)[:, None]
+    return tau, W, S
+
+
+def _table_lookup(W, S, tau, sites, x):
+    """Every node's table at (sites[i], x[i]) for x in [0, tau[-1]], shape (m, K).
+
+    Bit for bit np.interp(x, tau, W[y, :, k]): the bracket j is the largest
+    index with tau[j] <= x, found from the uniform spacing and corrected by
+    one step against the rounded grid, and the value is np.interp's own
+    slope * (x - tau[j]) + W[j] (its exact hit x == tau[j] returns W[j], which
+    this formula also gives)."""
+    last = tau.size - 1
+    j = np.minimum((x * (last / tau[-1])).astype(np.intp), last)
+    j -= tau[j] > x
+    j += (j < last) & (tau[np.minimum(j + 1, last)] <= x)
+    rows = sites * tau.size + j
+    K = W.shape[-1]
+    out = S.reshape(-1, K).take(rows, axis=0)
+    out *= (x - tau[j])[:, None]
+    out += W.reshape(-1, K).take(rows, axis=0)
+    return out
 
 
 def _composite_geometric_nodes(theta, n_panels=12, per_panel=4):
@@ -261,6 +291,10 @@ def feynman_kac_estimate(
         raise ValueError("theta must be nonnegative")
     if n_paths < 2:
         raise ValueError("need at least two paths")
+    if T <= 0:
+        raise ValueError("horizon must be positive")
+    if n_tau < 2:
+        raise ValueError("n_tau must be at least 2")
     f = np.asarray(f, dtype=float)
     if f.shape != (model.d,) or np.any(f < 0):
         raise ValueError("f must be a nonnegative field of length d")
@@ -281,25 +315,21 @@ def feynman_kac_estimate(
         raise ValueError("need one cumulant curve per quadrature node")
 
     chain = spine_generator(model)
-    tau, tables = _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau)
-    K = r_nodes.size
+    tau, W, S = _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau)
     d = model.d
 
     starts = np.repeat(np.arange(d), n_paths)
-    I = mapped_zeros((starts.size, K))
+    I = mapped_zeros((starts.size, r_nodes.size))
 
     def hook(sites, t0, t1, idx):
-        # int_{t0}^{t1} g(T - s) ds = W(T - t0) - W(T - t1)
-        for y in range(d):
-            sel = sites == y
-            if not sel.any():
-                continue
-            rows = idx[sel]
-            hi = T - t0[sel]
-            lo = T - t1[sel]
-            for k in range(K):
-                Wy = tables[k][:, y]
-                I[rows, k] += np.interp(hi, tau, Wy) - np.interp(lo, tau, Wy)
+        # int_{t0}^{t1} g(T - s) ds = W(T - t0) - W(T - t1), in row chunks
+        # that keep the (rows, K) temporaries small
+        for c in range(0, idx.size, _HOOK_ROWS):
+            rows = slice(c, c + _HOOK_ROWS)
+            y = sites[rows]
+            step = _table_lookup(W, S, tau, y, T - t0[rows])
+            step -= _table_lookup(W, S, tau, y, T - t1[rows])
+            I[idx[rows]] += step
 
     final_site = _batch_paths_accumulate(chain, starts, T, rng, hook)
     ratio = (f / model.phi)[final_site]

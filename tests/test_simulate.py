@@ -7,6 +7,8 @@ from stablebranch.cumulant import solve_cumulant, solve_extinction, SolverOption
 from stablebranch._mapped import mapped_zeros
 from stablebranch.model import eta
 from stablebranch.simulate import (
+    _POISSON_KMAX,
+    _poisson_quantile,
     PathStats,
     SimConfig,
     conditional_laplace_estimate,
@@ -124,6 +126,35 @@ def test_mapped_scratch_is_zeroed_and_writable():
     assert not a.any()
     a[1] = 2.5
     assert a.sum() == 20.0
+
+
+def poisson_quantile_reference(lam, u):
+    """The search over the whole set until its slowest entry resolves."""
+    pmf = np.exp(-lam)
+    cdf = pmf.copy()
+    N = np.zeros_like(lam)
+    for k in range(1, _POISSON_KMAX + 1):
+        todo = u > cdf
+        if not todo.any():
+            break
+        N[todo] += 1.0
+        pmf = pmf * lam / k
+        cdf = cdf + pmf
+    return N
+
+
+@pytest.mark.parametrize("size", [7, 3000])
+def test_poisson_quantile_matches_full_search(size):
+    # 3,000 entries cross the compaction floor; lam = 300 never resolves
+    # within the cap, and u = 0 resolves at N = 0
+    rng = np.random.default_rng(size)
+    lam = rng.exponential(3.0, size)
+    u = rng.random(size)
+    lam[:4] = [0.0, 1e-300, 40.0, 300.0]
+    u[:4] = [0.0, 1.0 - 1e-16, 0.999, 0.5]
+    N = _poisson_quantile(lam, u)
+    assert N.tobytes() == poisson_quantile_reference(lam, u).tobytes()
+    assert N[0] == 0.0 and N[3] == _POISSON_KMAX
 
 
 class TestGoldenDigests:

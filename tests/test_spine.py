@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from stablebranch.model import CriticalModel, semigroup_apply
 from stablebranch.spine import (
     _composite_geometric_nodes,
     _exponent_tables,
+    _table_lookup,
     ergodic_average_check,
     feynman_kac_estimate,
     simulate_spine,
@@ -138,10 +141,53 @@ class TestFeynmanKac:
         nodes, _ = _composite_geometric_nodes(1.0)
         opts, T = SolverOptions(rel_tol=1e-8), 2.0
         curves = [solve_cumulant(two_site_model, r * f, [T], opts) for r in nodes]
-        tau, batch = _exponent_tables(two_site_model, f, nodes, T, opts, None, 257)
-        _, single = _exponent_tables(two_site_model, f, nodes, T, opts, curves, 257)
-        for b, s in zip(batch, single):
-            assert np.allclose(b, s, rtol=1e-6, atol=1e-12)
+        tau, batch, batch_slopes = _exponent_tables(two_site_model, f, nodes, T, opts, None, 257)
+        _, single, single_slopes = _exponent_tables(two_site_model, f, nodes, T, opts, curves, 257)
+        assert batch.shape == single.shape == (2, 257, nodes.size)
+        assert np.allclose(batch, single, rtol=1e-6, atol=1e-12)
+        assert np.allclose(batch_slopes, single_slopes, rtol=1e-6, atol=1e-12)
+        for W, S in ((batch, batch_slopes), (single, single_slopes)):
+            assert np.all(W[:, 0] == 0.0) and np.all(S[:, -1] == 0.0)
+            assert np.array_equal(S[:, :-1], np.diff(W, axis=1) / np.diff(tau)[:, None])
+
+    @pytest.mark.parametrize("T, n_tau", [(2.0, 257), (1.7, 4097), (0.3, 2)])
+    def test_table_lookup_is_np_interp(self, two_site_model, T, n_tau):
+        # the direct-indexed bracket against np.interp per site and node, bit for bit
+        f = normalized_ones(two_site_model)
+        nodes, _ = _composite_geometric_nodes(1.0)
+        tau, W, S = _exponent_tables(
+            two_site_model, f, nodes, T, SolverOptions(rel_tol=1e-8), None, n_tau
+        )
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            [0.0, T],
+            tau,
+            np.nextafter(tau, np.inf),
+            np.nextafter(tau, -np.inf),
+            rng.uniform(0.0, T, 2000),
+        ])
+        x = x[(x >= 0.0) & (x <= T)]
+        sites = rng.integers(0, 2, x.size)
+        got = _table_lookup(W, S, tau, sites, x)
+        want = np.empty_like(got)
+        for y in range(2):
+            sel = sites == y
+            for k in range(nodes.size):
+                want[sel, k] = np.interp(x[sel], tau, W[y, :, k])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, two_site_model, rng, T):
+        f = normalized_ones(two_site_model)
+        with pytest.raises(ValueError, match="horizon"):
+            feynman_kac_estimate(two_site_model, f, 1.0, T, 100, rng)
+
+    @pytest.mark.parametrize("n_tau", [1, 0])
+    def test_short_tau_grid_rejected(self, two_site_model, rng, n_tau):
+        # a one-point grid has no exponent to tabulate: theta f with se = 0 is wrong
+        f = normalized_ones(two_site_model)
+        with pytest.raises(ValueError, match="n_tau"):
+            feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng, n_tau=n_tau)
 
     def test_supplied_curves_used(self, two_site_model, rng):
         f = normalized_ones(two_site_model)
@@ -153,6 +199,40 @@ class TestFeynmanKac:
         )
         ode = solve_cumulant(two_site_model, theta * f, [T]).values[0]
         assert np.all(np.abs(est - ode) <= 5.0 * se)
+
+
+def fk_digest(est, se):
+    """SHA-256 of a Feynman-Kac (estimate, stderr) pair, bit for bit."""
+    h = hashlib.sha256(np.ascontiguousarray(est, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(se, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    """Feynman-Kac outputs pinned bit for bit.
+
+    The digests were recorded with one np.interp call per site, node and wave
+    on per-node tables; the stacked, direct-indexed tables must reproduce them.
+    """
+
+    def test_default_nodes(self, two_site_model):
+        f = normalized_ones(two_site_model)
+        out = feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42))
+        assert fk_digest(*out) == (
+            "9eb2584ed28aa497934d0eb40bc693b3329bd365c36e545f8d9ffc6ffc8d284c"
+        )
+
+    def test_supplied_curves(self, two_site_model):
+        f = normalized_ones(two_site_model)
+        nodes = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+        curves = [solve_cumulant(two_site_model, r * f, [2.0]) for r in nodes]
+        out = feynman_kac_estimate(
+            two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42),
+            r_grid_size=8, curves=curves,
+        )
+        assert fk_digest(*out) == (
+            "7c171ab19a4cd29ccacd0f1416f7ec7ad0b2bcf77eaedd114eab7657bda8a2b0"
+        )
 
 
 class TestErgodicAverage:
