@@ -36,6 +36,11 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 _HOOK_ROWS = 2048  # path rows per table gather in feynman_kac_estimate
+# Segments per flush in ergodic_average_check.  Flushes of 16k segments made
+# (m, gl_points) temporaries of about 0.35 MB, after which glibc trimmed and
+# re-faulted its heap top on every flush (about 10^5 minor page faults per
+# ergodic-three benchmark op); at 4,096 segments there are none.
+_ERGODIC_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,19 @@ def spine_generator(model):
     return SpineChain(q_phi=q_phi, stationary=stationary, m=model.m)
 
 
+def _start_site(chain, x0):
+    """x0 as a site index; a negative index would wrap to another site."""
+    x0 = int(x0)
+    if not 0 <= x0 < chain.d:
+        raise ValueError(f"start site x0={x0} is outside [0, {chain.d})")
+    return x0
+
+
 def simulate_spine(chain, x0, T, rng):
     """Event-driven jump simulation: exponential holds, row-proportional jumps."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    x0 = int(x0)
+    x0 = _start_site(chain, x0)
     rates = chain.exit_rates
     P = chain.jump_matrix()
     cumP = np.cumsum(P, axis=1)
@@ -156,31 +169,42 @@ def simulate_spine(chain, x0, T, rng):
 
 
 def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
-    """Wave-based batch jump simulation; segment_hook(sites, t0, t1, mask) is
-    called once per wave with the current constant-site segments."""
-    n = starts.size
+    """Wave-based batch jump simulation; returns each path's final site.
+
+    segment_hook(sites, t0, t1, idx) is called once per wave with the
+    constant-site segments [t0, t1) of the live paths idx (ascending).  Each
+    wave draws standard_exponential(live) holds, then random(jumped) jump
+    targets.  The arrays handed to the hook are never modified afterwards,
+    so a hook may keep them."""
     rates = chain.exit_rates
-    P = chain.jump_matrix()
-    cumP = np.cumsum(P, axis=1)
+    # gathered per wave, these give the values of np.maximum(rates[site],
+    # 1e-300) and rates[site] <= 0 without the per-wave ufunc calls
+    divisor = np.maximum(rates, 1e-300)
+    trap = rates <= 0
+    any_trap = trap.any()
+    cumP = np.cumsum(chain.jump_matrix(), axis=1)
+    final = starts.copy()
+    idx = np.arange(starts.size)
     site = starts.copy()
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        r = rates[site[idx]]
-        with np.errstate(divide="ignore"):
-            hold = np.where(r > 0, rng.standard_exponential(idx.size) / np.maximum(r, 1e-300), np.inf)
-        t_next = np.minimum(t[idx] + hold, T)
-        segment_hook(site[idx], t[idx], t_next, idx)
+    t = np.zeros(starts.size)
+    while idx.size:
+        hold = rng.standard_exponential(idx.size)
+        hold /= divisor[site]
+        if any_trap:
+            hold[trap[site]] = np.inf
+        hold += t
+        t_next = np.minimum(hold, T, out=hold)
+        segment_hook(site, t, t_next, idx)
         jumped = t_next < T
-        ji = idx[jumped]
-        if ji.size:
-            u = rng.random(ji.size)
-            rows = cumP[site[ji]]
-            site[ji] = (u[:, None] > rows).sum(axis=1)
-        t[idx] = t_next
-        active[idx] = jumped
-    return site
+        t = t_next
+        if not jumped.all():
+            done = ~jumped
+            final[idx[done]] = site[done]
+            idx, site, t = idx[jumped], site[jumped], t[jumped]
+        if idx.size:
+            u = rng.random(idx.size)
+            site = (u[:, None] > cumP[site]).sum(axis=1)
+    return final
 
 
 def _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau):
@@ -345,36 +369,81 @@ def feynman_kac_estimate(
     return est, se
 
 
+def _apply_elementwise(F, y, u):
+    vals = np.asarray(F(int(y), u))
+    if vals.shape != u.shape:
+        raise ValueError(
+            "F(y, u) must be applied elementwise and return an array of the "
+            f"shape of u {u.shape}; got shape {vals.shape}"
+        )
+    return vals
+
+
 def ergodic_average_check(chain, F, T, n_paths, rng, x0=0, gl_points=8):
     """Path average of int_0^1 F(xi_{(1-u)T}, u) du against its stationary value.
 
-    F(y, u) must accept a site index and a vector of u values.  Returns
+    F(y, u) is applied elementwise: it receives a site index y and an array u
+    of values in [0, 1] and must return an array of the shape of u.  Returns
     (estimate, target, stderr); the target is int_0^1 <F(., u), stationary>_m du.
+
+    Each constant-site segment contributes its gl_points-node Gauss-Legendre
+    rule.  Segments are buffered and evaluated in flushes of at most
+    _ERGODIC_ROWS segments (or one wave, if larger); the node sum runs in a
+    fixed order per segment and each path adds its segments in time order, so
+    the result depends only on the paths, not on how they are grouped into
+    waves or flushes.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
-    x_gl, w_gl = np.polynomial.legendre.leggauss(gl_points)
-    starts = np.full(n_paths, int(x0))
-    acc = np.zeros(n_paths)
-
-    def hook(sites, t0, t1, idx):
-        length = t1 - t0
-        nodes = t0[:, None] + 0.5 * length[:, None] * (x_gl[None, :] + 1.0)
-        u = 1.0 - nodes / T
-        for y in np.unique(sites):
-            sel = sites == y
-            vals = F(int(y), u[sel])
-            acc[idx[sel]] += 0.5 * length[sel] * (vals @ w_gl)
-
-    _batch_paths_accumulate(chain, starts, T, rng, hook)
-    acc /= T
+    if n_paths < 2:
+        raise ValueError("need at least two paths")
+    x0 = _start_site(chain, x0)
 
     x64, w64 = np.polynomial.legendre.leggauss(64)
     u64 = 0.5 * (x64 + 1.0)
     weights = chain.stationary * chain.m
     target = 0.0
     for y in range(chain.d):
-        target += weights[y] * 0.5 * float(F(int(y), u64) @ w64)
+        target += weights[y] * 0.5 * float(_apply_elementwise(F, y, u64) @ w64)
+
+    x_gl, w_gl = np.polynomial.legendre.leggauss(gl_points)
+    acc = np.zeros(n_paths)
+    waves = []
+    pending = 0
+
+    def flush():
+        sites, t0, t1, idx = (np.concatenate(a) for a in zip(*waves))
+        waves.clear()
+        half = 0.5 * (t1 - t0)
+        step = np.empty_like(half)
+        for y in np.flatnonzero(np.bincount(sites)):
+            sel = np.flatnonzero(sites == y)
+            # node-major (gl_points, m): F sees the (m, gl_points) view, and
+            # the rule sums contiguous node rows, unlike a BLAS matrix-vector
+            # product whose rounding depends on the row count and position
+            u = np.multiply(half[sel], x_gl[:, None] + 1.0)
+            u += t0[sel]
+            u /= T
+            np.subtract(1.0, u, out=u)
+            vals = _apply_elementwise(F, y, u.T).T
+            q = vals[0] * w_gl[0]
+            for k in range(1, gl_points):
+                q += vals[k] * w_gl[k]
+            step[sel] = half[sel] * q
+        np.add.at(acc, idx, step)
+
+    def hook(sites, t0, t1, idx):
+        nonlocal pending
+        if waves and pending + idx.size > _ERGODIC_ROWS:
+            flush()
+            pending = 0
+        waves.append((sites, t0, t1, idx))
+        pending += idx.size
+
+    _batch_paths_accumulate(chain, np.full(n_paths, x0), T, rng, hook)
+    flush()
+    acc /= T
+
     est = float(acc.mean())
     se = float(acc.std(ddof=1) / np.sqrt(n_paths))
     return est, float(target), se

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import stablebranch.spine as spine_module
 from stablebranch.cumulant import SolverOptions, solve_cumulant
 from stablebranch.model import CriticalModel, semigroup_apply
 from stablebranch.spine import (
+    _batch_paths_accumulate,
     _composite_geometric_nodes,
     _exponent_tables,
     _table_lookup,
@@ -83,6 +85,38 @@ class TestSimulateSpine:
             t0 = path.jump_times[0]
             assert path.site_at(t0 * 0.5) == 2
             assert path.site_at(t0) == path.states[0]
+
+    def test_start_outside_sites_rejected(self, three_site_model, rng):
+        # a negative x0 must not wrap to the last site
+        chain = spine_generator(three_site_model)
+        for x0 in (-1, chain.d):
+            with pytest.raises(ValueError, match="start site"):
+                simulate_spine(chain, x0, 10.0, rng)
+
+
+def segment_stream_digest(chain, starts, T, rng):
+    """SHA-256 of every wave (sites, t0, t1, idx) and the final sites."""
+    h = hashlib.sha256()
+
+    def hook(sites, t0, t1, idx):
+        h.update(np.int64(sites.size).tobytes())
+        for a, dtype in ((sites, "<i8"), (t0, "<f8"), (t1, "<f8"), (idx, "<i8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+
+    final = _batch_paths_accumulate(chain, starts, T, rng, hook)
+    h.update(np.ascontiguousarray(final, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestBatchPaths:
+    def test_segment_stream_pinned(self, three_site_model):
+        # recorded with the uncompacted loop that gathered np.nonzero(active)
+        # every wave; the draws and the segments must stay bit for bit
+        chain = spine_generator(three_site_model)
+        digest = segment_stream_digest(
+            chain, np.zeros(300, dtype=np.intp), 1e3, np.random.default_rng(100)
+        )
+        assert digest == "58f8b65c36a45723e95ba8f41b42ae731fc5f5641b7d446878ecbaa21e25ff5b"
 
 
 class TestFeynmanKac:
@@ -267,3 +301,82 @@ class TestErgodicAverage:
             sample_var = se**2 * n
             l2.append(np.sqrt(sample_var + (est - target) ** 2))
         assert l2[1] < l2[0]
+
+    def test_start_outside_sites_rejected(self, three_site_model, rng):
+        chain = spine_generator(three_site_model)
+        F = lambda y, u: np.ones_like(u)
+        for x0 in (-1, chain.d):
+            with pytest.raises(ValueError, match="start site"):
+                ergodic_average_check(chain, F, 10.0, 20, rng, x0=x0)
+
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_too_few_paths_rejected(self, three_site_model, rng, n_paths):
+        chain = spine_generator(three_site_model)
+        with pytest.raises(ValueError, match="two paths"):
+            ergodic_average_check(chain, lambda y, u: np.ones_like(u), 10.0, n_paths, rng)
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            lambda y, u: 1.0,
+            lambda y, u: np.ones(3),
+            # right shape for the 1-D target grid, wrong for the (m, nodes) segments
+            lambda y, u: np.ones(len(u)),
+        ],
+        ids=["scalar", "fixed-length", "one-per-row"],
+    )
+    def test_non_elementwise_F_rejected(self, three_site_model, rng, F):
+        chain = spine_generator(three_site_model)
+        with pytest.raises(ValueError, match="elementwise"):
+            ergodic_average_check(chain, F, 10.0, 20, rng)
+
+
+def ergodic_digest(out):
+    """SHA-256 of an ergodic (estimate, target, stderr) triple, bit for bit."""
+    return hashlib.sha256(np.array(out, dtype="<f8").tobytes()).hexdigest()
+
+
+def _smooth(y, u):
+    return np.cos(3.0 * u) * (y + 1.0)
+
+
+def _site0(y, u):
+    return (y == 0) * np.ones_like(u)
+
+
+# name: (F, T, n_paths, seed, x0, digest, values recorded with the per-wave
+# BLAS matrix-vector quadrature, whose rounding depended on wave composition)
+ERGODIC_GOLDENS = {
+    "indicator": (
+        _site0, 1e3, 300, 101, 0,
+        "0adc671d776635cbaee0dd6b8ac7744fe298f89ca655f707120f954f39eb2893",
+        (0.25797580960215516, 0.2577859959805267, 0.0009099202539084605),
+    ),
+    "smooth": (
+        _smooth, 100.0, 200, 7, 2,
+        "490afa061d6a80e8d4ab9a3fac2ed4d7d319e56df9646ccd075bb303343b29f0",
+        (0.08652280695782161, 0.09955849645413219, 0.004858403194972086),
+    ),
+}
+
+
+class TestErgodicGoldens:
+    @pytest.mark.parametrize("name", sorted(ERGODIC_GOLDENS))
+    def test_golden_digest(self, three_site_model, name):
+        F, T, n, seed, x0, digest, previous = ERGODIC_GOLDENS[name]
+        chain = spine_generator(three_site_model)
+        out = ergodic_average_check(chain, F, T, n, np.random.default_rng(seed), x0=x0)
+        assert np.allclose(out, previous, rtol=1e-12, atol=0.0)
+        assert ergodic_digest(out) == digest
+
+    def test_independent_of_flush_size(self, three_site_model, monkeypatch):
+        # one wave per flush, several waves per flush, every wave in one flush
+        chain = spine_generator(three_site_model)
+        digests = set()
+        for rows in (1, 100, 10**9):
+            monkeypatch.setattr(spine_module, "_ERGODIC_ROWS", rows)
+            out = ergodic_average_check(
+                chain, _smooth, 100.0, 50, np.random.default_rng(3), x0=1
+            )
+            digests.add(ergodic_digest(out))
+        assert len(digests) == 1
