@@ -14,8 +14,10 @@ import csv
 import json
 import os
 import platform
+import re
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,6 @@ from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_t
 from .cumulant import (
     SolverOptions,
     solve_cumulant,
-    solve_extinction,
     weighted_extinction_norm,
 )
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
@@ -36,7 +37,6 @@ from .model import (
     load_calibrated_model,
     load_model,
     model_hash,
-    model_to_dict,
     save_calibrated_model,
     _atomic_write_text,
 )
@@ -44,18 +44,6 @@ from .simulate import SimConfig, simulate_paths
 from .spine import feynman_kac_estimate
 
 __all__ = ["ExperimentSpec", "PresetBundle", "run", "preset", "main"]
-
-KINDS = (
-    "calibrate",
-    "cumulant",
-    "survival",
-    "yaglom",
-    "simulate",
-    "spine-check",
-    "rv-fit",
-    "delay-eq",
-    "mixture-check",
-)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -76,23 +64,21 @@ class ExperimentSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise SchemaError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.parameters, dict):
             raise SchemaError("parameters must be a mapping")
 
-    def validate_files(self):
-        if self.kind not in ("delay-eq", "mixture-check"):
-            if not self.model_path or not os.path.exists(self.model_path):
-                raise SchemaError(f"model file not found: {self.model_path!r}")
-
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"cannot read spec {path!r}: {exc}") from exc
         for key in ("kind", "outputDir"):
-            if key not in data:
-                raise SchemaError(f"spec missing key {key!r}")
+            if not isinstance(data, dict) or key not in data:
+                raise SchemaError(f"spec {path!r} has no key {key!r}")
         return cls(
             kind=data["kind"],
             model_path=data.get("modelPath"),
@@ -133,16 +119,15 @@ def _write_csv(path, header_meta, columns, rows):
     os.replace(tmp, path)
 
 
+def _words(name, sep):
+    """camelCase spec name split into lower-case words: relTol -> rel<sep>tol."""
+    return re.sub("([A-Z])", sep + r"\1", name).lower()
+
+
 def _solver_options(params):
-    kwargs = {}
-    for spec_key, kw in (
-        ("relTol", "rel_tol"),
-        ("absTol", "abs_tol"),
-        ("maxStep", "max_step"),
-        ("warmStartTime", "warm_start_time"),
-    ):
-        if spec_key in params:
-            kwargs[kw] = float(params[spec_key])
+    kwargs = {
+        _words(name, "_"): params[name] for name, _, _ in _SOLVER if params[name] is not None
+    }
     return SolverOptions(**kwargs) if kwargs else None
 
 
@@ -156,32 +141,43 @@ def _load_any_model(path):
     return calibrate_critical(motion, mech), data
 
 
-def _as_field(params, key, d, default=None):
-    if key not in params:
-        if default is None:
-            raise SchemaError(f"parameter {key!r} required")
-        return np.asarray(default, dtype=float)
-    arr = np.asarray(params[key], dtype=float)
+def _field(params, key, d, default=None):
+    if params[key] is None:
+        return default
+    arr = np.asarray(params[key])
     if arr.shape != (d,):
         raise SchemaError(f"parameter {key!r} must have length {d}")
     return arr
 
 
+def _unit_field(model):
+    """The constant field normalised to <f, phi*>_m = 1."""
+    ones = np.ones(model.d)
+    return ones / model.inner_m(ones, model.phi_star)
+
+
 def _times_from(params, key="times"):
-    if key in params:
-        return np.asarray(params[key], dtype=float)
-    grid = params.get(f"{key}Grid")
+    if params[key] is not None:
+        return np.asarray(params[key])
+    grid = params[f"{key}Grid"]
     if grid is None:
         raise SchemaError(f"parameter {key!r} or {key}Grid required")
-    return np.geomspace(float(grid["min"]), float(grid["max"]), int(grid["count"]))
+    return np.geomspace(grid["min"], grid["max"], grid["count"])
+
+
+def _gate(value, tol):
+    """Exit code of a tolerance check: an absent tolerance is no gate; NaN fails."""
+    return EXIT_OK if tol is None or value <= tol else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
-# Kind handlers: each returns (exit_code, artifacts, summary)
+# Kind handlers: (spec, resolved parameters, outdir) -> (exit_code, artifacts,
+# summary).  A handler's docstring is its subcommand's help.
 # ---------------------------------------------------------------------------
 
 
-def _run_calibrate(spec, outdir):
+def _run_calibrate(spec, params, outdir):
+    """Shift beta to criticality and write the calibrated model."""
     motion, mech = load_model(spec.model_path)
     model = calibrate_critical(motion, mech)
     out = os.path.join(outdir, "calibrated_model.json")
@@ -195,13 +191,12 @@ def _run_calibrate(spec, outdir):
     return EXIT_OK, [out], summary
 
 
-def _run_cumulant(spec, outdir):
+def _run_cumulant(spec, params, outdir):
+    """Solve the cumulant equation from the field f."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
-    f = _as_field(params, "f", model.d)
+    f = _field(params, "f", model.d)
     times = _times_from(params)
-    opts = _solver_options(params)
-    curve = solve_cumulant(model, f, times, opts)
+    curve = solve_cumulant(model, f, times, _solver_options(params))
     out = os.path.join(outdir, "cumulant.csv")
     rows = [
         (float(t), x, float(curve.values[i, x]))
@@ -217,13 +212,12 @@ def _run_cumulant(spec, outdir):
     return EXIT_OK, [out], {"engine": curve.solver_report.engine}
 
 
-def _run_survival(spec, outdir):
+def _run_survival(spec, params, outdir):
+    """Survival probability against its normalisation eta(t)."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
-    mu = _as_field(params, "mu", model.d)
+    mu = _field(params, "mu", model.d)
     times = _times_from(params)
-    opts = _solver_options(params)
-    table = kolmogorov_table(model, mu, times, opts)
+    table = kolmogorov_table(model, mu, times, _solver_options(params))
     out = os.path.join(outdir, "survival.csv")
     rows = [
         (float(t), float(n * eta(model, t)), float(n), table.target)
@@ -240,24 +234,15 @@ def _run_survival(spec, outdir):
         "final_ratio": float(table.ratio[-1]),
         "monotone": table.monotone,
     }
-    code = EXIT_OK
-    tol = params.get("ratioTolerance")
-    if tol is not None and abs(summary["final_ratio"] - 1.0) > float(tol):
-        code = EXIT_TOLERANCE
-    return code, [out], summary
+    return _gate(abs(summary["final_ratio"] - 1.0), params["ratioTolerance"]), [out], summary
 
 
-def _run_yaglom(spec, outdir):
+def _run_yaglom(spec, params, outdir):
+    """Sup error of the conditioned Laplace transform against the Yaglom limit."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
-    d = model.d
-    if "f" in params:
-        f = _as_field(params, "f", d)
-    else:
-        ones = np.ones(d)
-        f = ones / model.inner_m(ones, model.phi_star)
+    f = _field(params, "f", model.d, _unit_field(model))
     thetas = _times_from(params, "theta")
-    horizons = [float(T) for T in params.get("horizons", [params.get("horizon")])]
+    horizons = params["horizons"] or [params["horizon"]]
     if horizons == [None]:
         raise SchemaError("parameter 'horizon' or 'horizons' required")
     opts = _solver_options(params)
@@ -279,28 +264,25 @@ def _run_yaglom(spec, outdir):
         artifacts.append(out)
         sup_by_T.append(float(table.sup_error.max()))
     summary = {"horizons": horizons, "sup_error": sup_by_T}
-    code = EXIT_OK
-    tol = params.get("supTolerance")
-    if tol is not None:
-        # The error must fall with the horizon until it reaches the solver's
-        # noise floor; below 10 rel_tol the order of the errors is noise.
-        floor = 10.0 * (opts or SolverOptions()).rel_tol
-        decreasing = all(a > b for a, b in zip(sup_by_T, sup_by_T[1:]) if a > floor)
-        if sup_by_T[-1] > float(tol) or (len(sup_by_T) > 1 and not decreasing):
-            code = EXIT_TOLERANCE
+    # The error must fall with the horizon until it reaches the solver's
+    # noise floor; below 10 rel_tol the order of the errors is noise.
+    floor = 10.0 * (opts or SolverOptions()).rel_tol
+    falling = all(a > b for a, b in zip(sup_by_T, sup_by_T[1:]) if a > floor)
+    tol = params["supTolerance"]
+    code = _gate(sup_by_T[-1], tol) if falling or tol is None else EXIT_TOLERANCE
     return code, artifacts, summary
 
 
-def _run_simulate(spec, outdir):
+def _run_simulate(spec, params, outdir):
+    """Monte Carlo run of the branching process from the density mu."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
-    mu = _as_field(params, "mu", model.d)
-    f = _as_field(params, "f", model.d, default=np.ones(model.d))
+    mu = _field(params, "mu", model.d)
+    f = _field(params, "f", model.d, np.ones(model.d))
     config = SimConfig(
-        step_size=float(params["step"]),
-        horizon=float(params["horizon"]),
-        replicates=int(params["paths"]),
-        mass_floor=float(params.get("massFloor", 0.0)),
+        step_size=params["step"],
+        horizon=params["horizon"],
+        replicates=params["paths"],
+        mass_floor=params["massFloor"],
         seed=int(spec.seed or 0),
     )
     stats = simulate_paths(model, mu, config, f=f)
@@ -324,23 +306,16 @@ def _run_simulate(spec, outdir):
     return EXIT_OK, [csv_path, report_path], report
 
 
-def _run_spine_check(spec, outdir):
+def _run_spine_check(spec, params, outdir):
+    """Feynman-Kac spine estimate of the cumulant against the ODE solve."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
-    d = model.d
-    if "f" in params:
-        f = _as_field(params, "f", d)
-    else:
-        ones = np.ones(d)
-        f = ones / model.inner_m(ones, model.phi_star)
-    theta = float(params.get("theta", 1.0))
-    T = float(params.get("horizon", 2.0))
-    n_paths = int(params.get("paths", 10000))
+    f = _field(params, "f", model.d, _unit_field(model))
+    theta, T = params["theta"], params["horizon"]
     rng = np.random.default_rng(int(spec.seed or 0))
     opts = _solver_options(params)
     est, se = feynman_kac_estimate(
-        model, f, theta, T, n_paths, rng,
-        r_grid_size=int(params.get("rGridSize", 16)),
+        model, f, theta, T, params["paths"], rng,
+        r_grid_size=params["rGridSize"],
         opts=opts,
     )
     ode = solve_cumulant(model, theta * f, [T], opts).values[0]
@@ -352,21 +327,19 @@ def _run_spine_check(spec, outdir):
             "ode_value": float(ode[x]),
             "z_score": float((est[x] - ode[x]) / se[x]),
         }
-        for x in range(d)
+        for x in range(model.d)
     ]
     out = os.path.join(outdir, "spine_check.json")
     _write_json(out, {"model": model_hash(mdata), "theta": theta, "T": T, "rows": rows})
-    z_max = float(params.get("zMax", np.inf))
-    code = EXIT_OK if all(abs(r["z_score"]) <= z_max for r in rows) else EXIT_TOLERANCE
-    return code, [out], {"rows": rows}
+    z_max = np.abs([r["z_score"] for r in rows]).max()
+    return _gate(z_max, params["zMax"]), [out], {"rows": rows}
 
 
-def _run_rv_fit(spec, outdir):
+def _run_rv_fit(spec, params, outdir):
+    """Regular-variation index of the weighted extinction norm."""
     model, mdata = _load_any_model(spec.model_path)
-    params = spec.parameters
     times = _times_from(params)
-    opts = _solver_options(params)
-    values = weighted_extinction_norm(model, times, opts)
+    values = weighted_extinction_norm(model, times, _solver_options(params))
     est = rv_index_fit(times, values)
     out = os.path.join(outdir, "rv_fit.csv")
     _write_csv(
@@ -377,21 +350,14 @@ def _run_rv_fit(spec, outdir):
     )
     target = -1.0 / (model.gamma0 - 1.0)
     summary = {"slope": est.slope, "stderr": est.stderr, "target": target}
-    code = EXIT_OK
-    tol = params.get("slopeRelTolerance")
-    if tol is not None and abs(est.slope / target - 1.0) > float(tol):
-        code = EXIT_TOLERANCE
-    return code, [out], summary
+    return _gate(abs(est.slope / target - 1.0), params["slopeRelTolerance"]), [out], summary
 
 
-def _run_delay_eq(spec, outdir):
-    params = spec.parameters
-    a = float(params["a"])
-    theta_max = float(params.get("thetaMax", 10.0))
-    step = float(params.get("step", 0.01))
-    tol = float(params.get("tol", 1e-10))
-    grid = np.round(np.arange(0.0, theta_max + step / 2, step), 12)
-    sol = solve_delay_equation(DelayEquationProblem(a=a, theta_grid=grid, tol=tol))
+def _run_delay_eq(spec, params, outdir):
+    """Picard solve of the delay equation against its closed form."""
+    a, step = params["a"], params["step"]
+    grid = np.round(np.arange(0.0, params["thetaMax"] + step / 2, step), 12)
+    sol = solve_delay_equation(DelayEquationProblem(a=a, theta_grid=grid, tol=params["tol"]))
     closed = g_closed(a, grid)
     err = np.abs(sol.values - closed)
     out = os.path.join(outdir, "delay_eq.csv")
@@ -402,15 +368,13 @@ def _run_delay_eq(spec, outdir):
         list(zip(grid.tolist(), sol.values.tolist(), np.asarray(closed).tolist(), err.tolist())),
     )
     summary = {"sup_error": float(err.max()), "iterations": sol.iterations}
-    sup_tol = float(params.get("supTolerance", 1e-8))
-    code = EXIT_OK if summary["sup_error"] <= sup_tol else EXIT_TOLERANCE
-    return code, [out], summary
+    return _gate(summary["sup_error"], params["supTolerance"]), [out], summary
 
 
-def _run_mixture_check(spec, outdir):
-    params = spec.parameters
-    alpha = np.asarray(params["alpha"], dtype=float)
-    rho = np.asarray(params["rho"], dtype=float)
+def _run_mixture_check(spec, params, outdir):
+    """Regular variation of a stable mixture's Laplace exponent at small t."""
+    alpha = np.asarray(params["alpha"])
+    rho = np.asarray(params["rho"])
     t_grid = _times_from(params, "t")
     table = mixture_rv_check(alpha, rho, t_grid)
     out = os.path.join(outdir, "mixture_check.csv")
@@ -422,24 +386,94 @@ def _run_mixture_check(spec, outdir):
     )
     i_min = int(np.argmin(table.t))
     summary = {"alpha0": table.alpha0, "ratio_at_min_t": float(table.ratio[i_min])}
-    code = EXIT_OK
-    tol = params.get("ratioTolerance")
-    if tol is not None and abs(summary["ratio_at_min_t"] - 1.0) > float(tol):
-        code = EXIT_TOLERANCE
-    return code, [out], summary
+    return _gate(abs(summary["ratio_at_min_t"] - 1.0), params["ratioTolerance"]), [out], summary
 
 
-_HANDLERS = {
-    "calibrate": _run_calibrate,
-    "cumulant": _run_cumulant,
-    "survival": _run_survival,
-    "yaglom": _run_yaglom,
-    "simulate": _run_simulate,
-    "spine-check": _run_spine_check,
-    "rv-fit": _run_rv_fit,
-    "delay-eq": _run_delay_eq,
-    "mixture-check": _run_mixture_check,
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # a parameter default: the spec must give a value
+
+
+def _floats(value):
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return arr.tolist()
+
+
+def _grid(value):
+    if not isinstance(value, dict) or set(value) != {"min", "max", "count"}:
+        raise ValueError(f"expected an object with keys min, max and count, got {value!r}")
+    return {"min": float(value["min"]), "max": float(value["max"]), "count": int(value["count"])}
+
+
+def _sampled(key):
+    """A list `key`, or a geometric grid `keyGrid`; the handler needs one of them."""
+    return ((key, _floats, None), (f"{key}Grid", _grid, None))
+
+
+# SolverOptions fields under their camelCase names; absent means its default.
+_SOLVER = tuple((name, float, None) for name in ("relTol", "absTol", "maxStep", "warmStartTime"))
+
+
+_Kind = namedtuple("_Kind", "handler needs_model params")
+
+# Parameters are (name, type, default): the type coerces a given value, a
+# default of None means absent, and an absent tolerance means no gate.
+_KINDS = {
+    "calibrate": _Kind(_run_calibrate, True, ()),
+    "cumulant": _Kind(_run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_SOLVER)),
+    "survival": _Kind(_run_survival, True, (
+        ("mu", _floats, REQUIRED), *_sampled("times"), *_SOLVER,
+        ("ratioTolerance", float, None),
+    )),
+    "yaglom": _Kind(_run_yaglom, True, (
+        ("f", _floats, None), *_sampled("theta"),
+        ("horizon", float, None), ("horizons", _floats, None), *_SOLVER,
+        ("supTolerance", float, None),
+    )),
+    "simulate": _Kind(_run_simulate, True, (
+        ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", float, REQUIRED),
+        ("horizon", float, REQUIRED), ("paths", int, REQUIRED), ("massFloor", float, 0.0),
+    )),
+    "spine-check": _Kind(_run_spine_check, True, (
+        ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
+        ("paths", int, 10000), ("rGridSize", int, 16), *_SOLVER, ("zMax", float, None),
+    )),
+    "rv-fit": _Kind(
+        _run_rv_fit, True, (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", float, None))
+    ),
+    "delay-eq": _Kind(_run_delay_eq, False, (
+        ("a", float, REQUIRED), ("thetaMax", float, 10.0), ("step", float, 0.01),
+        ("tol", float, 1e-10), ("supTolerance", float, 1e-8),
+    )),
+    "mixture-check": _Kind(_run_mixture_check, False, (
+        ("alpha", _floats, REQUIRED), ("rho", _floats, REQUIRED), *_sampled("t"),
+        ("ratioTolerance", float, None),
+    )),
 }
+
+
+def _resolve(spec):
+    """Check `spec` against its kind; returns every parameter, coerced, null as absent."""
+    kind = _KINDS[spec.kind]
+    if kind.needs_model and not (spec.model_path and os.path.exists(spec.model_path)):
+        raise SchemaError(f"model file not found: {spec.model_path!r}")
+    unknown = sorted(set(spec.parameters) - {name for name, _, _ in kind.params})
+    if unknown:
+        raise SchemaError(f"unknown parameter(s) for {spec.kind!r}: {', '.join(unknown)}")
+    resolved = {}
+    for name, coerce, default in kind.params:
+        value = spec.parameters.get(name)
+        if value is None and default is REQUIRED:
+            raise SchemaError(f"parameter {name!r} required")
+        try:
+            resolved[name] = default if value is None else coerce(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"parameter {name!r}: {exc}") from exc
+    return resolved
 
 
 def _environment():
@@ -479,15 +513,16 @@ def run(spec):
         "artifacts": [],
     }
     try:
-        spec.validate_files()
+        params = manifest["parameters"] = _resolve(spec)
         if spec.model_path:
             with open(spec.model_path, encoding="utf-8") as fh:
                 manifest["model_hash"] = model_hash(json.load(fh))
-        code, artifacts, summary = _HANDLERS[spec.kind](spec, outdir)
+        code, artifacts, summary = _KINDS[spec.kind].handler(spec, params, outdir)
         manifest["artifacts"] = artifacts
         manifest["summary"] = summary
         manifest["status"] = "ok" if code == EXIT_OK else "tolerance_violation"
     except SchemaError as exc:
+        print(f"schema error: {exc}", file=sys.stderr)
         manifest["error"] = str(exc)
         code = EXIT_SCHEMA
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
@@ -593,18 +628,15 @@ def write_preset(name, outdir, seed=20260808):
 # ---------------------------------------------------------------------------
 
 
-def _apply_thread_cap(threads):
-    """Cap BLAS threads; raises ImportError when threadpoolctl is missing.
-
-    numpy has loaded its BLAS by the time arguments are parsed, so setting
-    OMP_NUM_THREADS here would be silently ignored; threadpoolctl is the only
-    way the cap can take effect.
-    """
-    if threads is None:
-        return
-    import threadpoolctl
-
-    threadpoolctl.threadpool_limits(int(threads))
+def _json_arg(name, text):
+    """A command-line value given as a JSON literal or as the path of a JSON file."""
+    try:
+        if os.path.isfile(text):
+            with open(text, encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"parameter {name!r}: {text!r} is neither JSON nor a JSON file") from exc
 
 
 def main(argv=None):
@@ -628,45 +660,34 @@ def main(argv=None):
         "--execute", action="store_true", help="run every spec after writing"
     )
 
-    p_cal = sub.add_parser("calibrate", help="calibrate a base model file")
-    p_cal.add_argument("--model", required=True)
-    p_cal.add_argument("--outdir", default=None)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run")
-    p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--paths", type=int, required=True)
-    p_sim.add_argument("--step", type=float, required=True)
-    p_sim.add_argument("--horizon", type=float, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--mu", required=True, help="JSON file with the start density")
-    p_sim.add_argument("--f", default=None, help="JSON file with the test field")
-    p_sim.add_argument("--outdir", default=None)
-
-    p_spine = sub.add_parser("spine-check", help="path-functional consistency check")
-    p_spine.add_argument("--model", required=True)
-    p_spine.add_argument("--theta", type=float, default=1.0)
-    p_spine.add_argument("--horizon", type=float, default=2.0)
-    p_spine.add_argument("--paths", type=int, default=10000)
-    p_spine.add_argument("--seed", type=int, default=0)
-    p_spine.add_argument("--outdir", default=None)
-
-    p_delay = sub.add_parser("delay-eq", help="fixed-point solve vs closed form")
-    p_delay.add_argument("--a", type=float, required=True)
-    p_delay.add_argument("--theta-max", type=float, default=10.0)
-    p_delay.add_argument("--step", type=float, default=0.01)
-    p_delay.add_argument("--tol", type=float, default=1e-10)
-    p_delay.add_argument("--sup-tolerance", type=float, default=1e-8)
-    p_delay.add_argument("--outdir", default=None)
+    # One subcommand per kind; parameter relTol is flag --rel-tol.
+    for kind, entry in _KINDS.items():
+        p_kind = sub.add_parser(kind, help=entry.handler.__doc__)
+        if entry.needs_model:
+            p_kind.add_argument("--model", required=True, help="model JSON file")
+        p_kind.add_argument("--seed", type=int, default=None)
+        p_kind.add_argument("--outdir", default=None)
+        for name, coerce, default in entry.params:
+            p_kind.add_argument(
+                "--" + _words(name, "-"),
+                dest=name,
+                required=default is REQUIRED,
+                metavar="JSON|FILE" if coerce in (_floats, _grid) else coerce.__name__.upper(),
+                help="required" if default is REQUIRED
+                else f"default {'absent' if default is None else default}",
+            )
 
     args = parser.parse_args(argv)
-    try:
-        _apply_thread_cap(args.threads)
-    except ImportError:
-        print("error: --threads needs threadpoolctl, which is not installed", file=sys.stderr)
-        return EXIT_SCHEMA
-    outdir = getattr(args, "outdir", None) or os.environ.get(
-        "STABLEBRANCH_OUTDIR", "."
-    )
+    if args.threads is not None:
+        # numpy has loaded its BLAS by now, so setting OMP_NUM_THREADS would be
+        # silently ignored; threadpoolctl is the only way the cap takes effect.
+        try:
+            import threadpoolctl
+        except ImportError:
+            print("error: --threads needs threadpoolctl, which is not installed", file=sys.stderr)
+            return EXIT_SCHEMA
+        threadpoolctl.threadpool_limits(args.threads)
+    outdir = getattr(args, "outdir", None) or os.environ.get("STABLEBRANCH_OUTDIR", ".")
 
     try:
         if args.command == "run":
@@ -680,40 +701,14 @@ def main(argv=None):
                     worst = max(worst, run(ExperimentSpec.from_file(path)))
                 return worst
             return EXIT_OK
-        if args.command == "calibrate":
-            spec = ExperimentSpec("calibrate", args.model, {}, outdir)
-        elif args.command == "simulate":
-            with open(args.mu, encoding="utf-8") as fh:
-                mu = json.load(fh)
-            params = {
-                "paths": args.paths,
-                "step": args.step,
-                "horizon": args.horizon,
-                "mu": mu,
-            }
-            if args.f:
-                with open(args.f, encoding="utf-8") as fh:
-                    params["f"] = json.load(fh)
-            spec = ExperimentSpec("simulate", args.model, params, outdir, args.seed)
-        elif args.command == "spine-check":
-            params = {
-                "theta": args.theta,
-                "horizon": args.horizon,
-                "paths": args.paths,
-            }
-            spec = ExperimentSpec("spine-check", args.model, params, outdir, args.seed)
-        elif args.command == "delay-eq":
-            params = {
-                "a": args.a,
-                "thetaMax": args.theta_max,
-                "step": args.step,
-                "tol": args.tol,
-                "supTolerance": args.sup_tolerance,
-            }
-            spec = ExperimentSpec("delay-eq", None, params, outdir)
-        else:  # pragma: no cover
-            raise SchemaError(f"unhandled command {args.command}")
-        return run(spec)
+        # Values stay as given; run() coerces them as it does a spec file's.
+        params = {}
+        for name, coerce, _ in _KINDS[args.command].params:
+            value = getattr(args, name)
+            if value is not None:
+                params[name] = _json_arg(name, value) if coerce in (_floats, _grid) else value
+        model = getattr(args, "model", None)
+        return run(ExperimentSpec(args.command, model, params, outdir, args.seed))
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import sys
 import types
 
@@ -14,6 +15,7 @@ from stablebranch.cli import (
     EXIT_SCHEMA,
     EXIT_TOLERANCE,
     ExperimentSpec,
+    _KINDS,
     main,
     preset,
     run,
@@ -233,3 +235,147 @@ class TestMain:
                 "--outdir", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert calls == [2]
+
+
+def _kebab(name):
+    return "--" + re.sub("([A-Z])", r"-\1", name).lower()
+
+
+def _artifacts(outdir):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(outdir.iterdir())
+        if p.name != "run_manifest.json"
+    }
+
+
+class TestSchema:
+    @pytest.mark.parametrize("case", ["missing-spec", "malformed-spec", "missing-mu-file"])
+    def test_unreadable_input_exits_two(self, case, preset_dir, tmp_path, capsys):
+        model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
+        (tmp_path / "bad.json").write_text('{"kind": "delay-eq",')
+        argv = {
+            "missing-spec": ["run", str(tmp_path / "no-such-spec.json")],
+            "malformed-spec": ["run", str(tmp_path / "bad.json")],
+            "missing-mu-file": [
+                "simulate", "--model", model, "--paths", "10", "--step", "0.1",
+                "--horizon", "0.1", "--mu", str(tmp_path / "mu.json"),
+                "--outdir", str(tmp_path / "out"),
+            ],
+        }[case]
+        assert main(argv) == EXIT_SCHEMA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("schema error: ")
+
+    @pytest.mark.parametrize(
+        "kind, params, named",
+        [
+            ("simulate", {"paths": 10, "horizon": 0.1, "mu": [1.0]}, "step"),
+            ("delay-eq", {"thetaMax": 1.0}, "a"),
+            ("survival", {"mu": [1.0], "timesGrid": {"min": 1.0, "max": 10.0}}, "timesGrid"),
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}}, "horizon"),
+            ("simulate", {"paths": "many", "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
+            ("delay-eq", {"a": 1.5, "supTolerence": 1e-30}, "supTolerence"),
+        ],
+        ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key"],
+    )
+    def test_schema_errors_exit_two_and_name_parameter(
+        self, kind, params, named, preset_dir, tmp_path, capsys
+    ):
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        assert run(make_spec(kind, model, params, tmp_path)) == EXIT_SCHEMA
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert named in manifest["error"]
+        assert named in capsys.readouterr().err
+
+
+class TestGeneratedCommands:
+    # (kind, preset model or None, argv flags, equivalent spec parameters, seed);
+    # "@mu" stands for a JSON file holding [1.0]
+    CASES = [
+        ("calibrate", "scalar-csbp", [], {}, None),
+        ("cumulant", "scalar-csbp", ["--f", "[1.0]", "--times", "[0.5, 1.0]"],
+         {"f": [1.0], "times": [0.5, 1.0]}, None),
+        ("survival", "scalar-csbp",
+         ["--mu", "@mu", "--times-grid", '{"min": 1, "max": 10, "count": 3}',
+          "--rel-tol", "1e-8", "--ratio-tolerance", "0.5"],
+         {"mu": [1.0], "timesGrid": {"min": 1, "max": 10, "count": 3}, "relTol": 1e-8,
+          "ratioTolerance": 0.5}, None),
+        ("yaglom", "scalar-csbp",
+         ["--theta-grid", '{"min": 0.1, "max": 1, "count": 3}', "--horizon", "1"],
+         {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}, "horizon": 1.0}, None),
+        ("simulate", "scalar-csbp",
+         ["--mu", "[1.0]", "--paths", "200", "--step", "1e-2", "--horizon", "0.2"],
+         {"mu": [1.0], "paths": 200, "step": 1e-2, "horizon": 0.2}, 5),
+        ("spine-check", "two-site", ["--paths", "200", "--theta", "0.5"],
+         {"paths": 200, "theta": 0.5}, 3),
+        ("rv-fit", "scalar-csbp", ["--times", "[1, 10, 100]", "--rel-tol", "1e-8"],
+         {"times": [1, 10, 100], "relTol": 1e-8}, None),
+        ("delay-eq", None, ["--a", "1.5", "--theta-max", "1.0"],
+         {"a": 1.5, "thetaMax": 1.0}, None),
+        ("mixture-check", None,
+         ["--alpha", "[1.2, 1.8]", "--rho", "[1.0, 1.0]",
+          "--t-grid", '{"min": 1e-6, "max": 1e-2, "count": 5}'],
+         {"alpha": [1.2, 1.8], "rho": [1.0, 1.0],
+          "tGrid": {"min": 1e-6, "max": 1e-2, "count": 5}}, None),
+    ]
+
+    def test_every_kind_has_a_case(self):
+        assert sorted(case[0] for case in self.CASES) == sorted(_KINDS)
+
+    @pytest.mark.parametrize(
+        "kind, preset_name, flags, params, seed", CASES, ids=[c[0] for c in CASES]
+    )
+    def test_command_matches_spec_run(
+        self, kind, preset_name, flags, params, seed, preset_dir, tmp_path
+    ):
+        mu_file = tmp_path / "mu.json"
+        mu_file.write_text("[1.0]")
+        model = preset_dir / preset_name / f"{preset_name}_model.json" if preset_name else None
+        outdir = tmp_path / "out"
+        argv = [kind, "--outdir", str(outdir)] + [str(mu_file) if a == "@mu" else a for a in flags]
+        if model:
+            argv += ["--model", str(model)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        code = main(argv)
+        from_cli = _artifacts(outdir)
+        assert from_cli
+        for p in outdir.iterdir():
+            p.unlink()
+        assert run(make_spec(kind, model, params, outdir, seed)) == code
+        assert _artifacts(outdir) == from_cli
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_help_lists_every_parameter(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([kind, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, _, _ in _KINDS[kind].params:
+            assert _kebab(name) in out
+
+    def test_flag_names_keep_their_spelling(self, capsys):
+        for kind, flags in [
+            ("delay-eq", ["--theta-max", "--sup-tolerance"]),
+            ("spine-check", ["--r-grid-size", "--z-max", "--rel-tol"]),
+            ("simulate", ["--mass-floor", "--mu", "--f"]),
+        ]:
+            with pytest.raises(SystemExit):
+                main([kind, "--help"])
+            out = capsys.readouterr().out
+            assert all(flag in out for flag in flags)
+
+    def test_spine_check_gate(self, preset_dir, tmp_path):
+        # an absent zMax is no gate, recorded as null; a tiny one must fail
+        model = str(preset_dir / "two-site" / "two-site_model.json")
+        argv = ["spine-check", "--model", model, "--paths", "2000"]
+        assert main(argv + ["--outdir", str(tmp_path / "a")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+        assert manifest["parameters"]["zMax"] is None
+        assert manifest["parameters"]["rGridSize"] == 16
+        assert main(argv + ["--z-max", "0.01", "--outdir", str(tmp_path / "b")]) == EXIT_TOLERANCE
+
+    def test_three_site_bundle_runs_clean(self, tmp_path, capsys):
+        argv = ["preset", "three-site-mixed", "--outdir", str(tmp_path), "--execute"]
+        assert main(argv) == EXIT_OK
