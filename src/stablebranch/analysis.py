@@ -98,12 +98,6 @@ class KolmogorovTable:
     def ratio(self):
         return self.normalized / self.target
 
-    def rows(self):
-        return [
-            (float(t), float(n), self.target)
-            for t, n in zip(self.times, self.normalized)
-        ]
-
 
 def kolmogorov_table(model, mu, times, opts=None):
     """Tabulate eta_t^-1 (1 - exp(-<mu, v_t>)) against mu(phi).

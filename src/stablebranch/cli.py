@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -31,15 +32,7 @@ from .cumulant import (
     weighted_extinction_norm,
 )
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
-from .model import (
-    calibrate_critical,
-    eta,
-    load_calibrated_model,
-    load_model,
-    model_hash,
-    save_calibrated_model,
-    _atomic_write_text,
-)
+from .model import _atomic_write_text, eta, read_model, save_calibrated_model
 from .simulate import SimConfig, simulate_paths
 from .spine import feynman_kac_estimate
 
@@ -131,16 +124,6 @@ def _solver_options(params):
     return SolverOptions(**kwargs) if kwargs else None
 
 
-def _load_any_model(path):
-    """Calibrated file if it carries spectral data, else calibrate the base."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "lambda" in data:
-        return load_calibrated_model(path), data
-    motion, mech = load_model(path)
-    return calibrate_critical(motion, mech), data
-
-
 def _field(params, key, d, default=None):
     if params[key] is None:
         return default
@@ -171,15 +154,15 @@ def _gate(value, tol):
 
 
 # ---------------------------------------------------------------------------
-# Kind handlers: (spec, resolved parameters, outdir) -> (exit_code, artifacts,
-# summary).  A handler's docstring is its subcommand's help.
+# Kind handlers: (spec with its seed checked, resolved parameters, outdir,
+# model, model hash) -> (exit_code, artifacts, summary); the model and its hash
+# are None for a kind that reads no model.  A handler's docstring is its
+# subcommand's help.
 # ---------------------------------------------------------------------------
 
 
-def _run_calibrate(spec, params, outdir):
+def _run_calibrate(spec, params, outdir, model, mhash):
     """Shift beta to criticality and write the calibrated model."""
-    motion, mech = load_model(spec.model_path)
-    model = calibrate_critical(motion, mech)
     out = os.path.join(outdir, "calibrated_model.json")
     save_calibrated_model(out, model)
     summary = {
@@ -191,9 +174,8 @@ def _run_calibrate(spec, params, outdir):
     return EXIT_OK, [out], summary
 
 
-def _run_cumulant(spec, params, outdir):
+def _run_cumulant(spec, params, outdir, model, mhash):
     """Solve the cumulant equation from the field f."""
-    model, mdata = _load_any_model(spec.model_path)
     f = _field(params, "f", model.d)
     times = _times_from(params)
     curve = solve_cumulant(model, f, times, _solver_options(params))
@@ -205,16 +187,15 @@ def _run_cumulant(spec, params, outdir):
     ]
     _write_csv(
         out,
-        [f"model={model_hash(mdata)}", f"f={f.tolist()}", "theta=1"],
+        [f"model={mhash}", f"f={f.tolist()}", "theta=1"],
         ("t", "site", "value"),
         rows,
     )
     return EXIT_OK, [out], {"engine": curve.solver_report.engine}
 
 
-def _run_survival(spec, params, outdir):
+def _run_survival(spec, params, outdir, model, mhash):
     """Survival probability against its normalisation eta(t)."""
-    model, mdata = _load_any_model(spec.model_path)
     mu = _field(params, "mu", model.d)
     times = _times_from(params)
     table = kolmogorov_table(model, mu, times, _solver_options(params))
@@ -225,7 +206,7 @@ def _run_survival(spec, params, outdir):
     ]
     _write_csv(
         out,
-        [f"model={model_hash(mdata)}", f"mu={mu.tolist()}"],
+        [f"model={mhash}", f"mu={mu.tolist()}"],
         ("t", "survival", "normalized", "target"),
         rows,
     )
@@ -237,9 +218,8 @@ def _run_survival(spec, params, outdir):
     return _gate(abs(summary["final_ratio"] - 1.0), params["ratioTolerance"]), [out], summary
 
 
-def _run_yaglom(spec, params, outdir):
+def _run_yaglom(spec, params, outdir, model, mhash):
     """Sup error of the conditioned Laplace transform against the Yaglom limit."""
-    model, mdata = _load_any_model(spec.model_path)
     f = _field(params, "f", model.d, _unit_field(model))
     thetas = _times_from(params, "theta")
     horizons = params["horizons"] or [params["horizon"]]
@@ -257,7 +237,7 @@ def _run_yaglom(spec, params, outdir):
         ]
         _write_csv(
             out,
-            [f"model={model_hash(mdata)}", f"f={f.tolist()}", f"T={T:g}"],
+            [f"model={mhash}", f"f={f.tolist()}", f"T={T:g}"],
             ("theta", "sup_error", "G_limit"),
             rows,
         )
@@ -273,9 +253,8 @@ def _run_yaglom(spec, params, outdir):
     return code, artifacts, summary
 
 
-def _run_simulate(spec, params, outdir):
+def _run_simulate(spec, params, outdir, model, mhash):
     """Monte Carlo run of the branching process from the density mu."""
-    model, mdata = _load_any_model(spec.model_path)
     mu = _field(params, "mu", model.d)
     f = _field(params, "f", model.d, np.ones(model.d))
     config = SimConfig(
@@ -283,13 +262,13 @@ def _run_simulate(spec, params, outdir):
         horizon=params["horizon"],
         replicates=params["paths"],
         mass_floor=params["massFloor"],
-        seed=int(spec.seed or 0),
+        seed=spec.seed,
     )
     stats = simulate_paths(model, mu, config, f=f)
     csv_path = os.path.join(outdir, "functionals.csv")
     _write_csv(
         csv_path,
-        [f"model={model_hash(mdata)}", f"f={f.tolist()}", f"seed={config.seed}"],
+        [f"model={mhash}", f"f={f.tolist()}", f"seed={config.seed}"],
         ("functional",),
         [(repr(float(v)),) for v in stats.functional_values],
     )
@@ -306,12 +285,11 @@ def _run_simulate(spec, params, outdir):
     return EXIT_OK, [csv_path, report_path], report
 
 
-def _run_spine_check(spec, params, outdir):
+def _run_spine_check(spec, params, outdir, model, mhash):
     """Feynman-Kac spine estimate of the cumulant against the ODE solve."""
-    model, mdata = _load_any_model(spec.model_path)
     f = _field(params, "f", model.d, _unit_field(model))
     theta, T = params["theta"], params["horizon"]
-    rng = np.random.default_rng(int(spec.seed or 0))
+    rng = np.random.default_rng(spec.seed)
     opts = _solver_options(params)
     est, se = feynman_kac_estimate(
         model, f, theta, T, params["paths"], rng,
@@ -330,21 +308,20 @@ def _run_spine_check(spec, params, outdir):
         for x in range(model.d)
     ]
     out = os.path.join(outdir, "spine_check.json")
-    _write_json(out, {"model": model_hash(mdata), "theta": theta, "T": T, "rows": rows})
+    _write_json(out, {"model": mhash, "theta": theta, "T": T, "rows": rows})
     z_max = np.abs([r["z_score"] for r in rows]).max()
     return _gate(z_max, params["zMax"]), [out], {"rows": rows}
 
 
-def _run_rv_fit(spec, params, outdir):
+def _run_rv_fit(spec, params, outdir, model, mhash):
     """Regular-variation index of the weighted extinction norm."""
-    model, mdata = _load_any_model(spec.model_path)
     times = _times_from(params)
     values = weighted_extinction_norm(model, times, _solver_options(params))
     est = rv_index_fit(times, values)
     out = os.path.join(outdir, "rv_fit.csv")
     _write_csv(
         out,
-        [f"model={model_hash(mdata)}", f"slope={est.slope}", f"stderr={est.stderr}"],
+        [f"model={mhash}", f"slope={est.slope}", f"stderr={est.stderr}"],
         ("t", "weighted_norm"),
         list(zip(times.tolist(), values.tolist())),
     )
@@ -353,7 +330,7 @@ def _run_rv_fit(spec, params, outdir):
     return _gate(abs(est.slope / target - 1.0), params["slopeRelTolerance"]), [out], summary
 
 
-def _run_delay_eq(spec, params, outdir):
+def _run_delay_eq(spec, params, outdir, model, mhash):
     """Picard solve of the delay equation against its closed form."""
     a, step = params["a"], params["step"]
     grid = np.round(np.arange(0.0, params["thetaMax"] + step / 2, step), 12)
@@ -371,7 +348,7 @@ def _run_delay_eq(spec, params, outdir):
     return _gate(summary["sup_error"], params["supTolerance"]), [out], summary
 
 
-def _run_mixture_check(spec, params, outdir):
+def _run_mixture_check(spec, params, outdir, model, mhash):
     """Regular variation of a stable mixture's Laplace exponent at small t."""
     alpha = np.asarray(params["alpha"])
     rho = np.asarray(params["rho"])
@@ -459,8 +436,6 @@ _KINDS = {
 def _resolve(spec):
     """Check `spec` against its kind; returns every parameter, coerced, null as absent."""
     kind = _KINDS[spec.kind]
-    if kind.needs_model and not (spec.model_path and os.path.exists(spec.model_path)):
-        raise SchemaError(f"model file not found: {spec.model_path!r}")
     unknown = sorted(set(spec.parameters) - {name for name, _, _ in kind.params})
     if unknown:
         raise SchemaError(f"unknown parameter(s) for {spec.kind!r}: {', '.join(unknown)}")
@@ -474,6 +449,16 @@ def _resolve(spec):
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"parameter {name!r}: {exc}") from exc
     return resolved
+
+
+def _seed(value):
+    """The spec's seed: null means 0, otherwise an integer in [0, 2**64)."""
+    if value is None:
+        return 0
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and 0 <= value < 2**64):
+        raise SchemaError(f"seed must be null or an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def _environment():
@@ -514,10 +499,16 @@ def run(spec):
     }
     try:
         params = manifest["parameters"] = _resolve(spec)
-        if spec.model_path:
-            with open(spec.model_path, encoding="utf-8") as fh:
-                manifest["model_hash"] = model_hash(json.load(fh))
-        code, artifacts, summary = _KINDS[spec.kind].handler(spec, params, outdir)
+        spec = dataclasses.replace(spec, seed=_seed(spec.seed))
+        manifest["seed"] = spec.seed
+        model = mhash = None
+        if _KINDS[spec.kind].needs_model:
+            try:
+                model, mhash = read_model(spec.model_path)
+            except (OSError, TypeError, ValueError) as exc:
+                raise SchemaError(f"model file {spec.model_path!r}: {exc}") from exc
+            manifest["model_hash"] = mhash
+        code, artifacts, summary = _KINDS[spec.kind].handler(spec, params, outdir, model, mhash)
         manifest["artifacts"] = artifacts
         manifest["summary"] = summary
         manifest["status"] = "ok" if code == EXIT_OK else "tolerance_violation"

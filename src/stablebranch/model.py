@@ -35,9 +35,7 @@ __all__ = [
     "eta",
     "semigroup_apply",
     "uniform_mixing_gap",
-    "load_model",
-    "save_model",
-    "load_calibrated_model",
+    "read_model",
     "save_calibrated_model",
     "model_hash",
 ]
@@ -53,7 +51,9 @@ CRITICALITY_RTOL = 1e-12
 # are flagged: the joint normalization is then badly conditioned.
 NEAR_ORTHOGONAL_WARN = 1e-8
 
-DENSE_EIGEN_MAX_DIM = 512
+# A calibrated file read back must satisfy its eigen equations, relative to
+# max(1, |A|max), and its two normalizations to this tolerance.
+CALIBRATED_FILE_RTOL = 1e-9
 
 
 class ReducibleMatrixError(ValueError):
@@ -163,10 +163,6 @@ class BranchingMechanism:
     @property
     def gamma0(self):
         return float(self.gamma.min())
-
-    @property
-    def kappa0(self):
-        return float(self.kappa.min())
 
     def shifted(self, delta):
         """New mechanism with beta uniformly shifted by -delta."""
@@ -291,34 +287,7 @@ def _dense_principal(A):
     return float(lam.real), phi.real.copy(), left.real.copy()
 
 
-def _power_principal(A, max_iter=200_000, tol=1e-13):
-    # Shift to a nonnegative matrix so plain power iteration targets the Perron root.
-    d = A.shape[0]
-    shift = max(0.0, -float(np.diag(A).min())) + 1.0
-    B = A + shift * np.eye(d)
-
-    def iterate(M):
-        x = np.full(d, 1.0 / np.sqrt(d))
-        lam_old = np.inf
-        for _ in range(max_iter):
-            y = M @ x
-            lam = float(x @ y)
-            x = y / np.linalg.norm(y)
-            if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-                resid = np.linalg.norm(M @ x - lam * x)
-                if resid <= 100 * tol * max(1.0, abs(lam)):
-                    return lam, x
-            lam_old = lam
-        raise EigenSolverError("power iteration did not converge")
-
-    lam_r, phi = iterate(B)
-    lam_l, left = iterate(B.T)
-    if abs(lam_r - lam_l) > 1e-10 * max(1.0, abs(lam_r)):
-        raise EigenSolverError("left/right principal eigenvalues disagree")
-    return lam_r - shift, phi, left
-
-
-def principal_eigen(A, m, method="auto"):
+def principal_eigen(A, m):
     """Principal triple of an irreducible Metzler matrix under m-weighting.
 
     Returns EigenData with the normalization sum(phi^2 m) = 1 and
@@ -338,12 +307,7 @@ def principal_eigen(A, m, method="auto"):
         raise ValueError("A must have nonnegative off-diagonal entries")
     _require_irreducible(A)
 
-    if method == "dense" or (method == "auto" and d <= DENSE_EIGEN_MAX_DIM):
-        lam, phi, left = _dense_principal(A)
-    elif method in ("auto", "power"):
-        lam, phi, left = _power_principal(A)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lam, phi, left = _dense_principal(A)
 
     # The Perron vector is positive up to a global sign; flip and verify.
     for vec in (phi, left):
@@ -371,7 +335,7 @@ def principal_eigen(A, m, method="auto"):
     return EigenData(lam=lam, phi=phi, phi_star=phi_star)
 
 
-def calibrate_critical(motion, mech, method="auto"):
+def calibrate_critical(motion, mech):
     """Shift beta so the principal eigenvalue vanishes; return the CriticalModel.
 
     The shift beta -> beta - lambda0 is exact (rank-one), so the residual
@@ -379,27 +343,30 @@ def calibrate_critical(motion, mech, method="auto"):
     CRITICALITY_RTOL relative to ||A||.
     """
     A0 = build_feynman_kac_matrix(motion, mech)
-    lam0 = principal_eigen(A0, motion.m, method=method).lam
+    lam0 = principal_eigen(A0, motion.m).lam
     mech_crit = mech.shifted(lam0)
     A = build_feynman_kac_matrix(motion, mech_crit)
-    eigen = principal_eigen(A, motion.m, method=method)
+    eigen = principal_eigen(A, motion.m)
     scale = max(1.0, float(np.abs(A).max()))
     if abs(eigen.lam) > CRITICALITY_RTOL * scale:
         raise EigenSolverError(
             f"calibration residual |lambda| = {abs(eigen.lam):.3e} exceeds tolerance"
         )
-    gamma0 = mech_crit.gamma0
-    tied = mech_crit.gamma <= gamma0 + GAMMA_TIE_TOL
-    c_x = float(
-        np.sum(
-            mech_crit.kappa[tied]
-            * eigen.phi[tied] ** gamma0
-            * eigen.phi_star[tied]
-            * motion.m[tied]
-        )
-    )
     return CriticalModel(
-        motion=motion, mechanism=mech_crit, eigen=eigen, c_x=c_x, gamma0=gamma0
+        motion=motion,
+        mechanism=mech_crit,
+        eigen=eigen,
+        c_x=_front_constant(mech_crit, eigen, motion.m),
+        gamma0=mech_crit.gamma0,
+    )
+
+
+def _front_constant(mech, eigen, m):
+    """C_X: the kappa phi^gamma0 phi* m-mass of the minimal-index sites."""
+    gamma0 = mech.gamma0
+    tied = mech.gamma <= gamma0 + GAMMA_TIE_TOL
+    return float(
+        np.sum(mech.kappa[tied] * eigen.phi[tied] ** gamma0 * eigen.phi_star[tied] * m[tied])
     )
 
 
@@ -444,21 +411,7 @@ def uniform_mixing_gap(model, t):
 # ---------------------------------------------------------------------------
 
 _BASE_KEYS = ("d", "m", "Q", "beta", "kappa", "gamma")
-_CALIBRATED_KEYS = _BASE_KEYS + ("lambda", "phi", "phiStar", "C_X", "gamma0")
-
-
-def _motion_mechanism_from_dict(data):
-    d = int(data["d"])
-    space = StateSpace(d=d, m=np.asarray(data["m"], float))
-    motion = MotionGenerator(space=space, Q=np.asarray(data["Q"], float))
-    mech = BranchingMechanism(
-        beta=np.asarray(data["beta"], float),
-        kappa=np.asarray(data["kappa"], float),
-        gamma=np.asarray(data["gamma"], float),
-    )
-    if mech.d != d:
-        raise ValueError("mechanism length disagrees with d")
-    return motion, mech
+_SPECTRAL_KEYS = ("lambda", "phi", "phiStar", "C_X", "gamma0")
 
 
 def model_to_dict(motion, mech, model=None):
@@ -496,41 +449,72 @@ def _atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def save_model(path, motion, mech):
-    _atomic_write_text(path, json.dumps(model_to_dict(motion, mech), indent=2))
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    missing = [k for k in _BASE_KEYS if k not in data]
-    if missing:
-        raise ValueError(f"model file missing keys: {missing}")
-    return _motion_mechanism_from_dict(data)
-
-
 def save_calibrated_model(path, model):
     data = model_to_dict(model.motion, model.mechanism, model)
     _atomic_write_text(path, json.dumps(data, indent=2))
 
 
-def load_calibrated_model(path):
-    """Reload a calibrated model exactly as saved (no recomputation)."""
-    with open(path, encoding="utf-8") as fh:
+def read_model(path):
+    """Parse the model file at `path` once; returns (CriticalModel, model_hash).
+
+    A base file is calibrated by `calibrate_critical`.  A file that carries any
+    of the calibrated keys must carry all of them; it is rebuilt exactly as
+    saved, with no recomputation, once `_check_calibrated` accepts it.  An
+    unreadable, malformed or invalid file raises OSError, ValueError or TypeError.
+    """
+    # fspath refuses an integer, which open() would take for a file descriptor.
+    with open(os.fspath(path), encoding="utf-8") as fh:
         data = json.load(fh)
-    missing = [k for k in _CALIBRATED_KEYS if k not in data]
+    if not isinstance(data, dict):
+        raise ValueError("a model file holds one JSON object")
+    calibrated = any(k in data for k in _SPECTRAL_KEYS)
+    keys = _BASE_KEYS + (_SPECTRAL_KEYS if calibrated else ())
+    missing = [k for k in keys if k not in data]
     if missing:
-        raise ValueError(f"calibrated model file missing keys: {missing}")
-    motion, mech = _motion_mechanism_from_dict(data)
-    eigen = EigenData(
-        lam=float(data["lambda"]),
-        phi=np.asarray(data["phi"], float),
-        phi_star=np.asarray(data["phiStar"], float),
-    )
-    return CriticalModel(
+        raise ValueError(f"model file missing keys: {missing}")
+    d = data["d"]
+    if not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    # asarray keeps a null m an error instead of StateSpace's unit default.
+    motion = MotionGenerator(space=StateSpace(d=d, m=np.asarray(data["m"], float)), Q=data["Q"])
+    mech = BranchingMechanism(beta=data["beta"], kappa=data["kappa"], gamma=data["gamma"])
+    if mech.d != d:
+        raise ValueError("mechanism length disagrees with d")
+    if not calibrated:
+        return calibrate_critical(motion, mech), model_hash(data)
+    model = CriticalModel(
         motion=motion,
         mechanism=mech,
-        eigen=eigen,
+        eigen=EigenData(lam=data["lambda"], phi=data["phi"], phi_star=data["phiStar"]),
         c_x=float(data["C_X"]),
         gamma0=float(data["gamma0"]),
     )
+    _check_calibrated(model)
+    return model, model_hash(data)
+
+
+def _check_calibrated(model):
+    """Raise ValueError unless the stored spectral data are those of the model.
+
+    The checks: |lambda| within CRITICALITY_RTOL, the right and m-adjoint eigen
+    equations and both normalizations within CALIBRATED_FILE_RTOL, gamma0 equal
+    to min(gamma), and C_X equal to the front constant of the stored vectors.
+    """
+    A, m, phi, star, lam = model.A, model.m, model.phi, model.phi_star, model.eigen.lam
+    scale = max(1.0, float(np.abs(A).max()))
+    if abs(lam) > CRITICALITY_RTOL * scale:
+        raise ValueError(f"lambda = {lam:.3e} is not zero: the model is not critical")
+    resid = max(
+        np.abs(A @ phi - lam * phi).max() / phi.max(),
+        np.abs(A.T @ (m * star) - lam * (m * star)).max() / (m * star).max(),
+    )
+    if resid > CALIBRATED_FILE_RTOL * scale:
+        raise ValueError(f"phi or phiStar is no eigenvector of Q + diag(beta) ({resid:.3e})")
+    norms = np.array([model.inner_m(phi, phi), model.inner_m(phi, star)])
+    if np.abs(norms - 1.0).max() > CALIBRATED_FILE_RTOL:
+        raise ValueError(f"<phi, phi>_m and <phi, phiStar>_m are {norms.tolist()}, not 1")
+    if model.gamma0 != model.mechanism.gamma0:
+        raise ValueError(f"gamma0 = {model.gamma0} is not min(gamma) = {model.mechanism.gamma0}")
+    c_x = _front_constant(model.mechanism, model.eigen, m)
+    if abs(model.c_x - c_x) > CALIBRATED_FILE_RTOL * c_x:
+        raise ValueError(f"C_X = {model.c_x} is not {c_x}, the front constant of phi and phiStar")

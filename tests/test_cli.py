@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import platform
@@ -21,7 +22,7 @@ from stablebranch.cli import (
     run,
     write_preset,
 )
-from stablebranch.model import calibrate_critical, load_calibrated_model, load_model
+from stablebranch.model import read_model, save_calibrated_model
 
 
 def make_spec(kind, model_path, params, outdir, seed=None):
@@ -55,16 +56,12 @@ class TestPresets:
             preset("no-such-preset")
 
     def test_two_site_calibrates_symmetric(self, preset_dir):
-        motion, mech = load_model(preset_dir / "two-site" / "two-site_model.json")
-        model = calibrate_critical(motion, mech)
+        model, _ = read_model(preset_dir / "two-site" / "two-site_model.json")
         assert abs(model.eigen.lam) <= 1e-12
         assert np.allclose(model.phi, 1.0 / np.sqrt(2.0), atol=1e-12)
 
     def test_three_site_declares_front_constant(self, preset_dir):
-        motion, mech = load_model(
-            preset_dir / "three-site-mixed" / "three-site-mixed_model.json"
-        )
-        model = calibrate_critical(motion, mech)
+        model, _ = read_model(preset_dir / "three-site-mixed" / "three-site-mixed_model.json")
         assert model.gamma0 == pytest.approx(1.3)
         assert model.c_x > 0
 
@@ -78,15 +75,15 @@ class TestRun:
         model_path = preset_dir / "two-site" / "two-site_model.json"
         spec = make_spec("calibrate", model_path, {}, tmp_path)
         assert run(spec) == EXIT_OK
-        out = load_calibrated_model(tmp_path / "calibrated_model.json")
+        out, _ = read_model(tmp_path / "calibrated_model.json")
         assert np.abs(out.mechanism.beta).max() <= 1e-12  # beta unchanged
 
     def test_calibrated_file_reloads_identically(self, preset_dir, tmp_path):
         model_path = preset_dir / "three-site-mixed" / "three-site-mixed_model.json"
         run(make_spec("calibrate", model_path, {}, tmp_path))
         path = tmp_path / "calibrated_model.json"
-        a = load_calibrated_model(path)
-        b = load_calibrated_model(path)
+        a, _ = read_model(path)
+        b, _ = read_model(path)
         assert np.array_equal(a.phi, b.phi) and a.c_x == b.c_x
 
     def test_delay_eq_pass_and_fail_codes(self, tmp_path):
@@ -139,6 +136,24 @@ class TestRun:
         # f violates the normalization precondition -> runtime failure
         spec = make_spec("yaglom", model_path, params, tmp_path)
         assert run(spec) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("kind, params", [
+        ("calibrate", {}),
+        ("cumulant", {"f": [1.0], "times": [0.5, 1.0]}),
+        ("simulate", {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0]}),
+    ])
+    def test_run_opens_model_file_once(self, kind, params, preset_dir, tmp_path, monkeypatch):
+        model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run(make_spec(kind, model, params, tmp_path)) == EXIT_OK
+        assert opened.count(model) == 1
 
     def test_manifest_written_with_fields(self, preset_dir, tmp_path):
         model_path = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
@@ -250,22 +265,68 @@ def _artifacts(outdir):
 
 
 class TestSchema:
-    @pytest.mark.parametrize("case", ["missing-spec", "malformed-spec", "missing-mu-file"])
+    @pytest.mark.parametrize("case", [
+        "missing-spec", "malformed-spec", "missing-mu-file", "missing-model", "malformed-model",
+        "calibrated-no-phi", "calibrated-no-phiStar", "calibrated-no-C_X", "calibrated-no-gamma0",
+        "gamma-out-of-range", "fractional-d", "integer-model-path",
+    ])
     def test_unreadable_input_exits_two(self, case, preset_dir, tmp_path, capsys):
         model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
         (tmp_path / "bad.json").write_text('{"kind": "delay-eq",')
+        # the model cases calibrate bad_model.json, written here for each case
+        bad_model = tmp_path / "bad_model.json"
+        if case == "malformed-model":
+            bad_model.write_text('{"d": 1,')
+        elif case.startswith("calibrated-no-"):
+            save_calibrated_model(bad_model, read_model(model)[0])
+            data = json.loads(bad_model.read_text())
+            del data[case.removeprefix("calibrated-no-")]
+            bad_model.write_text(json.dumps(data))
+        elif case == "gamma-out-of-range":
+            data = json.loads((preset_dir / "two-site" / "two-site_model.json").read_text())
+            bad_model.write_text(json.dumps({**data, "gamma": [1.2, 2.5]}))
+        elif case == "fractional-d":
+            data = json.loads((preset_dir / "two-site" / "two-site_model.json").read_text())
+            bad_model.write_text(json.dumps({**data, "d": 2.5}))
+        elif case == "integer-model-path":
+            # open() would take the path 0 for the file descriptor of stdin
+            (tmp_path / "fd.json").write_text(json.dumps(
+                {"kind": "calibrate", "modelPath": 0, "outputDir": str(tmp_path / "out")}
+            ))
         argv = {
             "missing-spec": ["run", str(tmp_path / "no-such-spec.json")],
+            "integer-model-path": ["run", str(tmp_path / "fd.json")],
             "malformed-spec": ["run", str(tmp_path / "bad.json")],
             "missing-mu-file": [
                 "simulate", "--model", model, "--paths", "10", "--step", "0.1",
                 "--horizon", "0.1", "--mu", str(tmp_path / "mu.json"),
                 "--outdir", str(tmp_path / "out"),
             ],
-        }[case]
+        }.get(case, ["calibrate", "--model", str(bad_model), "--outdir", str(tmp_path / "out")])
         assert main(argv) == EXIT_SCHEMA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("schema error: ")
+        if argv[0] == "calibrate":
+            assert err[0].startswith(f"schema error: model file {str(bad_model)!r}: ")
+        if case == "integer-model-path":
+            assert err[0].startswith("schema error: model file 0: ")
+
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, 2**64, True])
+    def test_bad_seed_exits_two(self, seed, preset_dir, tmp_path, capsys):
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        params = {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0]}
+        assert run(make_spec("simulate", model, params, tmp_path, seed)) == EXIT_SCHEMA
+        assert "seed" in json.loads((tmp_path / "run_manifest.json").read_text())["error"]
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "functionals.csv").exists()
+
+    @pytest.mark.parametrize("seed, checked", [(None, 0), (7, 7), (2**64 - 1, 2**64 - 1)])
+    def test_manifest_records_checked_seed(self, seed, checked, preset_dir, tmp_path):
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        params = {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0]}
+        assert run(make_spec("simulate", model, params, tmp_path, seed)) == EXIT_OK
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["seed"] == checked
+        assert f"# seed={checked}" in (tmp_path / "functionals.csv").read_text()
 
     @pytest.mark.parametrize(
         "kind, params, named",

@@ -13,10 +13,10 @@ from stablebranch.model import (
     build_feynman_kac_matrix,
     calibrate_critical,
     eta,
-    load_calibrated_model,
     model_hash,
     model_to_dict,
     principal_eigen,
+    read_model,
     save_calibrated_model,
     semigroup_apply,
     uniform_mixing_gap,
@@ -123,16 +123,6 @@ class TestPrincipalEigen:
                 A.T @ (m * eig.phi_star), eig.lam * (m * eig.phi_star), atol=1e-9
             )
 
-    def test_power_iteration_matches_dense(self):
-        rng = np.random.default_rng(3)
-        A = rng.uniform(0.0, 1.0, (12, 12))
-        np.fill_diagonal(A, -rng.uniform(1.0, 2.0, 12))
-        m = rng.uniform(0.5, 1.5, 12)
-        dense = principal_eigen(A, m, method="dense")
-        power = principal_eigen(A, m, method="power")
-        assert abs(dense.lam - power.lam) <= 1e-9
-        assert np.allclose(dense.phi, power.phi, atol=1e-7)
-
     def test_near_orthogonality_warning(self, monkeypatch):
         monkeypatch.setattr(model_mod, "NEAR_ORTHOGONAL_WARN", 2.0)
         with pytest.warns(RuntimeWarning, match="nearly m-orthogonal"):
@@ -174,6 +164,22 @@ class TestCalibration:
         )
         assert m.c_x == pytest.approx(expected, rel=1e-14)
         assert m.c_x > 0
+
+    def test_slowly_mixing_chain_calibrates(self, tmp_path):
+        # 600-site nearest-neighbour chain under a weak cosine potential: |lambda_2 /
+        # lambda_1| is close to 1, so power iteration would not converge here
+        d = 600
+        Q = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
+        Q -= np.diag(Q.sum(axis=1))
+        beta = 1e-3 * np.cos(2 * np.pi * np.arange(d) / d)
+        mech = BranchingMechanism(beta=beta, kappa=np.ones(d), gamma=np.full(d, 1.5))
+        model = calibrate_critical(make_motion(Q), mech)
+        assert abs(model.eigen.lam) <= 1e-12 * 2.0
+        assert np.allclose(model.A @ model.phi, 0.0, atol=1e-12)
+        path = tmp_path / "chain.json"
+        save_calibrated_model(path, model)
+        loaded, _ = read_model(path)
+        assert np.array_equal(loaded.phi, model.phi) and loaded.c_x == model.c_x
 
 
 class TestEta:
@@ -263,7 +269,7 @@ class TestModelFiles:
     def test_calibrated_round_trip_identical(self, tmp_path, three_site_model):
         path = tmp_path / "model.json"
         save_calibrated_model(path, three_site_model)
-        loaded = load_calibrated_model(path)
+        loaded, _ = read_model(path)
         assert np.array_equal(loaded.phi, three_site_model.phi)
         assert np.array_equal(loaded.phi_star, three_site_model.phi_star)
         assert np.array_equal(loaded.motion.Q, three_site_model.motion.Q)
@@ -275,8 +281,43 @@ class TestModelFiles:
         shuffled = json.loads(json.dumps(data))
         assert model_hash(data) == model_hash(shuffled)
 
+    def test_read_base_file_calibrates(self, tmp_path, three_site_model):
+        data = model_to_dict(three_site_model.motion, three_site_model.mechanism)
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(data))
+        loaded, digest = read_model(path)
+        assert digest == model_hash(data)
+        assert np.array_equal(loaded.phi, three_site_model.phi)
+        assert loaded.c_x == three_site_model.c_x
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("gamma0", 1.5, "gamma0"),
+            ("C_X", 123.0, "C_X"),
+            ("phi", [0.9, 0.1], "eigenvector"),
+            ("phiStar", [0.1, 0.9], "eigenvector"),
+            ("lambda", 1e-3, "not critical"),
+            ("beta", [0.1, 0.1], "eigenvector"),
+            ("phi", [0.5, 0.5], "phi, phi"),
+            ("gamma0", None, "missing"),
+        ],
+        ids=["gamma0", "C_X", "phi", "phiStar", "lambda", "beta", "phi-scale", "no-gamma0"],
+    )
+    def test_tampered_calibrated_file_rejected(self, key, value, match, tmp_path, two_site_model):
+        path = tmp_path / "model.json"
+        save_calibrated_model(path, two_site_model)
+        data = json.loads(path.read_text())
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=match):
+            read_model(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d": 1, "m": [1.0]}))
         with pytest.raises(ValueError, match="missing"):
-            model_mod.load_model(path)
+            read_model(path)
