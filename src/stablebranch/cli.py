@@ -282,7 +282,9 @@ def _run_simulate(spec, params, outdir, model, mhash):
     }
     report_path = os.path.join(outdir, "report.json")
     _write_json(report_path, report)
-    return EXIT_OK, [csv_path, report_path], report
+    # the worker count goes to the manifest only: report.json and the csv are
+    # the same on every machine
+    return EXIT_OK, [csv_path, report_path], {**report, "workers": stats.workers}
 
 
 def _run_spine_check(spec, params, outdir, model, mhash):

@@ -39,6 +39,10 @@ its final state is the zero vector it would have kept.
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +108,9 @@ class PathStats:
     at the end of draw block i (blocks of 1024 steps), so it never increases;
     its last entry equals survivors unless a state underflows to zero mass.
     cluster_share is the share of live site-steps that took the exact cluster
-    branch instead of the stable kick.
+    branch instead of the stable kick.  Both are sums over all workers, so
+    they do not depend on how many ran; workers is that number, the calling
+    process included.
     """
 
     replicates: int
@@ -114,6 +120,7 @@ class PathStats:
     final_states: np.ndarray | None = field(default=None, repr=False)
     live_by_block: np.ndarray | None = None
     cluster_share: float | None = None
+    workers: int | None = None
 
     def __post_init__(self):
         if self.survivors > self.replicates:
@@ -298,11 +305,11 @@ class _StepKernel:
                 col[kick] = self._kicked(
                     Zp[:, x][kick], u01[:, x][kick], w_exp[:, x][kick], h, *consts
                 )
-        n_cluster = int(np.count_nonzero(cluster))
-        if n_cluster:
-            N = _poisson_quantile(lam[cluster], u01[cluster])
-            branched[cluster] = N * w_exp[cluster] / np.broadcast_to(w_h, Zp.shape)[cluster]
-        return np.clip(branched, 0.0, None), n_cluster
+        idx = np.flatnonzero(cluster)  # C order, as a boolean index reads
+        if idx.size:
+            N = _poisson_quantile(lam.take(idx), u01.take(idx))
+            branched.put(idx, N * w_exp.take(idx) / w_h.take(idx % w_h.size))
+        return np.clip(branched, 0.0, None), idx.size
 
 
 def step_euler(model, state, h, rng, mass_floor=0.0):
@@ -327,24 +334,16 @@ def step_euler(model, state, h, rng, mass_floor=0.0):
     return Z
 
 
-def simulate_paths(model, mu, config, f=None, keep_final_states=False):
-    """Run independent replicates of the Euler scheme; record survival and X_T(f).
+def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
+    """Simulate the chunks of replicates that begin at `starts`.
 
-    mu is the initial density against m; f defaults to the constant field 1
-    (so X_T(f) is the total mass).  Zero survivors is reported, not fatal.
+    Returns the summable parts of their result: the survivor count, each
+    chunk's survivor values and (if kept) final states in the order of
+    `starts`, live_by_block, and the cluster and live site-step counts.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.d,) or np.any(mu < 0) or mu.sum() == 0:
-        raise ValueError("mu must be a nonnegative, nontrivial density vector")
-    f = np.ones(model.d) if f is None else np.asarray(f, dtype=float)
-    if f.shape != (model.d,):
-        raise ValueError(f"f must have shape ({model.d},)")
-
-    d = model.d
-    m = model.m
-    kernel = _StepKernel(model)
+    d = kernel.m.size
+    m = kernel.m
     streams = _ReplicateStreams(config.seed)
-    f_weights = f * m
     ones = np.ones(d)
     hs = np.asarray(config.step_sizes)
     n_steps = hs.size
@@ -359,7 +358,7 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     live_by_block = np.zeros(len(block_starts), dtype=np.int64)
     cluster_site_steps = live_site_steps = 0
 
-    for start in range(0, config.replicates, _CHUNK_REPLICATES):
+    for start in starts:
         count = min(_CHUNK_REPLICATES, config.replicates - start)
         rows = np.arange(count)  # chunk positions of the live replicates
         saved = None  # their stream states at the last block boundary
@@ -413,15 +412,114 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
         surv_vals.append((Z_full @ f_weights)[alive])
         if keep_final_states:
             finals.append(Z_full)
+    return survivors, surv_vals, finals, live_by_block, cluster_site_steps, live_site_steps
 
+
+def _worker_count(n_chunks):
+    """One worker per CPU in this process's affinity mask, at most one per chunk.
+
+    Where the mask or os.fork is not available, every chunk runs in-process.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_chunks)
+
+
+def _map_forked(fn, shares):
+    """[fn(share) for share in shares], the first share run in this process.
+
+    Each other share runs in a child made by os.fork, which inherits fn and
+    its arguments and sends back its result, or the exception it raised,
+    pickled over a pipe; that exception is raised here.  Every child is reaped
+    before this returns or raises, and a child whose result was not read (this
+    process's own share or another child failed first) is killed.
+    """
+    children = {}  # pid -> read end of its pipe, unread
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # the child never returns into the caller's code
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = (True, fn(share))
+                    except BaseException as exc:
+                        result = (False, exc)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        results = [fn(shares[0])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    ok, value = False, ChildProcessError(f"simulation worker {pid} sent no result")
+            os.waitpid(pid, 0)
+            del children[pid]
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def simulate_paths(model, mu, config, f=None, keep_final_states=False):
+    """Run independent replicates of the Euler scheme; record survival and X_T(f).
+
+    mu is the initial density against m; f defaults to the constant field 1
+    (so X_T(f) is the total mass).  Zero survivors is reported, not fatal.
+
+    The chunks of replicates are dealt out to one worker per CPU in the
+    process's affinity mask (see _worker_count); the calling process runs one
+    share and forked children the others.  Each chunk runs the same code with
+    the same streams wherever it runs, so the result is bit for bit the same
+    for any number of workers.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (model.d,) or np.any(mu < 0) or mu.sum() == 0:
+        raise ValueError("mu must be a nonnegative, nontrivial density vector")
+    f = np.ones(model.d) if f is None else np.asarray(f, dtype=float)
+    if f.shape != (model.d,):
+        raise ValueError(f"f must have shape ({model.d},)")
+
+    starts = list(range(0, config.replicates, _CHUNK_REPLICATES))
+    workers = _worker_count(len(starts))
+    shares = [starts[i::workers] for i in range(workers)]
+    run = functools.partial(
+        _simulate_chunks, _StepKernel(model), mu, config, f * model.m,
+        keep_final_states=keep_final_states,
+    )
+    parts = _map_forked(run, shares)
+
+    # put the chunks back in replicate order and sum the rest
+    survivors, values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
+    order = np.argsort(np.concatenate(shares))
+    values = [v for share in values for v in share]
+    finals = [z for share in finals for z in share] if keep_final_states else None
     return PathStats(
         replicates=config.replicates,
-        survivors=survivors,
-        functional_values=np.concatenate(surv_vals),
+        survivors=sum(survivors),
+        functional_values=np.concatenate([values[i] for i in order]),
         functional_description=f"field({np.array2string(f, precision=6, max_line_width=200)})",
-        final_states=np.concatenate(finals) if keep_final_states else None,
-        live_by_block=live_by_block,
-        cluster_share=cluster_site_steps / live_site_steps,
+        final_states=np.concatenate([finals[i] for i in order]) if keep_final_states else None,
+        live_by_block=np.sum(live_by_block, axis=0),
+        cluster_share=sum(cluster_site_steps) / sum(live_site_steps),
+        workers=workers,
     )
 
 

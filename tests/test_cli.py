@@ -112,6 +112,10 @@ class TestRun:
             assert key in report
         assert report["live_by_block"][-1] == report["survivors"]
         assert 0.0 <= report["cluster_share"] <= 1.0
+        # the worker count depends on the machine, so only the manifest has it
+        assert "workers" not in report
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["workers"] == 1  # 500 paths are one chunk
 
     def test_mixture_check(self, tmp_path):
         params = {

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stablebranch._mapped import mapped_zeros
 from stablebranch.model import eta
 from stablebranch.simulate import (
     _POISSON_KMAX,
+    _StepKernel,
     _poisson_quantile,
     PathStats,
     SimConfig,
@@ -117,6 +119,71 @@ class TestDeterminism:
         a = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=1, **base))
         b = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=2, **base))
         assert not np.array_equal(a.functional_values, b.functional_values)
+
+
+def use_cpus(monkeypatch, n):
+    """Make the affinity mask read as n CPUs, so that simulate_paths uses up to n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestWorkers:
+    """Chunks dealt to any number of forked workers give the same result."""
+
+    @pytest.mark.parametrize(
+        "mu, step_size, horizon",
+        [
+            # small mass: extinction, compaction and the cluster branch over two draw blocks
+            ([1e-4, 1e-4], 1e-3, 1.03),
+            # order-one mass: every replicate survives on the stable kick
+            ([0.5, 0.5], 1e-3, 0.2),
+        ],
+    )
+    def test_result_does_not_depend_on_partition(self, two_site_model, monkeypatch,
+                                                 mu, step_size, horizon):
+        # 5,000 replicates are three chunks, the last one short
+        cfg = SimConfig(step_size, horizon, 5000, seed=2718)
+        runs = []
+        for n in (1, 2, 3):
+            use_cpus(monkeypatch, n)
+            stats = simulate_paths(two_site_model, np.array(mu), cfg, f=np.array([1.0, 2.0]),
+                                   keep_final_states=True)
+            assert stats.workers == n
+            runs.append(stats)
+        one = runs[0]
+        assert 0 < one.survivors
+        for other in runs[1:]:
+            assert other.survivors == one.survivors
+            assert other.functional_values.tobytes() == one.functional_values.tobytes()
+            assert other.final_states.tobytes() == one.final_states.tobytes()
+            assert np.array_equal(other.live_by_block, one.live_by_block)
+            assert other.cluster_share == one.cluster_share
+
+    def test_single_chunk_runs_in_process(self, two_site_model, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
+        stats = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(1e-2, 0.1, 2048))
+        assert stats.workers == 1
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failing_worker(self, two_site_model, monkeypatch, failing):
+        parent = os.getpid()
+        advance = _StepKernel.advance
+
+        def poisoned(self, Z, u01, w_exp, h):
+            Z, n_cluster = advance(self, Z, u01, w_exp, h)
+            if (os.getpid() == parent) == (failing == "parent"):
+                Z = np.full_like(Z, np.nan)
+            return Z, n_cluster
+
+        monkeypatch.setattr(_StepKernel, "advance", poisoned)
+        use_cpus(monkeypatch, 2)
+        # chunk 0 runs here and chunk 1 in a child
+        cfg = SimConfig(step_size=1e-2, horizon=0.05, replicates=2100)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            simulate_paths(two_site_model, np.array([0.5, 0.5]), cfg)
+        assert os.getpid() == parent  # no child came back here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
 
 
 def test_mapped_scratch_is_zeroed_and_writable():
