@@ -118,9 +118,17 @@ def _words(name, sep):
 
 
 def _solver_options(params):
-    kwargs = {
-        _words(name, "_"): params[name] for name, _, _ in _SOLVER if params[name] is not None
-    }
+    """The spec's SolverOptions, None when it sets none; a value that
+    SolverOptions rejects is a schema error naming its parameter."""
+    kwargs = {}
+    for name, _, _ in _SOLVER:
+        if params[name] is not None:
+            key = _words(name, "_")
+            try:
+                SolverOptions(**{key: params[name]})
+            except ValueError as exc:
+                raise SchemaError(f"parameter {name!r}: {exc}") from exc
+            kwargs[key] = params[name]
     return SolverOptions(**kwargs) if kwargs else None
 
 
@@ -191,7 +199,9 @@ def _run_cumulant(spec, params, outdir, model, mhash):
         ("t", "site", "value"),
         rows,
     )
-    return EXIT_OK, [out], {"engine": curve.solver_report.engine}
+    rep = curve.solver_report
+    keys = ("engine", "variable", "accepted", "nfev", "njev", "nlu")
+    return EXIT_OK, [out], {key: getattr(rep, key) for key in keys}
 
 
 def _run_survival(spec, params, outdir, model, mhash):

@@ -45,16 +45,28 @@ class CertificationError(SolverError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances and limits of the ODE engine.
+
+    Every value must be finite except max_step, whose default inf means no
+    limit; a value out of range raises ValueError naming its field.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = np.inf
     warm_start_time: float = 1e-8
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be positive (abs_tol may be zero)")
-        if self.max_step <= 0 or self.warm_start_time <= 0:
-            raise ValueError("max_step and warm_start_time must be positive")
+        # Written so that NaN fails every rule; only max_step may be inf.
+        rules = (
+            ("rel_tol", 0.0 < self.rel_tol < np.inf, "finite and positive"),
+            ("abs_tol", 0.0 <= self.abs_tol < np.inf, "finite and nonnegative"),
+            ("max_step", self.max_step > 0.0, "positive (inf for no limit)"),
+            ("warm_start_time", 0.0 < self.warm_start_time < np.inf, "finite and positive"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

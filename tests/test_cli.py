@@ -117,6 +117,17 @@ class TestRun:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["workers"] == 1  # 500 paths are one chunk
 
+    def test_cumulant_manifest_records_solver_counts(self, preset_dir, tmp_path):
+        model_path = preset_dir / "two-site" / "two-site_model.json"
+        # an unbounded step is the default and may also be given explicitly
+        params = {"f": [1.0, 1.0], "times": [0.5, 1.0, 2.0], "maxStep": "inf"}
+        assert run(make_spec("cumulant", model_path, params, tmp_path)) == EXIT_OK
+        summary = json.loads((tmp_path / "run_manifest.json").read_text())["summary"]
+        assert summary["engine"] == "radau" and summary["variable"] == "u"
+        for key in ("accepted", "nfev", "njev", "nlu"):
+            assert isinstance(summary[key], int) and summary[key] > 0
+        assert "nfev" not in (tmp_path / "cumulant.csv").read_text()
+
     def test_mixture_check(self, tmp_path):
         params = {
             "alpha": [1.2, 1.8],
@@ -341,8 +352,14 @@ class TestSchema:
             ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}}, "horizon"),
             ("simulate", {"paths": "many", "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
             ("delay-eq", {"a": 1.5, "supTolerence": 1e-30}, "supTolerence"),
+            ("cumulant", {"f": [1.0], "times": [1.0], "relTol": 0}, "relTol"),
+            ("cumulant", {"f": [1.0], "times": [1.0], "relTol": "nan"}, "relTol"),
+            ("cumulant", {"f": [1.0], "times": [1.0], "absTol": "inf"}, "absTol"),
+            ("survival", {"mu": [1.0], "times": [1.0], "maxStep": "nan"}, "maxStep"),
+            ("rv-fit", {"times": [1.0, 10.0], "warmStartTime": "inf"}, "warmStartTime"),
         ],
-        ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key"],
+        ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
+             "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys

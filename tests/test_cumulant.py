@@ -39,6 +39,28 @@ def make_scalar(kappa, gamma):
     )
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", 0.0),
+            ("abs_tol", np.nan), ("abs_tol", np.inf), ("abs_tol", -1e-12),
+            ("max_step", np.nan), ("max_step", 0.0),
+            ("warm_start_time", np.nan), ("warm_start_time", np.inf), ("warm_start_time", 0.0),
+        ],
+    )
+    def test_rejects_value_and_names_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_unbounded_step_and_zero_abs_tol_allowed(self, two_site_model):
+        opts = SolverOptions(abs_tol=0.0, max_step=np.inf)
+        assert opts.max_step == SolverOptions().max_step == np.inf
+        curve = solve_cumulant(two_site_model, [1.0, 1.0], [0.5, 1.0, 2.0], opts)
+        default = solve_cumulant(two_site_model, [1.0, 1.0], [0.5, 1.0, 2.0])
+        np.testing.assert_allclose(curve.values, default.values, rtol=1e-8)
+
+
 class TestSolveCumulant:
     @pytest.mark.parametrize("kappa,gamma,c", [(1.0, 1.5, 1.0), (0.7, 1.3, 2.5), (2.0, 1.8, 0.2)])
     def test_scalar_closed_form(self, kappa, gamma, c):

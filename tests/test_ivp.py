@@ -1,0 +1,177 @@
+"""The Radau engine against scipy's stock Radau, and ODE outputs pinned bit for bit."""
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+import scipy.integrate
+from scipy.integrate._ivp import radau
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+from stablebranch import _ivp
+from stablebranch._ivp import _Radau, solve_branching_ode
+from stablebranch.analysis import yaglom_table
+from stablebranch.cumulant import (
+    SolverOptions,
+    _warm_start,
+    solve_extinction,
+    weighted_extinction_norm,
+)
+
+from conftest import normalized_ones
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
+def ode_args(model):
+    return model.A, model.mechanism.kappa, model.mechanism.gamma
+
+
+# Each case returns (solve_branching_ode arguments, keyword arguments).
+def extinction_two_site(models):
+    model = models["two"]
+    t0 = 1e-8
+    return (*ode_args(model), _warm_start(model, t0), (t0, 1.0)), dict(rtol=1e-8, _bernoulli=True)
+
+
+def field_three_site(models):
+    return (*ode_args(models["three"]), [0.8, 1.9, 0.5], (0.0, 5.0)), dict(rtol=1e-8)
+
+
+def scalar(models):
+    return (*ode_args(models["scalar"]), [2.0], (0.0, 10.0)), dict(rtol=1e-9)
+
+
+def batch_two_site(models):
+    model = models["two"]
+    kappa = model.mechanism.kappa * np.array([[0.1], [1.0], [3.0], [10.0]])
+    u0 = np.broadcast_to([0.5, 1.5], (4, 2))
+    return (model.A, kappa, model.mechanism.gamma, u0, (0.0, 20.0)), dict(rtol=1e-8)
+
+
+CASES = [extinction_two_site, field_three_site, scalar, batch_two_site]
+
+
+@pytest.fixture(scope="module")
+def models(scalar_model, two_site_model, three_site_model):
+    return {"scalar": scalar_model, "two": two_site_model, "three": three_site_model}
+
+
+def stock_radau(monkeypatch):
+    monkeypatch.setattr(_ivp, "_Radau", scipy.integrate.Radau)
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+    def test_same_solution_and_counts_as_stock_radau(self, case, models, monkeypatch):
+        args, kwargs = case(models)
+        sol = solve_branching_ode(*args, **kwargs)
+        grid = np.linspace(sol.t_start, sol.t_end, 97)
+        stock_radau(monkeypatch)
+        ref = solve_branching_ode(*args, **kwargs)
+        assert bits(sol(grid)) == bits(ref(grid))
+        assert sol.report == ref.report
+        assert sol.report.accepted > 0 and sol.report.nlu >= 2
+
+    def test_dense_path_never_calls_scipy_lu_wrappers(self, models, monkeypatch):
+        # a scipy release that renames Radau's lu/solve_lu would route the
+        # dense path back through these wrappers and fail here
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy's LU wrapper was called")
+
+        monkeypatch.setattr(radau, "lu_factor", refuse)
+        monkeypatch.setattr(radau, "lu_solve", refuse)
+        args, kwargs = extinction_two_site(models)
+        assert solve_branching_ode(*args, **kwargs).report.nlu > 0
+        stock_radau(monkeypatch)
+        with pytest.raises(AssertionError, match="wrapper was called"):
+            solve_branching_ode(*args, **kwargs)
+
+    def test_batch_still_factors_with_splu(self, models, monkeypatch):
+        calls = []
+        real_splu = radau.splu
+
+        def counting_splu(a):
+            calls.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(radau, "splu", counting_splu)
+        args, kwargs = batch_two_site(models)
+        sol = solve_branching_ode(*args, **kwargs)
+        assert len(calls) == sol.report.nlu > 0
+        assert calls[0] == (8, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_routines_match_scipy_wrappers(self, dtype, rng):
+        solver = _Radau(lambda t, y: -y, 0.0, np.ones(3), 1.0, jac=lambda t, y: -np.eye(3))
+        a = rng.standard_normal((3, 3)).astype(dtype)
+        b = rng.standard_normal(3).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal((3, 3))
+            b += 1j * rng.standard_normal(3)
+        lu = solver._getrf(a.copy())
+        ref = lu_factor(a.copy(), overwrite_a=True)
+        assert lu[0].tobytes() == ref[0].tobytes() and np.array_equal(lu[1], ref[1])
+        x = solver._getrs(lu, b.copy())
+        assert x.tobytes() == lu_solve(ref, b.copy(), overwrite_b=True).tobytes()
+        assert solver.nlu == 1
+
+    def test_routines_keep_wrapper_errors_and_warning(self):
+        solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver._getrf(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        lu = solver._getrf(np.eye(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver._getrs(lu, np.array([np.inf, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            with pytest.raises(LinAlgWarning, match="exactly zero"):
+                solver._getrf(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert solver.nlu == 3
+
+    @pytest.mark.parametrize("engine", ["direct", "stock"])
+    @pytest.mark.parametrize("bernoulli", [False, True], ids=["u", "z"])
+    def test_nan_rtol_raises(self, engine, bernoulli, models, monkeypatch):
+        if engine == "stock":
+            stock_radau(monkeypatch)
+        with pytest.raises(ValueError):
+            solve_branching_ode(
+                *ode_args(models["two"]), [1.0, 2.0], (0.0, 1.0), rtol=np.nan, _bernoulli=bernoulli
+            )
+
+
+class TestOdeGoldenDigests:
+    """ODE outputs pinned bit for bit; recorded with scipy's stock Radau
+    (scipy 1.17.1, numpy 2.4.6).  Any change to the engine's arithmetic, the
+    step control or the warm start shows here."""
+
+    def test_two_site_extinction(self, two_site_model):
+        curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
+        assert digest(curve.values) == (
+            "d4f3e3d1e63ccf602b4217116bb66c7f13e405c8e67797a3d7c754c9daf3a291"
+        )
+
+    def test_two_site_weighted_norm(self, two_site_model):
+        values = weighted_extinction_norm(
+            two_site_model, np.geomspace(1e3, 1e6, 25), SolverOptions(rel_tol=1e-7)
+        )
+        assert digest(values) == (
+            "c5bfb5cec40170f2b14768dac56baa12bd636d8e21728033064921690d72113e"
+        )
+
+    def test_two_site_yaglom_surface(self, two_site_model):
+        # 21 thetas in one batch: the sparse splu path
+        table = yaglom_table(
+            two_site_model, normalized_ones(two_site_model), np.geomspace(0.1, 10.0, 21),
+            1e3, SolverOptions(rel_tol=1e-7),
+        )
+        assert digest(table.surface) == (
+            "5d8f53a704a94bde95c1d85ea61ca95aa1ea0fb3ed296d12acee0fba41db3b18"
+        )
