@@ -14,7 +14,7 @@ import numpy as np
 
 from .cumulant import SolverOptions, _yaglom_batch, solve_extinction
 from .limitlaw import g_closed
-from .model import eta
+from .model import _density, eta
 
 __all__ = [
     "RVEstimate",
@@ -47,12 +47,12 @@ class RVEstimate:
             raise ValueError("invalid fit window")
 
 
-def rv_index_fit(times, values, window=None):
+def rv_index_fit(times, values):
     """Least-squares log-log slope with its standard error.
 
-    The default window keeps the top two decades of the supplied grid: the
-    decay index is a tail property and early transients bias the slope.
-    Pass window=(tmin, tmax) to override.
+    The fit window is the top two decades of the supplied grid,
+    [times[-1] / 100, times[-1]]: the decay index is a tail property and
+    early transients bias the slope.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -62,9 +62,8 @@ def rv_index_fit(times, values, window=None):
         raise ValueError("times must be strictly increasing")
     if np.any(times <= 0) or np.any(values <= 0):
         raise ValueError("log-log fit needs strictly positive inputs")
-    if window is None:
-        window = (times[-1] / 100.0, times[-1])
-    sel = (times >= window[0]) & (times <= window[1])
+    window = (times[-1] / 100.0, times[-1])
+    sel = times >= window[0]
     if sel.sum() < 3:
         raise ValueError("fewer than three points in the fit window")
     x = np.log(times[sel])
@@ -105,9 +104,7 @@ def kolmogorov_table(model, mu, times, opts=None):
     One extinction solve covers the whole grid.  The monotone flag records
     whether |ratio - 1| is nonincreasing along the grid.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.d,) or np.any(mu < 0) or mu.sum() == 0:
-        raise ValueError("mu must be a nonnegative, nontrivial density vector")
+    mu = _density(mu, model.d)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
@@ -115,7 +112,7 @@ def kolmogorov_table(model, mu, times, opts=None):
     mu_v = curve.values @ (mu * model.m)
     survival = -np.expm1(-mu_v)
     normalized = survival / eta(model, times)
-    target = model.mu_pairing(mu, model.phi)
+    target = model.inner_m(mu, model.phi)
     dev = np.abs(normalized / target - 1.0)
     monotone = bool(np.all(np.diff(dev) <= 1e-12))
     return KolmogorovTable(

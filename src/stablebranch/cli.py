@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -102,14 +103,13 @@ def _write_json(path, data):
 
 
 def _write_csv(path, header_meta, columns, rows):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        for line in header_meta:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    text = io.StringIO()
+    for line in header_meta:
+        text.write(f"# {line}\n")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _atomic_write_text(path, text.getvalue())
 
 
 def _words(name, sep):
@@ -267,13 +267,13 @@ def _run_simulate(spec, params, outdir, model, mhash):
     """Monte Carlo run of the branching process from the density mu."""
     mu = _field(params, "mu", model.d)
     f = _field(params, "f", model.d, np.ones(model.d))
-    config = SimConfig(
-        step_size=params["step"],
-        horizon=params["horizon"],
-        replicates=params["paths"],
-        mass_floor=params["massFloor"],
-        seed=spec.seed,
-    )
+    fields = {"step_size": "step", "horizon": "horizon", "replicates": "paths"}
+    try:
+        config = SimConfig(**{key: params[name] for key, name in fields.items()}, seed=spec.seed)
+    except ValueError as exc:
+        # SimConfig's message begins with the name of the field at fault
+        key = str(exc).split()[0]
+        raise SchemaError(f"parameter {fields.get(key, key)!r}: {exc}") from exc
     stats = simulate_paths(model, mu, config, f=f)
     csv_path = os.path.join(outdir, "functionals.csv")
     _write_csv(
@@ -395,7 +395,13 @@ def _floats(value):
 def _grid(value):
     if not isinstance(value, dict) or set(value) != {"min", "max", "count"}:
         raise ValueError(f"expected an object with keys min, max and count, got {value!r}")
-    return {"min": float(value["min"]), "max": float(value["max"]), "count": int(value["count"])}
+    grid = {"min": float(value["min"]), "max": float(value["max"]), "count": int(value["count"])}
+    # written so that a NaN bound fails
+    if not 0.0 < grid["min"] <= grid["max"] < np.inf:
+        raise ValueError(f"expected finite bounds with 0 < min <= max, got {value!r}")
+    if grid["count"] < 1:
+        raise ValueError(f"expected a count of at least 1, got {value!r}")
+    return grid
 
 
 def _sampled(key):
@@ -425,7 +431,7 @@ _KINDS = {
     )),
     "simulate": _Kind(_run_simulate, True, (
         ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", float, REQUIRED),
-        ("horizon", float, REQUIRED), ("paths", int, REQUIRED), ("massFloor", float, 0.0),
+        ("horizon", float, REQUIRED), ("paths", int, REQUIRED),
     )),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),

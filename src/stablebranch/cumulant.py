@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
-from .model import eta
+from .model import _density, eta
 
 __all__ = [
     "SolverOptions",
@@ -256,13 +256,11 @@ def solve_extinction(model, times, opts=None):
 
 def survival_probability(model, mu, t, opts=None):
     """P(mass alive at t) = 1 - exp(-<mu, v_t>) for start density mu against m."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.d,) or np.any(mu < 0) or mu.sum() == 0:
-        raise ValueError("mu must be a nonnegative, nontrivial density vector")
+    mu = _density(mu, model.d)
     if t <= 0:
         raise ValueError("survival probability requires t > 0")
     curve = solve_extinction(model, [t], opts)
-    x = model.mu_pairing(mu, curve.values[0])
+    x = model.inner_m(mu, curve.values[0])
     return float(-np.expm1(-x))
 
 

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 PICARD_ITERATION_CAP = 1000
+# Points of solve_delay_equation's uniform grid in y = theta^(a-1).
+_DELAY_GRID_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,14 @@ def g_closed(gamma0, theta):
 class DelayEquationProblem:
     """Fixed-point problem for G on theta_grid with index a in (1, 2).
 
-    n_internal controls the resolution of the internal integration grid in
-    the transformed variable y = theta^(a-1), where all integrands are smooth;
-    the default meets a 1e-9 discretization budget on [0, 10] grids.
+    The solver integrates on _DELAY_GRID_POINTS uniform points of the
+    transformed variable y = theta^(a-1), where all integrands are smooth;
+    that resolution meets a 1e-9 discretization budget on [0, 10] grids.
     """
 
     a: float
     theta_grid: np.ndarray
     tol: float = 1e-10
-    n_internal: int = 20001
 
     def __post_init__(self):
         if not 1.0 < self.a < 2.0:
@@ -196,7 +197,7 @@ def solve_delay_equation(prob):
     a = prob.a
     am1 = a - 1.0
     y_max = prob.theta_grid[-1] ** am1
-    y = np.linspace(0.0, y_max, prob.n_internal)
+    y = np.linspace(0.0, y_max, _DELAY_GRID_POINTS)
     x = y ** (1.0 / am1)
     hy = y[1] - y[0]
 

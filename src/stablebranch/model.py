@@ -75,6 +75,14 @@ def _as_vector(values, d=None, name="values"):
     return arr
 
 
+def _density(values, d, name="mu"):
+    """values as a finite, nonnegative, nontrivial density vector of length d."""
+    arr = _as_vector(values, d, name)
+    if np.any(arr < 0) or arr.sum() == 0:
+        raise ValueError(f"{name} must be a nonnegative, nontrivial density vector")
+    return arr
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """d sites with strictly positive reference weights m."""
@@ -198,23 +206,17 @@ class EigenData:
 class CriticalModel:
     """Calibrated model: motion + mechanism + certified spectral data.
 
-    Invariants: |lam| <= CRITICALITY_RTOL * max(1, ||A||); c_x > 0 is the
-    front constant sum over the minimal-gamma site set.
+    Invariant: |lam| <= CRITICALITY_RTOL * max(1, ||A||).  gamma0 and the
+    front constant c_x are computed from the mechanism and the eigenvectors.
     """
 
     motion: MotionGenerator
     mechanism: BranchingMechanism
     eigen: EigenData
-    c_x: float
-    gamma0: float
 
     def __post_init__(self):
         if self.motion.d != self.mechanism.d:
             raise ValueError("motion and mechanism dimensions disagree")
-        if self.c_x <= 0:
-            raise ValueError("front constant must be strictly positive")
-        object.__setattr__(self, "c_x", float(self.c_x))
-        object.__setattr__(self, "gamma0", float(self.gamma0))
 
     @property
     def d(self):
@@ -233,6 +235,16 @@ class CriticalModel:
         return self.eigen.phi_star
 
     @cached_property
+    def gamma0(self):
+        """The minimal stable index min(gamma)."""
+        return self.mechanism.gamma0
+
+    @cached_property
+    def c_x(self):
+        """The front constant C_X of eta (see _front_constant)."""
+        return _front_constant(self.mechanism, self.eigen, self.m)
+
+    @cached_property
     def A(self):
         A = build_feynman_kac_matrix(self.motion, self.mechanism)
         A.setflags(write=False)
@@ -249,10 +261,6 @@ class CriticalModel:
     def inner_m(self, f, g):
         """Weighted inner product sum(f * g * m)."""
         return float(np.sum(np.asarray(f, float) * np.asarray(g, float) * self.m))
-
-    def mu_pairing(self, masses, f):
-        """Integral of f against the measure with density `masses` w.r.t. m."""
-        return float(np.sum(np.asarray(masses, float) * np.asarray(f, float) * self.m))
 
 
 def _require_irreducible(Q):
@@ -352,13 +360,7 @@ def calibrate_critical(motion, mech):
         raise EigenSolverError(
             f"calibration residual |lambda| = {abs(eigen.lam):.3e} exceeds tolerance"
         )
-    return CriticalModel(
-        motion=motion,
-        mechanism=mech_crit,
-        eigen=eigen,
-        c_x=_front_constant(mech_crit, eigen, motion.m),
-        gamma0=mech_crit.gamma0,
-    )
+    return CriticalModel(motion=motion, mechanism=mech_crit, eigen=eigen)
 
 
 def _front_constant(mech, eigen, m):
@@ -458,8 +460,10 @@ def read_model(path):
     """Parse the model file at `path` once; returns (CriticalModel, model_hash).
 
     A base file is calibrated by `calibrate_critical`.  A file that carries any
-    of the calibrated keys must carry all of them; it is rebuilt exactly as
-    saved, with no recomputation, once `_check_calibrated` accepts it.  An
+    of the calibrated keys must carry all of them; it is rebuilt from its
+    stored lambda, phi and phiStar, with no eigensolve, once
+    `_check_calibrated` accepts it.  Its gamma0 and C_X are computed from
+    those, so they must agree with the file's keys.  An
     unreadable, malformed or invalid file raises OSError, ValueError or TypeError.
     """
     # fspath refuses an integer, which open() would take for a file descriptor.
@@ -486,19 +490,18 @@ def read_model(path):
         motion=motion,
         mechanism=mech,
         eigen=EigenData(lam=data["lambda"], phi=data["phi"], phi_star=data["phiStar"]),
-        c_x=float(data["C_X"]),
-        gamma0=float(data["gamma0"]),
     )
-    _check_calibrated(model)
+    _check_calibrated(model, float(data["gamma0"]), float(data["C_X"]))
     return model, model_hash(data)
 
 
-def _check_calibrated(model):
+def _check_calibrated(model, gamma0, c_x):
     """Raise ValueError unless the stored spectral data are those of the model.
 
     The checks: |lambda| within CRITICALITY_RTOL, the right and m-adjoint eigen
-    equations and both normalizations within CALIBRATED_FILE_RTOL, gamma0 equal
-    to min(gamma), and C_X equal to the front constant of the stored vectors.
+    equations and both normalizations within CALIBRATED_FILE_RTOL, the file's
+    gamma0 equal to min(gamma), and its C_X equal to the front constant of the
+    stored vectors.
     """
     A, m, phi, star, lam = model.A, model.m, model.phi, model.phi_star, model.eigen.lam
     scale = max(1.0, float(np.abs(A).max()))
@@ -513,8 +516,7 @@ def _check_calibrated(model):
     norms = np.array([model.inner_m(phi, phi), model.inner_m(phi, star)])
     if np.abs(norms - 1.0).max() > CALIBRATED_FILE_RTOL:
         raise ValueError(f"<phi, phi>_m and <phi, phiStar>_m are {norms.tolist()}, not 1")
-    if model.gamma0 != model.mechanism.gamma0:
-        raise ValueError(f"gamma0 = {model.gamma0} is not min(gamma) = {model.mechanism.gamma0}")
-    c_x = _front_constant(model.mechanism, model.eigen, m)
-    if abs(model.c_x - c_x) > CALIBRATED_FILE_RTOL * c_x:
-        raise ValueError(f"C_X = {model.c_x} is not {c_x}, the front constant of phi and phiStar")
+    if gamma0 != model.gamma0:
+        raise ValueError(f"gamma0 = {gamma0} is not min(gamma) = {model.gamma0}")
+    if abs(c_x - model.c_x) > CALIBRATED_FILE_RTOL * model.c_x:
+        raise ValueError(f"C_X = {c_x} is not {model.c_x}, the front constant of phi and phiStar")

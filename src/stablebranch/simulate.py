@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._mapped import mapped_zeros
-from .model import eta
+from .model import _density, eta
 
 __all__ = [
     "SimConfig",
@@ -65,26 +65,29 @@ _BLOCK_STEPS = 1024
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters; the default mass floor is zero because extinction is
-    decided by exact per-step thinning, and any positive floor measurably
-    biases survival when the minimal stable index is close to 1 (late dust
-    carries order-one survival probability)."""
+    """Run parameters.  A value out of range raises ValueError whose message
+    begins with the name of the field at fault.
+
+    There is no mass floor: extinction is decided by exact per-step thinning,
+    and any positive floor measurably biases survival when the minimal stable
+    index is close to 1 (late dust carries order-one survival probability)."""
 
     step_size: float
     horizon: float
     replicates: int
-    mass_floor: float = 0.0
-    seed: int = 0
+    # keyword-only: a fourth positional value is refused, not taken for a seed
+    seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.horizon <= 0:
-            raise ValueError("step_size and horizon must be positive")
+        # Written so that NaN fails every rule.
+        for name in ("step_size", "horizon"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.step_size > self.horizon:
             raise ValueError("step_size must not exceed the horizon")
         if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.mass_floor < 0:
-            raise ValueError("mass_floor must be nonnegative")
+            raise ValueError("replicates must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "seed", int(self.seed))
@@ -312,7 +315,7 @@ class _StepKernel:
         return np.clip(branched, 0.0, None), idx.size
 
 
-def step_euler(model, state, h, rng, mass_floor=0.0):
+def step_euler(model, state, h, rng):
     """One step of the hybrid scheme from a single state vector.
 
     Consumes rng.random((1, d)) then rng.standard_exponential((1, d)), the
@@ -330,7 +333,6 @@ def step_euler(model, state, h, rng, mass_floor=0.0):
     Z = Z[0]
     if not np.all(np.isfinite(Z)):
         raise FloatingPointError("non-finite state after step (scale misconfiguration)")
-    Z[Z * model.m < mass_floor] = 0.0
     return Z
 
 
@@ -387,8 +389,6 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
                 Z, n_cluster = kernel.advance(Z, u01, w_exp, hs[step + k])
                 cluster_site_steps += n_cluster
                 live_site_steps += Z.size
-                if config.mass_floor > 0.0:
-                    Z[Z * m < config.mass_floor] = 0.0
                 live = (Z @ ones) != 0.0  # Z >= 0: zero row sum means all sites zero
                 if not live.all():
                     pos = np.flatnonzero(live) if pos is None else pos[live]
@@ -481,8 +481,9 @@ def _map_forked(fn, shares):
 def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     """Run independent replicates of the Euler scheme; record survival and X_T(f).
 
-    mu is the initial density against m; f defaults to the constant field 1
-    (so X_T(f) is the total mass).  Zero survivors is reported, not fatal.
+    mu is the initial density against m; f, a nonnegative, nontrivial field,
+    defaults to the constant field 1 (so X_T(f) is the total mass).  Zero
+    survivors is reported, not fatal.
 
     The chunks of replicates are dealt out to one worker per CPU in the
     process's affinity mask (see _worker_count); the calling process runs one
@@ -490,12 +491,8 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     the same streams wherever it runs, so the result is bit for bit the same
     for any number of workers.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.d,) or np.any(mu < 0) or mu.sum() == 0:
-        raise ValueError("mu must be a nonnegative, nontrivial density vector")
-    f = np.ones(model.d) if f is None else np.asarray(f, dtype=float)
-    if f.shape != (model.d,):
-        raise ValueError(f"f must have shape ({model.d},)")
+    mu = _density(mu, model.d)
+    f = np.ones(model.d) if f is None else _density(f, model.d, "f")
 
     starts = list(range(0, config.replicates, _CHUNK_REPLICATES))
     workers = _worker_count(len(starts))

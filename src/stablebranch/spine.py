@@ -24,6 +24,7 @@ from scipy.integrate import cumulative_simpson
 
 from ._mapped import mapped_zeros
 from .cumulant import SolverOptions, _cumulant_flow
+from .model import _density
 
 __all__ = [
     "SpineChain",
@@ -36,8 +37,11 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-12
 _HOOK_ROWS = 2048  # path rows per table gather in feynman_kac_estimate
+_FK_TAU_POINTS = 4097  # points of the exponent tables' uniform grid on [0, T]
+# Gauss-Legendre nodes per constant-site segment in ergodic_average_check
+_ERGODIC_GL_POINTS = 8
 # Segments per flush in ergodic_average_check.  Flushes of 16k segments made
-# (m, gl_points) temporaries of about 0.35 MB, after which glibc trimmed and
+# (m, 8) temporaries of about 0.35 MB, after which glibc trimmed and
 # re-faulted its heap top on every flush (about 10^5 minor page faults per
 # ergodic-three benchmark op); at 4,096 segments there are none.
 _ERGODIC_ROWS = 4096
@@ -207,7 +211,7 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
     return final
 
 
-def _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau):
+def _exponent_tables(model, f, r_nodes, T, opts, n_tau):
     """Cumulative exponent integrals W(y, tau, k) = int_0^tau (kappa gamma
     V_u(r_k f)^{gamma-1})(y) du on the uniform grid tau = linspace(0, T, n_tau).
 
@@ -217,24 +221,20 @@ def _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau):
     (tau[j+1] - tau[j]), with a zero row at j = n_tau - 1 so that
     `_table_lookup` can read S at the last grid point.
 
-    Without supplied curves the K node solves run as one (K, d) batch.  Both
-    arrays live on maps of their own (see `_mapped`) and are filled in place,
-    the dense output in pieces of about 128 KB and the integrals one node at a
-    time: glibc raises its mmap threshold to the size of the largest block
-    freed, so a large temporary freed here would raise the peak memory of the
-    path phase by several MB."""
+    The K node solves run as one (K, d) batch.  Both arrays live on maps of
+    their own (see `_mapped`) and are filled in place, the dense output in
+    pieces of about 128 KB and the integrals one node at a time: glibc raises
+    its mmap threshold to the size of the largest block freed, so a large
+    temporary freed here would raise the peak memory of the path phase by
+    several MB."""
     kappa = model.mechanism.kappa[:, None, None]
     gamma = model.mechanism.gamma[:, None, None]
     tau = np.linspace(0.0, T, n_tau)
     K = len(r_nodes)
     W = mapped_zeros((model.d, n_tau, K))
-    if curves is None:
-        sol = _cumulant_flow(model, np.outer(r_nodes, f), T, opts)
-        for chunk in np.array_split(np.arange(n_tau), max(1, W.nbytes // 2**17)):
-            W[:, chunk] = sol(tau[chunk]).transpose(2, 0, 1)
-    else:
-        for k, curve in enumerate(curves):
-            W[:, :, k] = curve.evaluate(tau).T
+    sol = _cumulant_flow(model, np.outer(r_nodes, f), T, opts)
+    for chunk in np.array_split(np.arange(n_tau), max(1, W.nbytes // 2**17)):
+        W[:, chunk] = sol(tau[chunk]).transpose(2, 0, 1)
     np.power(np.clip(W, 0.0, None, out=W), gamma - 1.0, out=W)
     W *= kappa * gamma
     for k in range(K):
@@ -266,15 +266,17 @@ def _table_lookup(W, S, tau, sites, x):
     return out
 
 
-def _composite_geometric_nodes(theta, n_panels=12, per_panel=4):
+def _composite_geometric_nodes(theta):
     """Gauss-Legendre panels refined geometrically toward r = 0.
 
     The integrand behaves like exp(-c r^(gamma-1)) near the origin, whose
     fractional power defeats a single global rule; geometric refinement
-    restores fast convergence without assuming a particular index.
+    restores fast convergence without assuming a particular index.  There are
+    thirteen panels of four nodes, [theta 2^-(i+1), theta 2^-i] for i < 12
+    and [0, theta 2^-12].
     """
-    x_gl, w_gl = np.polynomial.legendre.leggauss(per_panel)
-    edges = theta * 2.0 ** -np.arange(n_panels + 1)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(4)
+    edges = theta * 2.0 ** -np.arange(13)
     edges = np.concatenate([edges, [0.0]])[::-1]  # ascending, 0 first
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -284,32 +286,20 @@ def _composite_geometric_nodes(theta, n_panels=12, per_panel=4):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def feynman_kac_estimate(
-    model,
-    f,
-    theta,
-    T,
-    n_paths,
-    rng,
-    r_grid_size=None,
-    opts=None,
-    curves=None,
-    r_nodes=None,
-    r_weights=None,
-    n_tau=4097,
-):
+def feynman_kac_estimate(model, f, theta, T, n_paths, rng, r_grid_size=None, opts=None):
     """Per-site path estimate of V_T(theta f) via the transformed chain.
 
     The outer integral over r in [0, theta] uses geometrically refined
     Gauss-Legendre panels by default (the integrand has a fractional-power
     kink at r = 0 that a single-panel rule resolves only to ~1e-4); passing
-    r_grid_size selects a plain single-panel rule with that many nodes, and
-    explicit r_nodes/r_weights override both.  All nodes share one ensemble of
-    n_paths chain paths per start site (common random numbers).  The exponent
-    integral along each piecewise-constant trajectory is read off precomputed
-    cumulative tables of the dense cumulant output, so no time-discretization
-    bias enters beyond the table resolution.  Returns (estimate, stderr), each
-    a field over start sites.
+    r_grid_size selects a plain single-panel rule with that many nodes.  All
+    nodes share one ensemble of n_paths chain paths per start site (common
+    random numbers).  The exponent integral along each piecewise-constant
+    trajectory is read off cumulative tables of the dense cumulant output on
+    _FK_TAU_POINTS uniform points of [0, T], so no time-discretization bias
+    enters beyond the table resolution.  f must be a nonnegative, nontrivial
+    field of length d.  Returns (estimate, stderr), each a field over start
+    sites.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
@@ -317,29 +307,17 @@ def feynman_kac_estimate(
         raise ValueError("need at least two paths")
     if T <= 0:
         raise ValueError("horizon must be positive")
-    if n_tau < 2:
-        raise ValueError("n_tau must be at least 2")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.d,) or np.any(f < 0):
-        raise ValueError("f must be a nonnegative field of length d")
+    f = _density(f, model.d, "f")
     opts = opts or SolverOptions(rel_tol=1e-8)
-    if r_nodes is None:
-        if r_grid_size is None:
-            r_nodes, r_weights = _composite_geometric_nodes(theta)
-        else:
-            x_gl, w_gl = np.polynomial.legendre.leggauss(r_grid_size)
-            r_nodes = 0.5 * theta * (x_gl + 1.0)
-            r_weights = 0.5 * theta * w_gl
+    if r_grid_size is None:
+        r_nodes, r_weights = _composite_geometric_nodes(theta)
     else:
-        r_nodes = np.asarray(r_nodes, dtype=float)
-        r_weights = np.asarray(r_weights, dtype=float)
-        if r_nodes.shape != r_weights.shape:
-            raise ValueError("r_nodes and r_weights must match")
-    if curves is not None and len(curves) != r_nodes.size:
-        raise ValueError("need one cumulant curve per quadrature node")
+        x_gl, w_gl = np.polynomial.legendre.leggauss(r_grid_size)
+        r_nodes = 0.5 * theta * (x_gl + 1.0)
+        r_weights = 0.5 * theta * w_gl
 
     chain = spine_generator(model)
-    tau, W, S = _exponent_tables(model, f, r_nodes, T, opts, curves, n_tau)
+    tau, W, S = _exponent_tables(model, f, r_nodes, T, opts, _FK_TAU_POINTS)
     d = model.d
 
     starts = np.repeat(np.arange(d), n_paths)
@@ -379,19 +357,19 @@ def _apply_elementwise(F, y, u):
     return vals
 
 
-def ergodic_average_check(chain, F, T, n_paths, rng, x0=0, gl_points=8):
+def ergodic_average_check(chain, F, T, n_paths, rng, x0=0):
     """Path average of int_0^1 F(xi_{(1-u)T}, u) du against its stationary value.
 
     F(y, u) is applied elementwise: it receives a site index y and an array u
     of values in [0, 1] and must return an array of the shape of u.  Returns
     (estimate, target, stderr); the target is int_0^1 <F(., u), stationary>_m du.
 
-    Each constant-site segment contributes its gl_points-node Gauss-Legendre
-    rule.  Segments are buffered and evaluated in flushes of at most
-    _ERGODIC_ROWS segments (or one wave, if larger); the node sum runs in a
-    fixed order per segment and each path adds its segments in time order, so
-    the result depends only on the paths, not on how they are grouped into
-    waves or flushes.
+    Each constant-site segment contributes its _ERGODIC_GL_POINTS-node
+    Gauss-Legendre rule.  Segments are buffered and evaluated in flushes of
+    at most _ERGODIC_ROWS segments (or one wave, if larger); the node sum runs
+    in a fixed order per segment and each path adds its segments in time
+    order, so the result depends only on the paths, not on how they are
+    grouped into waves or flushes.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -406,7 +384,7 @@ def ergodic_average_check(chain, F, T, n_paths, rng, x0=0, gl_points=8):
     for y in range(chain.d):
         target += weights[y] * 0.5 * float(_apply_elementwise(F, y, u64) @ w64)
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(gl_points)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_ERGODIC_GL_POINTS)
     acc = np.zeros(n_paths)
     waves = []
     pending = 0
@@ -418,7 +396,7 @@ def ergodic_average_check(chain, F, T, n_paths, rng, x0=0, gl_points=8):
         step = np.empty_like(half)
         for y in np.flatnonzero(np.bincount(sites)):
             sel = np.flatnonzero(sites == y)
-            # node-major (gl_points, m): F sees the (m, gl_points) view, and
+            # node-major (nodes, m): F sees the (m, gl_points) view, and
             # the rule sums contiguous node rows, unlike a BLAS matrix-vector
             # product whose rounding depends on the row count and position
             u = np.multiply(half[sel], x_gl[:, None] + 1.0)
@@ -427,7 +405,7 @@ def ergodic_average_check(chain, F, T, n_paths, rng, x0=0, gl_points=8):
             np.subtract(1.0, u, out=u)
             vals = _apply_elementwise(F, y, u.T).T
             q = vals[0] * w_gl[0]
-            for k in range(1, gl_points):
+            for k in range(1, _ERGODIC_GL_POINTS):
                 q += vals[k] * w_gl[k]
             step[sel] = half[sel] * q
         np.add.at(acc, idx, step)

@@ -141,7 +141,7 @@ def test_ac5_simulator_vs_ode_gates(two_site_model):
     # Laplace-functional gate from an order-one start
     mu = np.array([0.5, 0.5])
     V = solve_cumulant(two_site_model, f, [T]).values[0]
-    lap_oracle = float(np.exp(-two_site_model.mu_pairing(mu, V)))
+    lap_oracle = float(np.exp(-two_site_model.inner_m(mu, V)))
     lap_vals, lap_ses = [], []
     for h in hs:
         stats = simulate_paths(two_site_model, mu, SimConfig(h, T, 100_000, seed=1234), f=f)
@@ -160,7 +160,7 @@ def test_ac5_simulator_vs_ode_gates(two_site_model):
     # Survival gate from a small start (order-one extinction by T)
     mu_s = np.array([4e-4, 4e-4])
     v_T = solve_extinction(two_site_model, [T], LOOSE).values[0]
-    surv_oracle = float(-np.expm1(-two_site_model.mu_pairing(mu_s, v_T)))
+    surv_oracle = float(-np.expm1(-two_site_model.inner_m(mu_s, v_T)))
     surv_vals, surv_ses = [], []
     for h in hs:
         stats = simulate_paths(two_site_model, mu_s, SimConfig(h, T, 100_000, seed=4321))

@@ -50,6 +50,12 @@ class TestKolmogorovTable:
         assert table.normalized[1] == pytest.approx(0.99980, abs=5e-6)
         assert table.target == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mu", [[np.nan, 0.5], [np.inf, 0.5]], ids=["nan", "inf"])
+    def test_non_finite_start_rejected(self, two_site_model, mu):
+        # a NaN entry used to give a table of NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            kolmogorov_table(two_site_model, mu, np.array([1.0, 10.0]))
+
     def test_linear_in_mass(self, scalar_model):
         t = np.array([2.0, 20.0])
         base = kolmogorov_table(scalar_model, np.array([1e-6]), t)

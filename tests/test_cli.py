@@ -357,9 +357,19 @@ class TestSchema:
             ("cumulant", {"f": [1.0], "times": [1.0], "absTol": "inf"}, "absTol"),
             ("survival", {"mu": [1.0], "times": [1.0], "maxStep": "nan"}, "maxStep"),
             ("rv-fit", {"times": [1.0, 10.0], "warmStartTime": "inf"}, "warmStartTime"),
+            ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
+            ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
+            ("rv-fit", {"timesGrid": {"min": 10.0, "max": 1.0, "count": 5}}, "timesGrid"),
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": "inf", "count": 3}, "horizon": 1.0},
+             "thetaGrid"),
+            ("simulate", {"paths": 10, "step": "nan", "horizon": 0.1, "mu": [1.0]}, "step"),
+            ("simulate", {"paths": 10, "step": 0.1, "horizon": "inf", "mu": [1.0]}, "horizon"),
+            ("simulate", {"paths": 0, "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
-             "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf"],
+             "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf",
+             "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
+             "step-nan", "horizon-inf", "paths-zero"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys
@@ -441,7 +451,7 @@ class TestGeneratedCommands:
         for kind, flags in [
             ("delay-eq", ["--theta-max", "--sup-tolerance"]),
             ("spine-check", ["--r-grid-size", "--z-max", "--rel-tol"]),
-            ("simulate", ["--mass-floor", "--mu", "--f"]),
+            ("simulate", ["--paths", "--mu", "--f"]),
         ]:
             with pytest.raises(SystemExit):
                 main([kind, "--help"])

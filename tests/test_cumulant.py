@@ -226,6 +226,12 @@ class TestSurvival:
         with pytest.raises(ValueError):
             survival_probability(scalar_model, np.array([0.0]), 1.0)
 
+    @pytest.mark.parametrize("mu", [[np.inf, 0.5], [np.nan, 0.5]], ids=["inf", "nan"])
+    def test_rejects_non_finite_start(self, two_site_model, mu):
+        # an infinite entry used to give a survival probability of 1.0
+        with pytest.raises(ValueError, match="non-finite"):
+            survival_probability(two_site_model, mu, 1.0)
+
 
 class TestWeightedNorm:
     def test_scalar_equals_extinction(self, scalar_model):

@@ -241,19 +241,14 @@ class TestGoldenDigests:
             "0a7132a5c77771c68ab45f82f9692328ede5cb6abe3ec7ee62c8598f811bb316"
         )
 
-    @pytest.mark.parametrize(
-        "mass_floor, survivors, expected",
-        [
-            (0.0, 1257, "a8b88bb17bcfabb3e18429a0f588e553c689c3bdf8b5548e8b4c5f0232518795"),
-            (1e-5, 124, "e73709958d05a18c59fdfb8fc0cc3786dcdf9d8189d1a0549bed73ae67df26af"),
-        ],
-    )
-    def test_two_site_small_mass(self, two_site_model, mass_floor, survivors, expected):
+    def test_two_site_small_mass(self, two_site_model):
         # takes the cluster branch and crosses the 2,048-replicate chunk boundary
-        cfg = SimConfig(1e-3, 1.0, 2500, seed=4321, mass_floor=mass_floor)
+        cfg = SimConfig(1e-3, 1.0, 2500, seed=4321)
         stats = simulate_paths(two_site_model, np.array([4e-4, 4e-4]), cfg)
-        assert stats.survivors == survivors
-        assert survivor_digest(stats) == expected
+        assert stats.survivors == 1257
+        assert survivor_digest(stats) == (
+            "a8b88bb17bcfabb3e18429a0f588e553c689c3bdf8b5548e8b4c5f0232518795"
+        )
 
     def test_final_states(self, weighted_model):
         cfg = SimConfig(step_size=4e-4, horizon=0.6, replicates=600, seed=99)
@@ -295,7 +290,7 @@ class TestAgainstOde:
         f = np.ones(2)
         T, h = 1.0, 2e-3
         V = solve_cumulant(two_site_model, f, [T]).values[0]
-        oracle = np.exp(-two_site_model.mu_pairing(mu, V))
+        oracle = np.exp(-two_site_model.inner_m(mu, V))
         stats = simulate_paths(two_site_model, mu, SimConfig(h, T, 30_000, seed=1234), f=f)
         emp, se = stats.laplace_functional()
         assert abs(emp - oracle) <= 4.0 * se + 2e-3
@@ -304,7 +299,7 @@ class TestAgainstOde:
         mu = np.array([4e-4, 4e-4])
         T, h = 1.0, 5e-4
         v = solve_extinction(two_site_model, [T], loose_opts).values[0]
-        oracle = -np.expm1(-two_site_model.mu_pairing(mu, v))
+        oracle = -np.expm1(-two_site_model.inner_m(mu, v))
         stats = simulate_paths(two_site_model, mu, SimConfig(h, T, 30_000, seed=21))
         # weak-order bias at this h is ~0.02 (measured by refinement elsewhere)
         assert abs(stats.survival_rate - oracle) <= 3.0 * stats.survival_se + 0.03
@@ -337,10 +332,13 @@ class TestPathStats:
         assert mean == pytest.approx(vals.mean(), rel=1e-14)
         assert se == pytest.approx(vals.std() / 2.0, rel=1e-12)
 
-    def test_survivor_counting(self, two_site_model):
-        cfg = SimConfig(step_size=1e-2, horizon=0.1, replicates=100, seed=3, mass_floor=10.0)
-        stats = simulate_paths(two_site_model, np.array([0.1, 0.1]), cfg)
-        # a floor above every reachable mass kills all paths immediately
+    def test_survivor_counting(self):
+        stats = PathStats(
+            replicates=100,
+            survivors=0,
+            functional_values=np.empty(0),
+            functional_description="test",
+        )
         assert stats.survivors == 0
         assert stats.survival_rate == 0.0
         assert stats.functional_mean is None
@@ -354,6 +352,31 @@ class TestPathStats:
             SimConfig(step_size=0.1, horizon=1.0, replicates=0)
         with pytest.raises(ValueError):
             SimConfig(step_size=0.1, horizon=1.0, replicates=10, seed=2**64)
+        with pytest.raises(TypeError):
+            SimConfig(0.1, 1.0, 10, 7)  # the seed is keyword-only
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("step_size", np.nan), ("step_size", np.inf), ("horizon", np.nan), ("horizon", np.inf)],
+    )
+    def test_config_rejects_non_finite(self, field, value):
+        kwargs = {"step_size": 0.1, "horizon": 1.0, "replicates": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [("mu", [np.nan, 0.5], "non-finite"), ("mu", [np.inf, 0.5], "non-finite"),
+         ("mu", [0.0, 0.0], "nontrivial"), ("f", [np.nan, 1.0], "non-finite"),
+         ("f", [-1.0, 1.0], "nonnegative")],
+        ids=["mu-nan", "mu-inf", "mu-zero", "f-nan", "f-negative"],
+    )
+    def test_bad_start_or_field_rejected(self, two_site_model, key, value, match):
+        # rejected up front, not after a run to the horizon
+        args = {"mu": [0.5, 0.5], "f": None, key: value}
+        cfg = SimConfig(step_size=1e-2, horizon=0.1, replicates=10)
+        with pytest.raises(ValueError, match=match):
+            simulate_paths(two_site_model, args["mu"], cfg, f=args["f"])
 
 
 class TestConditionalLaplace:

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import cumulative_simpson
 
 import stablebranch.spine as spine_module
 from stablebranch.cumulant import SolverOptions, solve_cumulant
@@ -51,8 +52,6 @@ class TestSpineGenerator:
             motion=three_site_model.motion,
             mechanism=three_site_model.mechanism.shifted(-0.3),
             eigen=three_site_model.eigen,
-            c_x=three_site_model.c_x,
-            gamma0=three_site_model.gamma0,
         )
         with pytest.raises(ValueError, match="not critical"):
             spine_generator(broken)
@@ -147,14 +146,16 @@ class TestFeynmanKac:
         composite, _ = feynman_kac_estimate(scalar_model, f, theta, T, 100, rng)
         assert abs(composite[0] - exact) < abs(plain[0] - exact)
 
-    def test_zero_theta_node_reduces_to_semigroup(self, three_site_model, rng):
+    def test_zero_theta_node_reduces_to_semigroup(self, three_site_model, rng, monkeypatch):
         f = np.array([0.6, 1.4, 0.9])
         f = f / three_site_model.inner_m(f, three_site_model.phi_star)
         theta = 1e-8
-        est, se = feynman_kac_estimate(
-            three_site_model, f, theta, 2.0, 40_000, rng,
-            r_nodes=[0.0], r_weights=[theta],
+        # a single node at r = 0 weighted theta: no exponent, only the semigroup
+        monkeypatch.setattr(
+            spine_module, "_composite_geometric_nodes",
+            lambda th: (np.array([0.0]), np.array([th])),
         )
+        est, se = feynman_kac_estimate(three_site_model, f, theta, 2.0, 40_000, rng)
         target = theta * semigroup_apply(three_site_model, 2.0, f)
         assert np.all(np.abs(est - target) <= 4.0 * se + 1e-15)
 
@@ -170,13 +171,20 @@ class TestFeynmanKac:
         assert np.all(curves[2] >= curves[1] - 1e-9)
 
     def test_batched_tables_match_node_solves(self, two_site_model):
-        # one (K, d) batch against one solve_cumulant per node
+        # one (K, d) batch against tables built from one solve_cumulant per node
         f = normalized_ones(two_site_model)
         nodes, _ = _composite_geometric_nodes(1.0)
         opts, T = SolverOptions(rel_tol=1e-8), 2.0
-        curves = [solve_cumulant(two_site_model, r * f, [T], opts) for r in nodes]
-        tau, batch, batch_slopes = _exponent_tables(two_site_model, f, nodes, T, opts, None, 257)
-        _, single, single_slopes = _exponent_tables(two_site_model, f, nodes, T, opts, curves, 257)
+        tau, batch, batch_slopes = _exponent_tables(two_site_model, f, nodes, T, opts, 257)
+        mech = two_site_model.mechanism
+        single = np.empty_like(batch)
+        for k, r in enumerate(nodes):
+            V = np.maximum(solve_cumulant(two_site_model, r * f, [T], opts).evaluate(tau).T, 0.0)
+            g = mech.kappa[:, None] * mech.gamma[:, None] * V ** (mech.gamma[:, None] - 1.0)
+            single[:, 1:, k] = cumulative_simpson(g, x=tau, axis=1)
+            single[:, 0, k] = 0.0
+        single_slopes = np.zeros_like(single)
+        single_slopes[:, :-1] = np.diff(single, axis=1) / np.diff(tau)[:, None]
         assert batch.shape == single.shape == (2, 257, nodes.size)
         assert np.allclose(batch, single, rtol=1e-6, atol=1e-12)
         assert np.allclose(batch_slopes, single_slopes, rtol=1e-6, atol=1e-12)
@@ -189,9 +197,7 @@ class TestFeynmanKac:
         # the direct-indexed bracket against np.interp per site and node, bit for bit
         f = normalized_ones(two_site_model)
         nodes, _ = _composite_geometric_nodes(1.0)
-        tau, W, S = _exponent_tables(
-            two_site_model, f, nodes, T, SolverOptions(rel_tol=1e-8), None, n_tau
-        )
+        tau, W, S = _exponent_tables(two_site_model, f, nodes, T, SolverOptions(rel_tol=1e-8), n_tau)
         rng = np.random.default_rng(5)
         x = np.concatenate([
             [0.0, T],
@@ -216,23 +222,15 @@ class TestFeynmanKac:
         with pytest.raises(ValueError, match="horizon"):
             feynman_kac_estimate(two_site_model, f, 1.0, T, 100, rng)
 
-    @pytest.mark.parametrize("n_tau", [1, 0])
-    def test_short_tau_grid_rejected(self, two_site_model, rng, n_tau):
-        # a one-point grid has no exponent to tabulate: theta f with se = 0 is wrong
-        f = normalized_ones(two_site_model)
-        with pytest.raises(ValueError, match="n_tau"):
-            feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng, n_tau=n_tau)
-
-    def test_supplied_curves_used(self, two_site_model, rng):
-        f = normalized_ones(two_site_model)
-        theta, T = 0.8, 1.0
-        nodes = 0.5 * theta * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
-        curves = [solve_cumulant(two_site_model, r * f, [T]) for r in nodes]
-        est, se = feynman_kac_estimate(
-            two_site_model, f, theta, T, 5_000, rng, r_grid_size=8, curves=curves
-        )
-        ode = solve_cumulant(two_site_model, theta * f, [T]).values[0]
-        assert np.all(np.abs(est - ode) <= 5.0 * se)
+    @pytest.mark.parametrize(
+        "f, match",
+        [([np.nan, 1.0], "non-finite"), ([np.inf, 1.0], "non-finite"),
+         ([-1.0, 1.0], "nonnegative"), ([0.0, 0.0], "nontrivial"), ([1.0], "length")],
+        ids=["nan", "inf", "negative", "zero", "short"],
+    )
+    def test_bad_field_rejected(self, two_site_model, rng, f, match):
+        with pytest.raises(ValueError, match=match):
+            feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng)
 
 
 def fk_digest(est, se):
@@ -245,8 +243,9 @@ def fk_digest(est, se):
 class TestGoldenDigests:
     """Feynman-Kac outputs pinned bit for bit.
 
-    The digests were recorded with one np.interp call per site, node and wave
-    on per-node tables; the stacked, direct-indexed tables must reproduce them.
+    The default-node digest was recorded with one np.interp call per site,
+    node and wave on per-node tables; the stacked, direct-indexed tables must
+    reproduce it.
     """
 
     def test_default_nodes(self, two_site_model):
@@ -256,16 +255,13 @@ class TestGoldenDigests:
             "9eb2584ed28aa497934d0eb40bc693b3329bd365c36e545f8d9ffc6ffc8d284c"
         )
 
-    def test_supplied_curves(self, two_site_model):
+    def test_plain_rule_nodes(self, two_site_model):
         f = normalized_ones(two_site_model)
-        nodes = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
-        curves = [solve_cumulant(two_site_model, r * f, [2.0]) for r in nodes]
         out = feynman_kac_estimate(
-            two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42),
-            r_grid_size=8, curves=curves,
+            two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42), r_grid_size=8
         )
         assert fk_digest(*out) == (
-            "7c171ab19a4cd29ccacd0f1416f7ec7ad0b2bcf77eaedd114eab7657bda8a2b0"
+            "025dcf933b1d8f62abbfb27c04293bae021c133f66648d0fce89bddef49ba811"
         )
 
 
