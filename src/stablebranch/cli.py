@@ -33,7 +33,7 @@ from .cumulant import (
     weighted_extinction_norm,
 )
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
-from .model import _atomic_write_text, eta, read_model, save_calibrated_model
+from .model import _atomic_write_text, _density, eta, read_model, save_calibrated_model
 from .simulate import SimConfig, simulate_paths
 from .spine import feynman_kac_estimate
 
@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_SCHEMA = 2
 EXIT_RUNTIME = 3
+
+# The most points a delay-eq theta grid may have.
+_MAX_GRID_POINTS = 10**6
 
 
 class SchemaError(ValueError):
@@ -132,12 +135,20 @@ def _solver_options(params):
     return SolverOptions(**kwargs) if kwargs else None
 
 
-def _field(params, key, d, default=None):
+def _field(params, key, d, default=None, allow_zero=False):
+    """The spec's density `key` of length d, `default` when absent.  An entry
+    that is not finite or is negative, or (unless allow_zero) a field that is
+    zero everywhere, is a schema error naming the parameter."""
     if params[key] is None:
         return default
     arr = np.asarray(params[key])
     if arr.shape != (d,):
         raise SchemaError(f"parameter {key!r} must have length {d}")
+    if not (allow_zero and np.all(arr == 0.0)):
+        try:
+            _density(arr, d, key)
+        except ValueError as exc:
+            raise SchemaError(f"parameter {key!r}: {exc}") from exc
     return arr
 
 
@@ -184,7 +195,7 @@ def _run_calibrate(spec, params, outdir, model, mhash):
 
 def _run_cumulant(spec, params, outdir, model, mhash):
     """Solve the cumulant equation from the field f."""
-    f = _field(params, "f", model.d)
+    f = _field(params, "f", model.d, allow_zero=True)
     times = _times_from(params)
     curve = solve_cumulant(model, f, times, _solver_options(params))
     out = os.path.join(outdir, "cumulant.csv")
@@ -344,8 +355,20 @@ def _run_rv_fit(spec, params, outdir, model, mhash):
 
 def _run_delay_eq(spec, params, outdir, model, mhash):
     """Picard solve of the delay equation against its closed form."""
-    a, step = params["a"], params["step"]
-    grid = np.round(np.arange(0.0, params["thetaMax"] + step / 2, step), 12)
+    a, step, theta_max = params["a"], params["step"], params["thetaMax"]
+    # written so that NaN fails every rule
+    for name, value in (("thetaMax", theta_max), ("step", step)):
+        if not 0.0 < value < np.inf:
+            raise SchemaError(f"parameter {name!r} must be finite and positive, got {value!r}")
+    if not step <= theta_max:
+        raise SchemaError(f"parameter 'step' ({step!r}) must not exceed thetaMax ({theta_max!r})")
+    # the grid's length, counted before it is allocated
+    if (theta_max + step / 2) / step > _MAX_GRID_POINTS:
+        raise SchemaError(
+            f"parameter 'step': a step of {step!r} up to thetaMax {theta_max!r} "
+            f"gives more than {_MAX_GRID_POINTS:,} grid points"
+        )
+    grid = np.round(np.arange(0.0, theta_max + step / 2, step), 12)
     sol = solve_delay_equation(DelayEquationProblem(a=a, theta_grid=grid, tol=params["tol"]))
     closed = g_closed(a, grid)
     err = np.abs(sol.values - closed)

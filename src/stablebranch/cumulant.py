@@ -18,10 +18,12 @@ runs from a finite field f stay in u, because f may vanish on some sites.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import map_forked, worker_count
 from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
 from .model import _density, eta
 
@@ -75,9 +77,10 @@ class CumulantCurve:
 
     values[i, x] is the solution at times[i], site x; nonnegative throughout.
     For the extinction curve (initial == "infinity") each site trace is
-    nonincreasing in t, and certification_bound is the relative warm-start
-    change the certification achieved at the first reported time (None for
-    other curves).
+    nonincreasing in t, certification_bound is the relative warm-start
+    change the certification achieved at the first reported time, and
+    certification_reports holds the solver reports of its coarse (t0) and
+    halved (t0/2) runs, in that order; both are None for other curves.
     """
 
     times: np.ndarray
@@ -86,6 +89,7 @@ class CumulantCurve:
     solver_report: SolverReport
     _dense: OdeSolution
     certification_bound: float | None = None
+    certification_reports: tuple[SolverReport, SolverReport] | None = None
 
     def evaluate(self, t):
         """Dense-output values at arbitrary t inside the solved span."""
@@ -192,21 +196,10 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
     )
 
 
-def solve_extinction(model, times, opts=None):
-    """Extinction cumulant on the grid, certified by warm-start halving.
-
-    Requires min(times) >= 10 * warm_start_time.  Certification: a second run
-    from t0/2 is compared against the t0 run on a geometric grid between
-    10*t0 and the first requested time; the warm-start discrepancy decays
-    like t0/t along the contracting flow, so the earliest comparison point
-    dominates all later ones.  A relative change above 10 * rel_tol raises
-    CertificationError.  The t0/2 run is returned.
-    """
-    opts = opts or SolverOptions()
-    t0 = opts.warm_start_time
-    times = _check_times(times, minimum=10.0 * t0)
-    t_max = float(times[-1])
-    t_first = float(times[0])
+def _certify(model, t0, t_first, opts):
+    """The warm-start bound at t_first and the reports of the coarse (t0) and
+    halved (t0/2) runs that measured it; CertificationError when the bound
+    exceeds 10 * rel_tol or cannot be transported."""
     threshold = 10.0 * opts.rel_tol
 
     # Certification sub-runs integrate 30x tighter than the claimed tolerance
@@ -243,7 +236,52 @@ def solve_extinction(model, times, opts=None):
             f"warm-start certification failed: projected relative change {bound:.3e} "
             f"at t={t_first:g} exceeds {threshold:.1e}; decrease warm_start_time"
         )
-    fine = _extinction_solution(model, t0 / 2.0, t_max, opts)
+    return bound, (coarse.report, halved.report)
+
+
+def _outcome(task):
+    """(None, task()), or (the exception task raised, None): an error comes
+    back as a value, so that the caller chooses which of two errors to raise."""
+    try:
+        return None, task()
+    except Exception as exc:
+        return exc, None
+
+
+def solve_extinction(model, times, opts=None):
+    """Extinction cumulant on the grid, certified by warm-start halving.
+
+    Requires min(times) >= 10 * warm_start_time.  Certification: a second run
+    from t0/2 is compared against the t0 run on a geometric grid between
+    10*t0 and the first requested time; the warm-start discrepancy decays
+    like t0/t along the contracting flow, so the earliest comparison point
+    dominates all later ones.  A relative change above 10 * rel_tol raises
+    CertificationError.  The t0/2 run is returned.
+
+    Where the process's affinity mask holds 2 or more CPUs (and os.fork
+    exists), the certification runs in a forked worker while this process
+    runs the returned solve; `taskset -c 0` gives the serial path, certify
+    then solve.  Both paths run the same solves on the same inputs, so the
+    curve is bit for bit the same, and a failed certification's error is
+    raised before the returned solve's.
+    """
+    opts = opts or SolverOptions()
+    t0 = opts.warm_start_time
+    times = _check_times(times, minimum=10.0 * t0)
+    certify = functools.partial(_certify, model, t0, float(times[0]), opts)
+    solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
+    if worker_count(2) == 2:
+        # The returned solve runs here, since its OdeSolution cannot be
+        # pickled; the worker sends back only the bound and reports, or its error.
+        (solve_error, fine), (cert_error, cert) = map_forked(_outcome, [solve, certify])
+        if cert_error is not None:
+            raise cert_error
+        if solve_error is not None:
+            raise solve_error
+    else:
+        cert = certify()
+        fine = solve()
+    bound, reports = cert
     return CumulantCurve(
         times=times,
         values=fine(times),
@@ -251,6 +289,7 @@ def solve_extinction(model, times, opts=None):
         solver_report=fine.report,
         _dense=fine,
         certification_bound=bound,
+        certification_reports=reports,
     )
 
 

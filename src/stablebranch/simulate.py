@@ -40,13 +40,11 @@ its final state is the zero vector it would have kept.
 from __future__ import annotations
 
 import functools
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import map_forked, worker_count
 from ._mapped import mapped_zeros
 from .model import _density, eta
 
@@ -415,69 +413,6 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
     return survivors, surv_vals, finals, live_by_block, cluster_site_steps, live_site_steps
 
 
-def _worker_count(n_chunks):
-    """One worker per CPU in this process's affinity mask, at most one per chunk.
-
-    Where the mask or os.fork is not available, every chunk runs in-process.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_chunks)
-
-
-def _map_forked(fn, shares):
-    """[fn(share) for share in shares], the first share run in this process.
-
-    Each other share runs in a child made by os.fork, which inherits fn and
-    its arguments and sends back its result, or the exception it raised,
-    pickled over a pipe; that exception is raised here.  Every child is reaped
-    before this returns or raises, and a child whose result was not read (this
-    process's own share or another child failed first) is killed.
-    """
-    children = {}  # pid -> read end of its pipe, unread
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                # the child never returns into the caller's code
-                try:
-                    os.close(read_fd)
-                    try:
-                        result = (True, fn(share))
-                    except BaseException as exc:
-                        result = (False, exc)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children[pid] = os.fdopen(read_fd, "rb")
-        results = [fn(shares[0])]
-        for pid, pipe in list(children.items()):
-            with pipe:
-                try:
-                    ok, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    ok, value = False, ChildProcessError(f"simulation worker {pid} sent no result")
-            os.waitpid(pid, 0)
-            del children[pid]
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     """Run independent replicates of the Euler scheme; record survival and X_T(f).
 
@@ -486,8 +421,8 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     survivors is reported, not fatal.
 
     The chunks of replicates are dealt out to one worker per CPU in the
-    process's affinity mask (see _worker_count); the calling process runs one
-    share and forked children the others.  Each chunk runs the same code with
+    process's affinity mask (see _fork.worker_count); the calling process runs
+    one share and forked children the others.  Each chunk runs the same code with
     the same streams wherever it runs, so the result is bit for bit the same
     for any number of workers.
     """
@@ -495,13 +430,13 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     f = np.ones(model.d) if f is None else _density(f, model.d, "f")
 
     starts = list(range(0, config.replicates, _CHUNK_REPLICATES))
-    workers = _worker_count(len(starts))
+    workers = worker_count(len(starts))
     shares = [starts[i::workers] for i in range(workers)]
     run = functools.partial(
         _simulate_chunks, _StepKernel(model), mu, config, f * model.m,
         keep_final_states=keep_final_states,
     )
-    parts = _map_forked(run, shares)
+    parts = map_forked(run, shares)
 
     # put the chunks back in replicate order and sum the rest
     survivors, values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,19 @@ def rng():
 def normalized_ones(model):
     ones = np.ones(model.d)
     return ones / model.inner_m(ones, model.phi_star)
+
+
+def use_cpus(monkeypatch, n):
+    """Make the affinity mask read as n CPUs, so that forking code uses up to n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process (a forked worker) unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid read pid {pid})")

@@ -365,11 +365,30 @@ class TestSchema:
             ("simulate", {"paths": 10, "step": "nan", "horizon": 0.1, "mu": [1.0]}, "step"),
             ("simulate", {"paths": 10, "step": 0.1, "horizon": "inf", "mu": [1.0]}, "horizon"),
             ("simulate", {"paths": 0, "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
+            ("survival", {"mu": [float("nan")], "times": [1.0]}, "mu"),
+            ("survival", {"mu": [-1.0], "times": [1.0]}, "mu"),
+            ("survival", {"mu": [0.0], "times": [1.0]}, "mu"),
+            ("cumulant", {"f": [float("nan")], "times": [1.0]}, "f"),
+            ("cumulant", {"f": [-1.0], "times": [1.0]}, "f"),
+            ("simulate", {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0], "f": [-1.0]},
+             "f"),
+            ("yaglom", {"f": [float("nan")], "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
+                        "horizon": 1.0}, "f"),
+            ("delay-eq", {"a": 1.5, "step": 0.0}, "step"),
+            ("delay-eq", {"a": 1.5, "step": "nan"}, "step"),
+            ("delay-eq", {"a": 1.5, "thetaMax": "inf"}, "thetaMax"),
+            ("delay-eq", {"a": 1.5, "thetaMax": -1.0}, "thetaMax"),
+            ("delay-eq", {"a": 1.5, "thetaMax": 0.5, "step": 1.0}, "step"),
+            ("delay-eq", {"a": 1.5, "thetaMax": 1.0, "step": 1e-6}, "step"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf",
              "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
-             "step-nan", "horizon-inf", "paths-zero"],
+             "step-nan", "horizon-inf", "paths-zero", "mu-nan", "mu-negative", "mu-zero",
+             "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
+             "delay-step-zero", "delay-step-nan", "delay-theta-max-inf",
+             "delay-theta-max-negative", "delay-step-above-theta-max",
+             "delay-grid-over-limit"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys
@@ -379,6 +398,35 @@ class TestSchema:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert named in manifest["error"]
         assert named in capsys.readouterr().err
+
+    def test_cumulant_accepts_zero_field(self, preset_dir, tmp_path):
+        # V_t 0 = 0: a zero field is a valid start for the cumulant, unlike a density
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        assert run(make_spec("cumulant", model, {"f": [0.0], "times": [1.0]}, tmp_path)) == EXIT_OK
+
+    def test_delay_eq_grid_refused_before_allocation(self, tmp_path, monkeypatch, capsys):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        # 10^13 points: the count is refused before np.arange is asked for them
+        monkeypatch.setattr(np, "arange", no_arange)
+        params = {"a": 1.5, "thetaMax": 10.0, "step": 1e-12}
+        assert run(make_spec("delay-eq", None, params, tmp_path)) == EXIT_SCHEMA
+        assert "'step'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["survival", "--mu", "[NaN, 0.5]", "--times", "[1, 2]"], "mu"),
+        (["survival", "--mu", "[-1, 0.5]", "--times", "[1, 2]"], "mu"),
+        (["cumulant", "--f", "[0.5, NaN]", "--times", "[1, 2]"], "f"),
+        (["cumulant", "--f", "[0.5, -1]", "--times", "[1, 2]"], "f"),
+        (["delay-eq", "--a", "1.5", "--step", "0"], "step"),
+    ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero"])
+    def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys):
+        if argv[0] != "delay-eq":
+            argv = [*argv, "--model", str(preset_dir / "two-site" / "two-site_model.json")]
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: parameter {named!r}")
 
 
 class TestGeneratedCommands:

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from stablebranch import cumulant
+from stablebranch._ivp import SolverError
 from stablebranch.cumulant import (
     CertificationError,
     SolverOptions,
@@ -24,7 +28,7 @@ from stablebranch.model import (
     semigroup_apply,
 )
 
-from conftest import normalized_ones
+from conftest import normalized_ones, use_cpus
 
 
 def scalar_closed_form(c, kappa, gamma, t):
@@ -138,10 +142,7 @@ class TestSolveExtinction:
         assert np.all(big <= v1 * (1 + 1e-12))
 
     def test_certification_raises_for_coarse_warm_start(self):
-        space = StateSpace(d=2)
-        motion = MotionGenerator(space=space, Q=[[-100.0, 100.0], [100.0, -100.0]])
-        mech = BranchingMechanism(beta=[0.0, 0.0], kappa=[1.0, 1.0], gamma=[1.2, 1.8])
-        model = calibrate_critical(motion, mech)
+        model = coarse_warm_start_model()
         with pytest.raises(CertificationError):
             solve_extinction(model, [1e-7, 1e-6])  # early report with default t0
 
@@ -200,6 +201,10 @@ class TestSolverTelemetry:
         assert rep.accepted > 0 and rep.rejected == 0
         assert rep.nfev > rep.accepted and rep.njev >= 1 and rep.nlu >= 2
         assert 0.0 <= curve.certification_bound <= 10 * opts.rel_tol
+        coarse, halved = curve.certification_reports
+        for cert in (coarse, halved):
+            assert cert.engine == "radau" and cert.variable == "z"
+            assert cert.accepted > 0 and cert.nfev > cert.accepted
 
     def test_cumulant_report(self, two_site_model):
         curve = solve_cumulant(two_site_model, np.array([0.8, 1.9]), [1.0])
@@ -207,6 +212,111 @@ class TestSolverTelemetry:
         assert rep.engine == "radau" and rep.variable == "u"
         assert rep.accepted > 0 and rep.nfev > rep.accepted
         assert curve.certification_bound is None
+        assert curve.certification_reports is None
+
+
+def coarse_warm_start_model():
+    """Fast motion against the default t0: the warm start fails certification early."""
+    space = StateSpace(d=2)
+    motion = MotionGenerator(space=space, Q=[[-100.0, 100.0], [100.0, -100.0]])
+    mech = BranchingMechanism(beta=[0.0, 0.0], kappa=[1.0, 1.0], gamma=[1.2, 1.8])
+    return calibrate_critical(motion, mech)
+
+
+def count_forks(monkeypatch):
+    """Wrap os.fork; the returned list gains one entry per call made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestCertificationWorker:
+    """The certification runs in a forked worker beside the returned solve when
+    the mask has 2 or more CPUs, and in-process before it otherwise."""
+
+    @pytest.mark.parametrize(
+        "name, times",
+        [
+            ("two_site_model", [1e-6, 1e-3, 1.0]),  # t_first <= 100 t0: measured bound
+            ("two_site_model", [0.5, 1.0]),  # transported bound
+            ("three_site_model", [0.1, 1.0, 10.0]),
+        ],
+        ids=["measured", "transported", "three-site"],
+    )
+    def test_same_curve_on_one_and_two_cpus(self, request, monkeypatch, name, times):
+        model = request.getfixturevalue(name)
+        opts = SolverOptions(rel_tol=1e-8)
+        forks = count_forks(monkeypatch)
+        curves = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            curves.append(solve_extinction(model, times, opts))
+            assert len(forks) == n - 1  # no fork on one CPU, one worker on two
+        one, two = curves
+        assert two.values.tobytes() == one.values.tobytes()
+        assert two.certification_bound == one.certification_bound
+        assert two.solver_report == one.solver_report
+        assert two.certification_reports == one.certification_reports
+        assert two.evaluate(0.7 * times[-1]).tobytes() == one.evaluate(0.7 * times[-1]).tobytes()
+
+    def test_serial_without_os_fork(self, two_site_model, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")  # the forking path would raise AttributeError
+        curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
+        assert len(curve.certification_reports) == 2
+
+    def test_same_certification_error_on_both_paths(self, monkeypatch):
+        model = coarse_warm_start_model()
+        messages = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            with pytest.raises(CertificationError) as info:
+                solve_extinction(model, [1e-7, 1e-6])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "warm-start certification failed" in messages[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_certification_error_wins_when_both_fail(self, monkeypatch, n):
+        model = coarse_warm_start_model()
+        parent = os.getpid()
+        returned_runs = []
+        solution = cumulant._extinction_solution
+
+        def failing_returned_run(model, t0, t_max, opts, rtol=None):
+            if rtol is None:  # the returned run; the certification's runs set rtol
+                returned_runs.append(os.getpid())
+                raise SolverError("returned solve failed")
+            return solution(model, t0, t_max, opts, rtol)
+
+        monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
+        use_cpus(monkeypatch, n)
+        with pytest.raises(CertificationError, match="warm-start certification failed"):
+            solve_extinction(model, [1e-7, 1e-6])
+        # on two CPUs the returned solve ran here and failed too; on one it never started
+        assert returned_runs == ([parent] if n == 2 else [])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_returned_solve_error_after_passed_certification(self, two_site_model,
+                                                              monkeypatch, n):
+        solution = cumulant._extinction_solution
+
+        def failing_returned_run(model, t0, t_max, opts, rtol=None):
+            if rtol is None:
+                raise SolverError("returned solve failed")
+            return solution(model, t0, t_max, opts, rtol)
+
+        monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
+        use_cpus(monkeypatch, n)
+        with pytest.raises(SolverError, match="returned solve failed") as info:
+            solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
+        assert not isinstance(info.value, CertificationError)
 
 
 class TestSurvival:

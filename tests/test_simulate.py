@@ -19,6 +19,8 @@ from stablebranch.simulate import (
     step_euler,
 )
 
+from conftest import use_cpus
+
 
 def replicate_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
@@ -119,11 +121,6 @@ class TestDeterminism:
         a = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=1, **base))
         b = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(seed=2, **base))
         assert not np.array_equal(a.functional_values, b.functional_values)
-
-
-def use_cpus(monkeypatch, n):
-    """Make the affinity mask read as n CPUs, so that simulate_paths uses up to n workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestWorkers:
