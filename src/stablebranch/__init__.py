@@ -2,70 +2,31 @@
 
 Modules
 -------
-model     : finite-state motion + mechanism, spectral calibration, semigroup ops
-cumulant  : log-Laplace / extinction ODE engine and derived probabilities
+model     : finite-state motion + mechanism, spectral calibration, model files
+cumulant  : log-Laplace / extinction ODE engine and the weighted extinction norm
 limitlaw  : limit-law transform, delay-equation solver, diagnostics
 simulate  : Monte Carlo path engine with exact extinction thinning
 spine     : h-transformed chain and Feynman-Kac path checks
-analysis  : tail-index fits and convergence tables
-cli       : configuration-driven experiment runner
+analysis  : tail-index fits, survival and Yaglom tables
+cli       : configuration-driven experiment runner (not imported here)
+
+The package re-exports the `__all__` of each library module above, so each
+public name is stated once, in its own module.  `cli` is left out so that
+`python -m stablebranch.cli` runs a module not yet imported.
 """
 
 __version__ = "0.1.0"
 
-from .model import (  # noqa: F401
-    StateSpace,
-    MotionGenerator,
-    BranchingMechanism,
-    EigenData,
-    CriticalModel,
-    build_feynman_kac_matrix,
-    principal_eigen,
-    calibrate_critical,
-    eta,
-    semigroup_apply,
-    uniform_mixing_gap,
-)
-from .cumulant import (  # noqa: F401
-    SolverOptions,
-    CumulantCurve,
-    solve_cumulant,
-    solve_extinction,
-    survival_probability,
-    weighted_extinction_norm,
-    yaglom_surface,
-    uniform_equivalence_gap,
-    conservation_residual,
-)
-from .limitlaw import (  # noqa: F401
-    ZolotarevLaw,
-    laplace,
-    laplace_complement,
-    g_closed,
-    DelayEquationProblem,
-    solve_delay_equation,
-    mean_diagnostic,
-)
-from .simulate import (  # noqa: F401
-    SimConfig,
-    PathStats,
-    sample_positive_stable,
-    step_euler,
-    simulate_paths,
-    conditional_laplace_estimate,
-)
-from .spine import (  # noqa: F401
-    SpineChain,
-    SpinePath,
-    spine_generator,
-    simulate_spine,
-    feynman_kac_estimate,
-    ergodic_average_check,
-)
-from .analysis import (  # noqa: F401
-    RVEstimate,
-    rv_index_fit,
-    kolmogorov_table,
-    yaglom_table,
-    mixture_rv_check,
-)
+from . import model, cumulant, limitlaw, simulate, spine, analysis
+from .model import *  # noqa: F401,F403
+from .cumulant import *  # noqa: F401,F403
+from .limitlaw import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .spine import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+
+__all__ = [
+    name
+    for module in (model, cumulant, limitlaw, simulate, spine, analysis)
+    for name in module.__all__
+]

@@ -29,6 +29,9 @@ from . import __version__
 from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
 from .cumulant import (
     SolverOptions,
+    _check_horizon,
+    _check_thetas,
+    _check_times,
     solve_cumulant,
     weighted_extinction_norm,
 )
@@ -135,6 +138,14 @@ def _solver_options(params):
     return SolverOptions(**kwargs) if kwargs else None
 
 
+def _checked(name, check, *args):
+    """check(*args); a ValueError it raises is a schema error naming the parameter."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise SchemaError(f"parameter {name!r}: {exc}") from exc
+
+
 def _field(params, key, d, default=None, allow_zero=False):
     """The spec's density `key` of length d, `default` when absent.  An entry
     that is not finite or is negative, or (unless allow_zero) a field that is
@@ -145,10 +156,7 @@ def _field(params, key, d, default=None, allow_zero=False):
     if arr.shape != (d,):
         raise SchemaError(f"parameter {key!r} must have length {d}")
     if not (allow_zero and np.all(arr == 0.0)):
-        try:
-            _density(arr, d, key)
-        except ValueError as exc:
-            raise SchemaError(f"parameter {key!r}: {exc}") from exc
+        _checked(key, _density, arr, d, key)
     return arr
 
 
@@ -196,7 +204,7 @@ def _run_calibrate(spec, params, outdir, model, mhash):
 def _run_cumulant(spec, params, outdir, model, mhash):
     """Solve the cumulant equation from the field f."""
     f = _field(params, "f", model.d, allow_zero=True)
-    times = _times_from(params)
+    times = _checked("times", _check_times, _times_from(params))
     curve = solve_cumulant(model, f, times, _solver_options(params))
     out = os.path.join(outdir, "cumulant.csv")
     rows = [
@@ -218,7 +226,7 @@ def _run_cumulant(spec, params, outdir, model, mhash):
 def _run_survival(spec, params, outdir, model, mhash):
     """Survival probability against its normalisation eta(t)."""
     mu = _field(params, "mu", model.d)
-    times = _times_from(params)
+    times = _checked("times", _check_times, _times_from(params))
     table = kolmogorov_table(model, mu, times, _solver_options(params))
     out = os.path.join(outdir, "survival.csv")
     rows = [
@@ -242,10 +250,12 @@ def _run_survival(spec, params, outdir, model, mhash):
 def _run_yaglom(spec, params, outdir, model, mhash):
     """Sup error of the conditioned Laplace transform against the Yaglom limit."""
     f = _field(params, "f", model.d, _unit_field(model))
-    thetas = _times_from(params, "theta")
+    thetas = _checked("theta", _check_thetas, _times_from(params, "theta"))
     horizons = params["horizons"] or [params["horizon"]]
     if horizons == [None]:
         raise SchemaError("parameter 'horizon' or 'horizons' required")
+    for T in horizons:
+        _checked("horizons" if params["horizons"] else "horizon", _check_horizon, T)
     opts = _solver_options(params)
     sup_by_T = []
     artifacts = []
@@ -312,6 +322,8 @@ def _run_spine_check(spec, params, outdir, model, mhash):
     """Feynman-Kac spine estimate of the cumulant against the ODE solve."""
     f = _field(params, "f", model.d, _unit_field(model))
     theta, T = params["theta"], params["horizon"]
+    _checked("theta", _check_thetas, theta)
+    _checked("horizon", _check_horizon, T)
     rng = np.random.default_rng(spec.seed)
     opts = _solver_options(params)
     est, se = feynman_kac_estimate(
@@ -338,7 +350,7 @@ def _run_spine_check(spec, params, outdir, model, mhash):
 
 def _run_rv_fit(spec, params, outdir, model, mhash):
     """Regular-variation index of the weighted extinction norm."""
-    times = _times_from(params)
+    times = _checked("times", _check_times, _times_from(params))
     values = weighted_extinction_norm(model, times, _solver_options(params))
     est = rv_index_fit(times, values)
     out = os.path.join(outdir, "rv_fit.csv")

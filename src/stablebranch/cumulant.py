@@ -25,7 +25,7 @@ import numpy as np
 
 from ._fork import map_forked, worker_count
 from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
-from .model import _density, eta
+from .model import eta
 
 __all__ = [
     "SolverOptions",
@@ -33,10 +33,7 @@ __all__ = [
     "CertificationError",
     "solve_cumulant",
     "solve_extinction",
-    "survival_probability",
     "weighted_extinction_norm",
-    "yaglom_surface",
-    "uniform_equivalence_gap",
     "conservation_residual",
 ]
 
@@ -105,14 +102,33 @@ class CumulantCurve:
 
 
 def _check_times(times, minimum=0.0):
+    """The grid every solve and every reading runs on: a nonempty, finite,
+    nondecreasing 1-d array starting at or above minimum."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a nonempty 1-d grid")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(t) < 0):
         raise ValueError("times must be nondecreasing")
     if t[0] < minimum:
         raise ValueError(f"times must start at or above {minimum}")
     return t
+
+
+def _check_horizon(T):
+    """T as a float; ValueError unless it is finite and positive."""
+    if not 0.0 < T < np.inf:  # written so that NaN fails
+        raise ValueError(f"horizon must be finite and positive, got {T!r}")
+    return float(T)
+
+
+def _check_thetas(thetas):
+    """thetas as a 1-d array; ValueError unless each is finite and nonnegative."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.all((thetas >= 0.0) & (thetas < np.inf)):  # NaN fails both
+        raise ValueError("theta must be finite and nonnegative")
+    return thetas
 
 
 def solve_cumulant(model, f, times, opts=None):
@@ -293,37 +309,14 @@ def solve_extinction(model, times, opts=None):
     )
 
 
-def survival_probability(model, mu, t, opts=None):
-    """P(mass alive at t) = 1 - exp(-<mu, v_t>) for start density mu against m."""
-    mu = _density(mu, model.d)
-    if t <= 0:
-        raise ValueError("survival probability requires t > 0")
-    curve = solve_extinction(model, [t], opts)
-    x = model.inner_m(mu, curve.values[0])
-    return float(-np.expm1(-x))
+def weighted_extinction_norm(model, times, opts=None):
+    """<v_t, phi_star>_m at each of the times, from one solve_extinction call;
+    the grid rules are solve_extinction's.
 
-
-def weighted_extinction_norm(model, t, opts=None):
-    """<v_t, phi_star>_m; scalar t gives a float, array t a vector (one solve)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValueError("requires t > 0")
-    curve = solve_extinction(model, np.sort(t_arr), opts)
-    v = curve.evaluate(t_arr)
-    out = v @ (model.phi_star * model.m)
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-
-def uniform_equivalence_gap(model, t, opts=None):
-    """sup_x | (v_t/phi)(x) / <v_t,phi_star>_m - 1 |; accepts scalar or array t."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValueError("requires t > 0")
-    curve = solve_extinction(model, np.sort(t_arr), opts)
-    v = curve.evaluate(t_arr)
-    norms = v @ (model.phi_star * model.m)
-    gaps = np.abs((v / model.phi[None, :]) / norms[:, None] - 1.0).max(axis=1)
-    return float(gaps[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else gaps
+    solve_extinction is looked up in this module when this runs, so that a
+    wrapper installed on cumulant.solve_extinction sees the curve.
+    """
+    return solve_extinction(model, times, opts).values @ (model.phi_star * model.m)
 
 
 def _yaglom_batch(model, f, thetas, T, opts):
@@ -334,11 +327,8 @@ def _yaglom_batch(model, f, thetas, T, opts):
     state O(1) even when eta_T underflows the absolute tolerance.
     """
     opts = opts or SolverOptions()
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any(thetas < 0):
-        raise ValueError("theta must be nonnegative")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    thetas = _check_thetas(thetas)
+    T = _check_horizon(T)
     f = np.asarray(f, dtype=float)
     norm = model.inner_m(f, model.phi_star)
     if abs(norm - 1.0) > 1e-10:
@@ -354,13 +344,6 @@ def _yaglom_batch(model, f, thetas, T, opts):
     sol = _cumulant_flow(model, u0, T, opts, kappa=kappa_eff)
     w_T = sol(float(T))
     return thetas[:, None] * w_T / model.phi[None, :]
-
-
-def yaglom_surface(model, f, theta, T, opts=None):
-    """x -> V_T(theta eta_T f)(x) / (eta_T phi(x)) for a phi_star-normalized f."""
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    return _yaglom_batch(model, f, [theta], T, opts)[0]
 
 
 def _adaptive_simpson(fun, a, b, tol, max_depth=40):

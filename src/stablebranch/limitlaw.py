@@ -10,7 +10,7 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -18,7 +18,6 @@ from scipy.integrate import cumulative_simpson
 __all__ = [
     "ZolotarevLaw",
     "laplace",
-    "laplace_complement",
     "g_closed",
     "DelayEquationProblem",
     "DelaySolution",
@@ -76,12 +75,6 @@ def laplace(law, u):
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
-def laplace_complement(law, u):
-    """1 - laplace(law, u), computed stably for small u (P(Z > 0) mass scale)."""
-    val = _stable_complement(law.alpha, u)
-    return float(val) if np.isscalar(u) or np.asarray(u).ndim == 0 else val
-
-
 def g_closed(gamma0, theta):
     """(1 + theta^-(gamma0-1))^(-1/(gamma0-1)) with value 0 at theta = 0."""
     if not 1.0 < gamma0 < 2.0:
@@ -119,26 +112,13 @@ class DelayEquationProblem:
 
 @dataclass
 class DelaySolution:
-    """Converged fixed point on theta_grid plus the internal smooth representation."""
+    """Converged fixed point on theta_grid."""
 
     theta_grid: np.ndarray
     values: np.ndarray
     iterations: int
     sup_changes: np.ndarray
     a: float
-    _y_grid: np.ndarray = field(repr=False, default=None)
-    _g_nodes: np.ndarray = field(repr=False, default=None)
-    _coef: tuple = field(repr=False, default=None)
-
-    def evaluate(self, theta):
-        """G at arbitrary theta in [0, theta_max], via the converged quadrature."""
-        theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        if np.any(theta_arr < 0) or np.any(theta_arr > self.theta_grid[-1] * (1 + 1e-12)):
-            raise ValueError("theta outside the solved range")
-        out = _eval_from_nodes(self.a, self._y_grid, self._g_nodes, self._coef, theta_arr)
-        if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-            return float(out[0])
-        return out
 
 
 def _panel_coefficients(y, F):
@@ -237,9 +217,6 @@ def solve_delay_equation(prob):
         iterations=iteration,
         sup_changes=np.asarray(sup_changes),
         a=a,
-        _y_grid=y,
-        _g_nodes=g_new,
-        _coef=coef,
     )
 
 
@@ -254,8 +231,9 @@ def mean_diagnostic(law):
     """
     alpha = law.alpha
     w = np.array([1e-2, 10**-2.5, 1e-3])
-    # D(u) = (1+u^-alpha)^(-1/alpha)/u = exp(-log1p(w)/alpha), exact in w.
-    D = np.exp(-np.log1p(w) / alpha)
+    u = w ** (1.0 / alpha)
+    # 1 - laplace(u) by the code g_closed runs
+    D = _stable_complement(alpha, u) / u
     m0 = 0.0
     for i in range(3):
         num = 1.0

@@ -34,7 +34,6 @@ __all__ = [
     "calibrate_critical",
     "eta",
     "semigroup_apply",
-    "uniform_mixing_gap",
     "read_model",
     "save_calibrated_model",
     "model_hash",
@@ -393,19 +392,6 @@ def semigroup_apply(model, t, f):
     if t == 0:
         return f.copy()
     return scipy.linalg.expm(t * model.A) @ f
-
-
-def uniform_mixing_gap(model, t):
-    """Sup over (x, y) of |p_t(x,y) / (phi(x) phi_star(y)) - 1|.
-
-    p_t is exp(t A) expressed as a density against m.  Decays exponentially
-    for irreducible finite chains.
-    """
-    if t <= 0:
-        raise ValueError("mixing gap requires t > 0")
-    P = scipy.linalg.expm(t * model.A) / model.m[None, :]
-    ratio = P / np.outer(model.phi, model.phi_star)
-    return float(np.abs(ratio - 1.0).max())
 
 
 # ---------------------------------------------------------------------------

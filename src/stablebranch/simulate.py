@@ -46,15 +46,12 @@ import numpy as np
 
 from ._fork import map_forked, worker_count
 from ._mapped import mapped_zeros
-from .model import _density, eta
+from .model import _density
 
 __all__ = [
     "SimConfig",
     "PathStats",
-    "sample_positive_stable",
-    "step_euler",
     "simulate_paths",
-    "conditional_laplace_estimate",
 ]
 
 _CHUNK_REPLICATES = 2048
@@ -138,19 +135,6 @@ class PathStats:
         p = self.survival_rate
         return float(np.sqrt(p * (1.0 - p) / self.replicates))
 
-    @property
-    def functional_mean(self):
-        """Survivor mean of X_T(f); None when no path survived."""
-        if self.survivors == 0:
-            return None
-        return float(self.functional_values.mean())
-
-    @property
-    def functional_se(self):
-        if self.survivors < 2:
-            return None
-        return float(self.functional_values.std(ddof=1) / np.sqrt(self.survivors))
-
     def laplace_functional(self, scale=1.0):
         """Mean and standard error of exp(-scale X_T(f)) over all replicates.
 
@@ -175,7 +159,12 @@ def _stable_consts(gamma_idx):
 
 
 def _stable_transform(gamma_idx, b, u01, w):
-    """Map uniforms/exponentials to standardized spectrally positive increments."""
+    """Map uniforms/exponentials to standardized spectrally positive increments.
+
+    The trigonometric transformation of a uniform angle and a unit
+    exponential, normalised so that E[exp(-u S)] = exp(u^gamma) for u >= 0;
+    the increments have mean zero and take both signs.
+    """
     u = np.pi * (np.clip(u01, 1e-12, 1.0 - 1e-12) - 0.5)
     w = np.maximum(w, 1e-300)
     t = gamma_idx * (u + b)
@@ -184,20 +173,6 @@ def _stable_transform(gamma_idx, b, u01, w):
         / np.cos(u) ** (1.0 / gamma_idx)
         * (np.cos(u - t) / w) ** ((1.0 - gamma_idx) / gamma_idx)
     )
-
-
-def sample_positive_stable(gamma_idx, rng, size=None):
-    """Standardized spectrally positive stable increments, log-Laplace u^gamma.
-
-    Uses the trigonometric transformation of a uniform angle and a unit
-    exponential; the normalization makes E[exp(-u S)] = exp(u^gamma) for
-    u >= 0, which is the exact one-step transform of the compensated stable
-    branching noise.  Increments are mean zero and take both signs.
-    """
-    g, b = _stable_consts(gamma_idx)
-    u01 = rng.random(size)
-    w = rng.standard_exponential(size)
-    return _stable_transform(g, b, u01, w)
 
 
 class _ReplicateStreams:
@@ -311,27 +286,6 @@ class _StepKernel:
             N = _poisson_quantile(lam.take(idx), u01.take(idx))
             branched.put(idx, N * w_exp.take(idx) / w_h.take(idx % w_h.size))
         return np.clip(branched, 0.0, None), idx.size
-
-
-def step_euler(model, state, h, rng):
-    """One step of the hybrid scheme from a single state vector.
-
-    Consumes rng.random((1, d)) then rng.standard_exponential((1, d)), the
-    same stream layout as the first step of a simulate_paths replicate.
-    """
-    state = np.asarray(state, dtype=float)
-    if state.shape != (model.d,) or np.any(state < 0):
-        raise ValueError("state must be a nonnegative vector of length d")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    kernel = _StepKernel(model)
-    u01 = rng.random((1, model.d))
-    w = rng.standard_exponential((1, model.d))
-    Z, _ = kernel.advance(state[None, :], u01, w, h)
-    Z = Z[0]
-    if not np.all(np.isfinite(Z)):
-        raise FloatingPointError("non-finite state after step (scale misconfiguration)")
-    return Z
 
 
 def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
@@ -453,17 +407,3 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
         cluster_share=sum(cluster_site_steps) / sum(live_site_steps),
         workers=workers,
     )
-
-
-def conditional_laplace_estimate(stats, model, f, theta, T):
-    """Survivor average of exp(-theta eta_T X_T(f)) with its standard error.
-
-    stats must come from simulate_paths with the same functional f; requires
-    at least 30 survivors for a meaningful error bar.
-    """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if stats.survivors < 30:
-        raise ValueError(f"too few survivors ({stats.survivors} < 30)")
-    vals = np.exp(-theta * eta(model, T) * stats.functional_values)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(stats.survivors))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from ._mapped import mapped_zeros
-from .cumulant import SolverOptions, _cumulant_flow
+from .cumulant import SolverOptions, _check_horizon, _check_thetas, _cumulant_flow
 from .model import _density
 
 __all__ = [
@@ -144,8 +144,7 @@ def _start_site(chain, x0):
 
 def simulate_spine(chain, x0, T, rng):
     """Event-driven jump simulation: exponential holds, row-proportional jumps."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     x0 = _start_site(chain, x0)
     rates = chain.exit_rates
     P = chain.jump_matrix()
@@ -301,12 +300,10 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, r_grid_size=None, opt
     field of length d.  Returns (estimate, stderr), each a field over start
     sites.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    _check_thetas(theta)
     if n_paths < 2:
         raise ValueError("need at least two paths")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     f = _density(f, model.d, "f")
     opts = opts or SolverOptions(rel_tol=1e-8)
     if r_grid_size is None:
@@ -371,8 +368,7 @@ def ergodic_average_check(chain, F, T, n_paths, rng, x0=0):
     order, so the result depends only on the paths, not on how they are
     grouped into waves or flushes.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     if n_paths < 2:
         raise ValueError("need at least two paths")
     x0 = _start_site(chain, x0)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from stablebranch import cumulant
 from stablebranch.cumulant import SolverOptions
 from stablebranch.model import (
     BranchingMechanism,
@@ -72,6 +73,23 @@ def normalized_ones(model):
 def use_cpus(monkeypatch, n):
     """Make the affinity mask read as n CPUs, so that forking code uses up to n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_solver(monkeypatch):
+    """Make every ODE solve fail at once: an input that a check should refuse
+    then fails fast, never hangs in the solver, when the check is missing."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the ODE solver was reached")
+
+    monkeypatch.setattr(cumulant, "solve_branching_ode", reached)
+
+
+class NoDraws:
+    """A random generator that fails on its first use, for the same purpose."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used")
 
 
 @pytest.fixture(autouse=True)

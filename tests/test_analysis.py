@@ -7,7 +7,7 @@ from stablebranch.analysis import (
     rv_index_fit,
     yaglom_table,
 )
-from stablebranch.cumulant import SolverOptions, survival_probability
+from stablebranch.cumulant import SolverOptions, solve_extinction
 from stablebranch.model import eta
 
 from conftest import normalized_ones
@@ -68,7 +68,9 @@ class TestKolmogorovTable:
         mu = np.array([0.7])
         t = 3.0
         table = kolmogorov_table(scalar_model, mu, np.array([t, 2 * t]))
-        direct = survival_probability(scalar_model, mu, t) / eta(scalar_model, t)
+        # 1 - exp(-<mu, v_t>) from a solve at t alone
+        mu_v = solve_extinction(scalar_model, [t]).values[0] @ (mu * scalar_model.m)
+        direct = -np.expm1(-mu_v) / eta(scalar_model, t)
         assert table.normalized[0] == pytest.approx(direct, rel=1e-9)
 
     def test_three_site_convergence(self, three_site_model, loose_opts):

@@ -24,6 +24,8 @@ from stablebranch.cli import (
 )
 from stablebranch.model import read_model, save_calibrated_model
 
+from conftest import no_solver
+
 
 def make_spec(kind, model_path, params, outdir, seed=None):
     return ExperimentSpec(
@@ -380,6 +382,17 @@ class TestSchema:
             ("delay-eq", {"a": 1.5, "thetaMax": -1.0}, "thetaMax"),
             ("delay-eq", {"a": 1.5, "thetaMax": 0.5, "step": 1.0}, "step"),
             ("delay-eq", {"a": 1.5, "thetaMax": 1.0, "step": 1e-6}, "step"),
+            ("cumulant", {"f": [1.0], "times": [1.0, float("inf")]}, "times"),
+            ("survival", {"mu": [1.0], "times": [1e3, float("inf")]}, "times"),
+            ("rv-fit", {"times": [1e3, 1e4, float("inf")]}, "times"),
+            ("rv-fit", {"times": [1e3, float("nan")]}, "times"),
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
+                        "horizons": [10.0, float("inf")]}, "horizons"),
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
+                        "horizon": float("nan")}, "horizon"),
+            ("yaglom", {"theta": [1.0, float("nan")], "horizon": 10.0}, "theta"),
+            ("spine-check", {"horizon": float("nan"), "paths": 10}, "horizon"),
+            ("spine-check", {"theta": float("inf"), "paths": 10}, "theta"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf",
@@ -388,11 +401,15 @@ class TestSchema:
              "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
              "delay-step-zero", "delay-step-nan", "delay-theta-max-inf",
              "delay-theta-max-negative", "delay-step-above-theta-max",
-             "delay-grid-over-limit"],
+             "delay-grid-over-limit", "cumulant-times-inf", "survival-times-inf",
+             "rv-fit-times-inf", "rv-fit-times-nan", "yaglom-horizons-inf",
+             "yaglom-horizon-nan", "yaglom-theta-nan", "spine-horizon-nan",
+             "spine-theta-inf"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
-        self, kind, params, named, preset_dir, tmp_path, capsys
+        self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
     ):
+        no_solver(monkeypatch)  # each is refused before any solve
         model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
         assert run(make_spec(kind, model, params, tmp_path)) == EXIT_SCHEMA
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
@@ -420,8 +437,20 @@ class TestSchema:
         (["cumulant", "--f", "[0.5, NaN]", "--times", "[1, 2]"], "f"),
         (["cumulant", "--f", "[0.5, -1]", "--times", "[1, 2]"], "f"),
         (["delay-eq", "--a", "1.5", "--step", "0"], "step"),
-    ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero"])
-    def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys):
+        (["cumulant", "--f", "[1, 1]", "--times", "[1, Infinity]"], "times"),
+        (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e3, Infinity]"], "times"),
+        (["rv-fit", "--times", "[1e3, 1e4, Infinity]"], "times"),
+        (["cumulant", "--f", "[1, 1]", "--times", "[1, NaN]"], "times"),
+        (["yaglom", "--horizons", "[10, Infinity]", "--theta", "[1]"], "horizons"),
+        (["yaglom", "--horizon", "NaN", "--theta", "[1]"], "horizon"),
+        (["yaglom", "--horizon", "10", "--theta", "[1, NaN]"], "theta"),
+    ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
+            "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
+            "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
+            "yaglom-theta-nan"])
+    def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
+                                    monkeypatch):
+        no_solver(monkeypatch)  # each is refused before any solve
         if argv[0] != "delay-eq":
             argv = [*argv, "--model", str(preset_dir / "two-site" / "two-site_model.json")]
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_SCHEMA

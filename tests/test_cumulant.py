@@ -6,18 +6,15 @@ from scipy.integrate import solve_ivp
 
 from stablebranch import cumulant
 from stablebranch._ivp import SolverError
+from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     CertificationError,
     SolverOptions,
     _warm_start,
-    _yaglom_batch,
     conservation_residual,
     solve_cumulant,
     solve_extinction,
-    survival_probability,
-    uniform_equivalence_gap,
     weighted_extinction_norm,
-    yaglom_surface,
 )
 from stablebranch.limitlaw import g_closed
 from stablebranch.model import (
@@ -25,10 +22,11 @@ from stablebranch.model import (
     MotionGenerator,
     StateSpace,
     calibrate_critical,
+    eta,
     semigroup_apply,
 )
 
-from conftest import normalized_ones, use_cpus
+from conftest import no_solver, normalized_ones, use_cpus
 
 
 def scalar_closed_form(c, kappa, gamma, t):
@@ -319,38 +317,42 @@ class TestCertificationWorker:
         assert not isinstance(info.value, CertificationError)
 
 
+def survival(model, mu, t, opts=None):
+    """P(mass alive at t) = 1 - exp(-<mu, v_t>), read off the survival route."""
+    return float(kolmogorov_table(model, mu, [t], opts).normalized[0] * eta(model, t))
+
+
 class TestSurvival:
     def test_scalar_values(self, scalar_model):
-        assert survival_probability(scalar_model, np.array([1.0]), 1.0) == pytest.approx(
+        assert survival(scalar_model, np.array([1.0]), 1.0) == pytest.approx(
             1.0 - np.exp(-4.0), rel=1e-8
         )
-        assert survival_probability(scalar_model, np.array([1.0]), 100.0) == pytest.approx(
+        assert survival(scalar_model, np.array([1.0]), 100.0) == pytest.approx(
             -np.expm1(-4e-4), rel=1e-8
         )
 
     def test_vanishing_start(self, scalar_model):
-        tiny = survival_probability(scalar_model, np.array([1e-12]), 1.0)
+        tiny = survival(scalar_model, np.array([1e-12]), 1.0)
         assert tiny == pytest.approx(4e-12, rel=1e-6)
 
     def test_rejects_trivial_start(self, scalar_model):
         with pytest.raises(ValueError):
-            survival_probability(scalar_model, np.array([0.0]), 1.0)
+            survival(scalar_model, np.array([0.0]), 1.0)
 
     @pytest.mark.parametrize("mu", [[np.inf, 0.5], [np.nan, 0.5]], ids=["inf", "nan"])
     def test_rejects_non_finite_start(self, two_site_model, mu):
         # an infinite entry used to give a survival probability of 1.0
         with pytest.raises(ValueError, match="non-finite"):
-            survival_probability(two_site_model, mu, 1.0)
+            survival(two_site_model, mu, 1.0)
 
 
 class TestWeightedNorm:
     def test_scalar_equals_extinction(self, scalar_model):
-        val = weighted_extinction_norm(scalar_model, 10.0)
-        assert val == pytest.approx((0.5 * 10.0) ** -2, rel=1e-8)
+        val = weighted_extinction_norm(scalar_model, [10.0])
+        assert val.shape == (1,)
+        assert val[0] == pytest.approx((0.5 * 10.0) ** -2, rel=1e-8)
 
     def test_ratio_trend_to_one(self, two_site_model, loose_opts):
-        from stablebranch.model import eta
-
         ts = np.array([1e2, 1e3, 1e4])
         norms = weighted_extinction_norm(two_site_model, ts, loose_opts)
         ratios = norms / eta(two_site_model, ts)
@@ -363,53 +365,101 @@ class TestWeightedNorm:
         assert np.all(np.diff(norms) < 0)
 
 
+def surface(model, f, theta, T, opts=None):
+    """x -> V_T(theta eta_T f)(x) / (eta_T phi(x)) for one theta."""
+    return yaglom_table(model, f, [theta], T, opts).surface[0]
+
+
 class TestYaglomSurface:
     def test_scalar_exactness(self, scalar_model):
         f = normalized_ones(scalar_model)
         for T in (1.0, 10.0, 100.0):
             for theta in (0.3, 1.0, 5.0):
-                g = yaglom_surface(scalar_model, f, theta, T)
+                g = surface(scalar_model, f, theta, T)
                 assert g[0] == pytest.approx(g_closed(1.5, theta), abs=1e-9)
 
     def test_zero_theta(self, two_site_model):
         f = normalized_ones(two_site_model)
-        assert np.all(yaglom_surface(two_site_model, f, 0.0, 10.0) == 0.0)
+        assert np.all(surface(two_site_model, f, 0.0, 10.0) == 0.0)
 
     def test_batch_matches_single_solves(self, two_site_model, loose_opts):
         # the batch runs on a block-diagonal sparse Jacobian, one theta alone
         # on a dense one
         f = normalized_ones(two_site_model)
         thetas = np.array([0.2, 1.0, 4.0])
-        batch = _yaglom_batch(two_site_model, f, thetas, 100.0, loose_opts)
+        batch = yaglom_table(two_site_model, f, thetas, 100.0, loose_opts).surface
         for theta, row in zip(thetas, batch):
-            single = yaglom_surface(two_site_model, f, theta, 100.0, loose_opts)
+            single = surface(two_site_model, f, theta, 100.0, loose_opts)
             assert np.abs(row / single - 1.0).max() <= 1e-5
 
     def test_unnormalized_rejected(self, two_site_model):
         with pytest.raises(ValueError, match="phi_star"):
-            yaglom_surface(two_site_model, np.ones(2), 1.0, 10.0)
+            surface(two_site_model, np.ones(2), 1.0, 10.0)
 
     def test_linear_bound(self, two_site_model, loose_opts):
         f = normalized_ones(two_site_model)
         c_f = np.max(f / two_site_model.phi)
         for theta in (0.2, 1.0, 4.0):
-            g = yaglom_surface(two_site_model, f, theta, 100.0, loose_opts)
+            g = surface(two_site_model, f, theta, 100.0, loose_opts)
             assert np.all(g <= c_f * theta + 1e-9)
+
+
+def equivalence_gaps(model, times, opts=None):
+    """sup_x | (v_t/phi)(x) / <v_t, phi_star>_m - 1 | per time, from one solve."""
+    v = solve_extinction(model, times, opts).values
+    norms = v @ (model.phi_star * model.m)
+    return np.abs(v / model.phi / norms[:, None] - 1.0).max(axis=1)
 
 
 class TestEquivalenceGap:
     def test_scalar_zero(self, scalar_model):
-        assert uniform_equivalence_gap(scalar_model, 5.0) <= 1e-8
+        assert equivalence_gaps(scalar_model, [5.0])[0] <= 1e-8
 
     def test_decreasing_with_time(self, three_site_model, loose_opts):
-        gaps = uniform_equivalence_gap(
-            three_site_model, np.array([10.0, 1e3]), loose_opts
-        )
+        gaps = equivalence_gaps(three_site_model, [10.0, 1e3], loose_opts)
         assert gaps[1] < gaps[0]
 
     def test_vanishing_along_decades(self, two_site_model, loose_opts):
-        gaps = uniform_equivalence_gap(
-            two_site_model, np.array([10.0, 1e2, 1e3, 1e4]), loose_opts
-        )
+        gaps = equivalence_gaps(two_site_model, [10.0, 1e2, 1e3, 1e4], loose_opts)
         assert np.all(np.diff(gaps) < 0)
         assert gaps[-1] < 5e-3
+
+
+INF, NAN = np.inf, np.nan
+
+
+class TestNonFiniteTimes:
+    """Every solve and reading refuses a NaN or infinite time, horizon or theta
+    before it solves; an infinite time used to run the solver without end."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: solve_cumulant(m, [1.0, 1.0], [1.0, INF]), "times must be finite"),
+            (lambda m: solve_cumulant(m, [1.0, 1.0], [NAN]), "times must be finite"),
+            (lambda m: solve_extinction(m, [1.0, INF]), "times must be finite"),
+            (lambda m: solve_extinction(m, [1.0, NAN]), "times must be finite"),
+            (lambda m: weighted_extinction_norm(m, [1e3, 1e4, INF]), "times must be finite"),
+            (lambda m: kolmogorov_table(m, [0.5, 0.5], [1e3, INF]), "times must be finite"),
+            (lambda m: kolmogorov_table(m, [0.5, 0.5], [1e3, NAN]), "times must be finite"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [1.0], INF), "horizon"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [1.0], NAN), "horizon"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [1.0], 0.0), "horizon"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [1.0, NAN], 10.0), "theta"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [INF], 10.0), "theta"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [-1.0], 10.0), "theta"),
+        ],
+        ids=["cumulant-inf", "cumulant-nan", "extinction-inf", "extinction-nan",
+             "norm-inf", "survival-inf", "survival-nan", "yaglom-horizon-inf",
+             "yaglom-horizon-nan", "yaglom-horizon-zero", "yaglom-theta-nan",
+             "yaglom-theta-inf", "yaglom-theta-negative"],
+    )
+    def test_refused_before_solving(self, two_site_model, monkeypatch, call, match):
+        no_solver(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            call(two_site_model)
+
+    def test_unsorted_times_refused(self, two_site_model):
+        # the weighted norm reads solve_extinction's grid; it no longer sorts
+        with pytest.raises(ValueError, match="nondecreasing"):
+            weighted_extinction_norm(two_site_model, [1e4, 1e3])

@@ -11,7 +11,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from stablebranch import _ivp
 from stablebranch._ivp import _Radau, solve_branching_ode
-from stablebranch.analysis import yaglom_table
+from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     SolverOptions,
     _warm_start,
@@ -164,6 +164,16 @@ class TestOdeGoldenDigests:
         )
         assert digest(values) == (
             "c5bfb5cec40170f2b14768dac56baa12bd636d8e21728033064921690d72113e"
+        )
+
+    def test_three_site_survival(self, three_site_model):
+        # the three-site preset's survival spec: its mu and times grid at 1e-7
+        table = kolmogorov_table(
+            three_site_model, [0.4, 0.3, 0.3], np.geomspace(1e3, 1e5, 9),
+            SolverOptions(rel_tol=1e-7),
+        )
+        assert digest(table.normalized) == (
+            "1dbeb516d11b7f2982714ac5f80ad3919e4df9ec747ac67e870672eff4378ece"
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from stablebranch import limitlaw
 from stablebranch.limitlaw import (
     DelayEquationProblem,
     ZolotarevLaw,
     g_closed,
     laplace,
-    laplace_complement,
     mean_diagnostic,
     solve_delay_equation,
 )
@@ -30,8 +30,8 @@ class TestLaplace:
         assert np.all(np.diff(laplace(law, u)) < 0)
 
     def test_complement_stable_at_tiny_u(self):
-        law = ZolotarevLaw(alpha=0.2)
-        val = laplace_complement(law, 1e-20)
+        # 1 - laplace(u) for alpha = 0.2 is g_closed at gamma0 = 1.2
+        val = g_closed(1.2, 1e-20)
         # complement ~ u * (1 - u^alpha/alpha) near 0: positive and tiny
         assert 0 < val < 1e-19
         assert val == pytest.approx(1e-20 * np.exp(-np.log1p(1e-4) / 0.2), rel=1e-12)
@@ -108,17 +108,23 @@ class TestDelayEquation:
     def test_inner_integrand_regularity(self):
         # G(r u^(1/(a-1)))^(a-1) / u at u = 1e-8 must approach r^(a-1)
         a = 1.6
-        grid = np.round(np.arange(0.0, 5.0001, 0.005), 10)
-        sol = solve_delay_equation(DelayEquationProblem(a=a, theta_grid=grid, tol=1e-10))
         u = 1e-8
-        for r in (0.5, 1.0, 3.0):
-            val = sol.evaluate(r * u ** (1.0 / (a - 1.0))) ** (a - 1.0) / u
-            assert val == pytest.approx(r ** (a - 1.0), rel=1e-6)
+        r = np.array([0.5, 1.0, 3.0])
+        tiny = r * u ** (1.0 / (a - 1.0))
+        grid = np.round(np.arange(0.0, 5.0001, 0.005), 10)
+        grid = np.concatenate([[0.0], tiny, grid[1:]])  # the thetas wanted join the grid
+        sol = solve_delay_equation(DelayEquationProblem(a=a, theta_grid=grid, tol=1e-10))
+        val = sol.values[1:4] ** (a - 1.0) / u
+        np.testing.assert_allclose(val, r ** (a - 1.0), rtol=1e-6)
 
-    def test_evaluate_matches_grid(self):
+    def test_values_independent_of_other_thetas(self):
+        # the quadrature grid depends on the last theta alone, so adding
+        # thetas between the nodes leaves the value at every node unchanged
         grid = np.round(np.arange(0.0, 3.0001, 0.01), 10)
-        sol = solve_delay_equation(DelayEquationProblem(a=1.4, theta_grid=grid, tol=1e-10))
-        assert np.allclose(sol.evaluate(grid), sol.values, atol=1e-13)
+        fine = np.round(np.arange(0.0, 3.0001, 0.0025), 10)
+        coarse = solve_delay_equation(DelayEquationProblem(a=1.4, theta_grid=grid, tol=1e-10))
+        both = solve_delay_equation(DelayEquationProblem(a=1.4, theta_grid=fine, tol=1e-10))
+        assert np.array_equal(both.values[::4], coarse.values)
 
     def test_bad_problems_rejected(self):
         with pytest.raises(ValueError):
@@ -136,3 +142,13 @@ class TestMeanDiagnostic:
 
     def test_exponential_case_tight(self):
         assert mean_diagnostic(ZolotarevLaw(1.0)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_reads_the_code_g_closed_runs(self, monkeypatch):
+        # a 1% error in the complement g_closed evaluates must show in the check
+        complement = limitlaw._stable_complement
+        monkeypatch.setattr(
+            limitlaw, "_stable_complement", lambda alpha, u: 1.01 * complement(alpha, u)
+        )
+        assert abs(g_closed(1.5, 1.0) - 0.2525) < 1e-12
+        for alpha in (0.2, 0.5, 1.0):
+            assert abs(mean_diagnostic(ZolotarevLaw(alpha)) - 1.0) > 5e-3

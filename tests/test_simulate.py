@@ -11,12 +11,11 @@ from stablebranch.simulate import (
     _POISSON_KMAX,
     _StepKernel,
     _poisson_quantile,
+    _stable_consts,
+    _stable_transform,
     PathStats,
     SimConfig,
-    conditional_laplace_estimate,
-    sample_positive_stable,
     simulate_paths,
-    step_euler,
 )
 
 from conftest import use_cpus
@@ -24,6 +23,20 @@ from conftest import use_cpus
 
 def replicate_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+
+
+def stable_draws(gamma, rng, n):
+    """n standardized spectrally positive stable increments from rng."""
+    return _stable_transform(*_stable_consts(gamma), rng.random(n), rng.standard_exponential(n))
+
+
+def one_step(model, state, h, rng):
+    """One step of the kernel from one state, on rng's next (1, d) uniforms
+    and exponentials: the draws of a replicate's first step."""
+    u01 = rng.random((1, model.d))
+    w_exp = rng.standard_exponential((1, model.d))
+    Z, _ = _StepKernel(model).advance(np.asarray(state, dtype=float)[None, :], u01, w_exp, h)
+    return Z[0]
 
 
 def survivor_digest(stats):
@@ -40,7 +53,7 @@ def state_digest(Z):
 class TestStableSampler:
     @pytest.mark.parametrize("gamma", [1.2, 1.5, 1.8])
     def test_transform_oracle(self, gamma, rng):
-        S = sample_positive_stable(gamma, rng, size=400_000)
+        S = stable_draws(gamma, rng, 400_000)
         for u in (0.5, 1.0, 2.0):
             e = np.exp(-u * S)
             est = np.log(e.mean())
@@ -48,28 +61,28 @@ class TestStableSampler:
             assert abs(est - u**gamma) <= 4.0 * se
 
     def test_gaussian_limit_variance(self, rng):
-        S = sample_positive_stable(1.99, rng, size=10**6)
+        S = stable_draws(1.99, rng, 10**6)
         assert abs(S.var() / 2.0 - 1.0) <= 0.10
 
     def test_both_signs(self, rng):
-        S = sample_positive_stable(1.5, rng, size=10_000)
+        S = stable_draws(1.5, rng, 10_000)
         neg = (S < 0).mean()
         assert 0.0 < neg < 1.0
 
     def test_mean_zero(self, rng):
-        S = sample_positive_stable(1.7, rng, size=10**6)
+        S = stable_draws(1.7, rng, 10**6)
         se = S.std() / np.sqrt(S.size)
         assert abs(S.mean()) <= 5.0 * se
 
     def test_index_range(self, rng):
         for bad in (1.0, 2.0, 0.8):
             with pytest.raises(ValueError):
-                sample_positive_stable(bad, rng)
+                _stable_consts(bad)
 
 
 class TestStepEuler:
     def test_zero_is_absorbing(self, two_site_model, rng):
-        out = step_euler(two_site_model, np.zeros(2), 1e-3, rng)
+        out = one_step(two_site_model, np.zeros(2), 1e-3, rng)
         assert np.array_equal(out, np.zeros(2))
 
     def test_one_step_mean_weighted_model(self, weighted_model):
@@ -96,7 +109,7 @@ class TestStepEuler:
     def test_nonnegative_states(self, two_site_model, rng):
         state = np.array([1e-6, 2.0])
         for _ in range(200):
-            state = step_euler(two_site_model, state, 5e-3, rng)
+            state = one_step(two_site_model, state, 5e-3, rng)
             assert np.all(state >= 0.0)
 
 
@@ -106,7 +119,7 @@ class TestDeterminism:
         mu = np.array([0.4, 1.1])
         cfg = SimConfig(step_size=h, horizon=h, replicates=1, seed=42)
         batch = simulate_paths(weighted_model, mu, cfg, keep_final_states=True)
-        direct = step_euler(weighted_model, mu, h, replicate_stream(42, 0))
+        direct = one_step(weighted_model, mu, h, replicate_stream(42, 0))
         assert np.array_equal(batch.final_states[0], direct)
 
     def test_bit_identical_runs(self, two_site_model):
@@ -338,7 +351,7 @@ class TestPathStats:
         )
         assert stats.survivors == 0
         assert stats.survival_rate == 0.0
-        assert stats.functional_mean is None
+        assert stats.functional_values.size == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -377,27 +390,6 @@ class TestPathStats:
 
 
 class TestConditionalLaplace:
-    def test_theta_zero(self, scalar_model):
-        stats = PathStats(
-            replicates=100,
-            survivors=50,
-            functional_values=np.linspace(0.1, 2.0, 50),
-            functional_description="test",
-        )
-        est, se = conditional_laplace_estimate(stats, scalar_model, np.ones(1), 0.0, 5.0)
-        assert est == 1.0
-        assert se == 0.0
-
-    def test_too_few_survivors(self, scalar_model):
-        stats = PathStats(
-            replicates=100,
-            survivors=10,
-            functional_values=np.ones(10),
-            functional_description="test",
-        )
-        with pytest.raises(ValueError, match="survivors"):
-            conditional_laplace_estimate(stats, scalar_model, np.ones(1), 1.0, 5.0)
-
     def test_matches_limit_shape_scalar(self, scalar_model):
         # d=1 exactness: survivor transform ~ 1 - G(theta) at moderate T
         from stablebranch.limitlaw import g_closed
@@ -406,6 +398,9 @@ class TestConditionalLaplace:
         stats = simulate_paths(
             scalar_model, np.array([1.0]), SimConfig(h, T, 40_000, seed=17), f=np.ones(1)
         )
-        est, se = conditional_laplace_estimate(stats, scalar_model, np.ones(1), 1.0, T)
+        assert stats.survivors >= 30
+        # survivor average of exp(-theta eta_T X_T) at theta = 1
+        vals = np.exp(-eta(scalar_model, T) * stats.functional_values)
+        est, se = vals.mean(), vals.std(ddof=1) / np.sqrt(stats.survivors)
         target = 1.0 - g_closed(1.5, 1.0)  # = 0.75
         assert abs(est - target) <= 3.0 * se + 0.02

@@ -19,7 +19,7 @@ from stablebranch.spine import (
     spine_generator,
 )
 
-from conftest import normalized_ones
+from conftest import NoDraws, no_solver, normalized_ones
 
 
 class TestSpineGenerator:
@@ -105,6 +105,16 @@ def segment_stream_digest(chain, starts, T, rng):
     final = _batch_paths_accumulate(chain, starts, T, rng, hook)
     h.update(np.ascontiguousarray(final, dtype="<i8").tobytes())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf], ids=["nan", "inf"])
+def test_path_horizon_must_be_finite(three_site_model, T):
+    # a NaN horizon never ended the jump loop of simulate_spine
+    chain = spine_generator(three_site_model)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        simulate_spine(chain, 0, T, NoDraws())
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        ergodic_average_check(chain, lambda y, u: np.ones_like(u), T, 10, NoDraws())
 
 
 class TestBatchPaths:
@@ -221,6 +231,19 @@ class TestFeynmanKac:
         f = normalized_ones(two_site_model)
         with pytest.raises(ValueError, match="horizon"):
             feynman_kac_estimate(two_site_model, f, 1.0, T, 100, rng)
+
+    @pytest.mark.parametrize(
+        "theta, T, match",
+        [(1.0, np.nan, "horizon"), (1.0, np.inf, "horizon"),
+         (np.nan, 2.0, "theta"), (np.inf, 2.0, "theta")],
+        ids=["horizon-nan", "horizon-inf", "theta-nan", "theta-inf"],
+    )
+    def test_non_finite_horizon_or_theta_rejected(self, two_site_model, monkeypatch,
+                                                  theta, T, match):
+        no_solver(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            feynman_kac_estimate(two_site_model, normalized_ones(two_site_model), theta, T,
+                                 100, NoDraws())
 
     @pytest.mark.parametrize(
         "f, match",
