@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulant import SolverOptions, _yaglom_batch, solve_extinction
+from .cumulant import _check_times, _yaglom_batch, solve_extinction
 from .limitlaw import g_closed
-from .model import _density, eta
+from .model import ArgumentError, _as_vector, _density, eta
 
 __all__ = [
     "RVEstimate",
@@ -52,20 +52,18 @@ def rv_index_fit(times, values):
 
     The fit window is the top two decades of the supplied grid,
     [times[-1] / 100, times[-1]]: the decay index is a tail property and
-    early transients bias the slope.
+    early transients bias the slope.  The grid rules are _check_times's.
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise ValueError("times and values must be matching 1-d arrays")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    if times.shape != values.shape:
+        raise ArgumentError("values", "times and values must be matching 1-d arrays")
     if np.any(times <= 0) or np.any(values <= 0):
         raise ValueError("log-log fit needs strictly positive inputs")
     window = (times[-1] / 100.0, times[-1])
     sel = times >= window[0]
     if sel.sum() < 3:
-        raise ValueError("fewer than three points in the fit window")
+        raise ArgumentError("times", "fewer than three points in the fit window")
     x = np.log(times[sel])
     y = np.log(values[sel])
     n = x.size
@@ -101,22 +99,20 @@ class KolmogorovTable:
 def kolmogorov_table(model, mu, times, opts=None):
     """Tabulate eta_t^-1 (1 - exp(-<mu, v_t>)) against mu(phi).
 
-    One extinction solve covers the whole grid.  The monotone flag records
-    whether |ratio - 1| is nonincreasing along the grid.
+    One extinction solve covers the whole grid, whose rules are
+    solve_extinction's.  The monotone flag records whether |ratio - 1| is
+    nonincreasing along the grid.
     """
     mu = _density(mu, model.d)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
     curve = solve_extinction(model, times, opts)
     mu_v = curve.values @ (mu * model.m)
     survival = -np.expm1(-mu_v)
-    normalized = survival / eta(model, times)
+    normalized = survival / eta(model, curve.times)
     target = model.inner_m(mu, model.phi)
     dev = np.abs(normalized / target - 1.0)
     monotone = bool(np.all(np.diff(dev) <= 1e-12))
     return KolmogorovTable(
-        times=times, normalized=normalized, target=target, monotone=monotone
+        times=curve.times, normalized=normalized, target=target, monotone=monotone
     )
 
 
@@ -167,21 +163,15 @@ def mixture_rv_check(alpha, rho, t_grid):
     taken over sites carrying positive mass, with ties within ALPHA_TIE_TOL.
     The ratio converges to 1 as t -> 0.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if alpha.shape != rho.shape or alpha.ndim != 1:
-        raise ValueError("alpha and rho must be matching 1-d arrays")
-    if np.any(rho < 0) or rho.sum() == 0:
-        raise ValueError("rho must be nonnegative and nontrivial")
-    t_grid = np.asarray(t_grid, dtype=float)
+    alpha = _as_vector(alpha, name="alpha")
+    rho = _density(rho, alpha.size, "rho")
+    t_grid = _as_vector(t_grid, name="t_grid")
     if np.any(t_grid <= 0):
-        raise ValueError("t grid must be strictly positive")
+        raise ArgumentError("t_grid", "t_grid must be strictly positive")
     carried = rho > 0
     alpha0 = float(alpha[carried].min())
     tied = carried & (alpha <= alpha0 + ALPHA_TIE_TOL)
     mass0 = float(rho[tied].sum())
-    if mass0 <= 0:
-        raise ValueError("empty minimal-index set")
     num = (rho[None, :] * np.power(t_grid[:, None], alpha[None, :])).sum(axis=1)
     ratio = num / (mass0 * np.power(t_grid, alpha0))
     return MixtureTable(t=t_grid, ratio=ratio, alpha0=alpha0, minimal_mass=mass0)

@@ -27,16 +27,9 @@ import scipy
 
 from . import __version__
 from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
-from .cumulant import (
-    SolverOptions,
-    _check_horizon,
-    _check_thetas,
-    _check_times,
-    solve_cumulant,
-    weighted_extinction_norm,
-)
+from .cumulant import SolverOptions, _check_horizon, solve_cumulant, weighted_extinction_norm
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
-from .model import _atomic_write_text, _density, eta, read_model, save_calibrated_model
+from .model import ArgumentError, _atomic_write_text, eta, read_model, save_calibrated_model
 from .simulate import SimConfig, simulate_paths
 from .spine import feynman_kac_estimate
 
@@ -124,40 +117,15 @@ def _words(name, sep):
 
 
 def _solver_options(params):
-    """The spec's SolverOptions, None when it sets none; a value that
-    SolverOptions rejects is a schema error naming its parameter."""
-    kwargs = {}
-    for name, _, _ in _SOLVER:
-        if params[name] is not None:
-            key = _words(name, "_")
-            try:
-                SolverOptions(**{key: params[name]})
-            except ValueError as exc:
-                raise SchemaError(f"parameter {name!r}: {exc}") from exc
-            kwargs[key] = params[name]
+    """The spec's SolverOptions, None when it sets none."""
+    kwargs = {_words(name, "_"): params[name] for name, _, _ in _SOLVER if params[name] is not None}
     return SolverOptions(**kwargs) if kwargs else None
 
 
-def _checked(name, check, *args):
-    """check(*args); a ValueError it raises is a schema error naming the parameter."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise SchemaError(f"parameter {name!r}: {exc}") from exc
-
-
-def _field(params, key, d, default=None, allow_zero=False):
-    """The spec's density `key` of length d, `default` when absent.  An entry
-    that is not finite or is negative, or (unless allow_zero) a field that is
-    zero everywhere, is a schema error naming the parameter."""
-    if params[key] is None:
-        return default
-    arr = np.asarray(params[key])
-    if arr.shape != (d,):
-        raise SchemaError(f"parameter {key!r} must have length {d}")
-    if not (allow_zero and np.all(arr == 0.0)):
-        _checked(key, _density, arr, d, key)
-    return arr
+def _field(params, key, default=None):
+    """The spec's field `key` as an array, `default` when absent; the library
+    call it is passed to checks it."""
+    return default if params[key] is None else np.asarray(params[key])
 
 
 def _unit_field(model):
@@ -184,7 +152,8 @@ def _gate(value, tol):
 # Kind handlers: (spec with its seed checked, resolved parameters, outdir,
 # model, model hash) -> (exit_code, artifacts, summary); the model and its hash
 # are None for a kind that reads no model.  A handler's docstring is its
-# subcommand's help.
+# subcommand's help.  The library checks the values a handler passes it; an
+# ArgumentError that names one of the kind's parameters is a schema error.
 # ---------------------------------------------------------------------------
 
 
@@ -203,9 +172,8 @@ def _run_calibrate(spec, params, outdir, model, mhash):
 
 def _run_cumulant(spec, params, outdir, model, mhash):
     """Solve the cumulant equation from the field f."""
-    f = _field(params, "f", model.d, allow_zero=True)
-    times = _checked("times", _check_times, _times_from(params))
-    curve = solve_cumulant(model, f, times, _solver_options(params))
+    f = _field(params, "f")
+    curve = solve_cumulant(model, f, _times_from(params), _solver_options(params))
     out = os.path.join(outdir, "cumulant.csv")
     rows = [
         (float(t), x, float(curve.values[i, x]))
@@ -225,9 +193,8 @@ def _run_cumulant(spec, params, outdir, model, mhash):
 
 def _run_survival(spec, params, outdir, model, mhash):
     """Survival probability against its normalisation eta(t)."""
-    mu = _field(params, "mu", model.d)
-    times = _checked("times", _check_times, _times_from(params))
-    table = kolmogorov_table(model, mu, times, _solver_options(params))
+    mu = _field(params, "mu")
+    table = kolmogorov_table(model, mu, _times_from(params), _solver_options(params))
     out = os.path.join(outdir, "survival.csv")
     rows = [
         (float(t), float(n * eta(model, t)), float(n), table.target)
@@ -249,13 +216,11 @@ def _run_survival(spec, params, outdir, model, mhash):
 
 def _run_yaglom(spec, params, outdir, model, mhash):
     """Sup error of the conditioned Laplace transform against the Yaglom limit."""
-    f = _field(params, "f", model.d, _unit_field(model))
-    thetas = _checked("theta", _check_thetas, _times_from(params, "theta"))
-    horizons = params["horizons"] or [params["horizon"]]
-    if horizons == [None]:
-        raise SchemaError("parameter 'horizon' or 'horizons' required")
-    for T in horizons:
-        _checked("horizons" if params["horizons"] else "horizon", _check_horizon, T)
+    f = _field(params, "f", _unit_field(model))
+    thetas = _times_from(params, "theta")
+    horizons = params["horizons"]
+    for T in horizons:  # every horizon is checked before the first solve
+        _check_horizon(T)
     opts = _solver_options(params)
     sup_by_T = []
     artifacts = []
@@ -286,15 +251,12 @@ def _run_yaglom(spec, params, outdir, model, mhash):
 
 def _run_simulate(spec, params, outdir, model, mhash):
     """Monte Carlo run of the branching process from the density mu."""
-    mu = _field(params, "mu", model.d)
-    f = _field(params, "f", model.d, np.ones(model.d))
-    fields = {"step_size": "step", "horizon": "horizon", "replicates": "paths"}
-    try:
-        config = SimConfig(**{key: params[name] for key, name in fields.items()}, seed=spec.seed)
-    except ValueError as exc:
-        # SimConfig's message begins with the name of the field at fault
-        key = str(exc).split()[0]
-        raise SchemaError(f"parameter {fields.get(key, key)!r}: {exc}") from exc
+    mu = _field(params, "mu")
+    f = _field(params, "f", np.ones(model.d))
+    config = SimConfig(
+        step_size=params["step"], horizon=params["horizon"], replicates=params["paths"],
+        seed=spec.seed,
+    )
     stats = simulate_paths(model, mu, config, f=f)
     csv_path = os.path.join(outdir, "functionals.csv")
     _write_csv(
@@ -320,10 +282,8 @@ def _run_simulate(spec, params, outdir, model, mhash):
 
 def _run_spine_check(spec, params, outdir, model, mhash):
     """Feynman-Kac spine estimate of the cumulant against the ODE solve."""
-    f = _field(params, "f", model.d, _unit_field(model))
+    f = _field(params, "f", _unit_field(model))
     theta, T = params["theta"], params["horizon"]
-    _checked("theta", _check_thetas, theta)
-    _checked("horizon", _check_horizon, T)
     rng = np.random.default_rng(spec.seed)
     opts = _solver_options(params)
     est, se = feynman_kac_estimate(
@@ -350,7 +310,7 @@ def _run_spine_check(spec, params, outdir, model, mhash):
 
 def _run_rv_fit(spec, params, outdir, model, mhash):
     """Regular-variation index of the weighted extinction norm."""
-    times = _checked("times", _check_times, _times_from(params))
+    times = _times_from(params)
     values = weighted_extinction_norm(model, times, _solver_options(params))
     est = rv_index_fit(times, values)
     out = os.path.join(outdir, "rv_fit.csv")
@@ -422,8 +382,8 @@ REQUIRED = object()  # a parameter default: the spec must give a value
 
 def _floats(value):
     arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a list of numbers, got {value!r}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"expected a nonempty list of numbers, got {value!r}")
     return arr.tolist()
 
 
@@ -448,10 +408,12 @@ def _sampled(key):
 _SOLVER = tuple((name, float, None) for name in ("relTol", "absTol", "maxStep", "warmStartTime"))
 
 
-_Kind = namedtuple("_Kind", "handler needs_model params")
+_Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},))
 
 # Parameters are (name, type, default): the type coerces a given value, a
-# default of None means absent, and an absent tolerance means no gate.
+# default of None means absent, and an absent tolerance means no gate.  A
+# library argument carries the parameter of its own name in camelCase, or the
+# one its kind's aliases name.
 _KINDS = {
     "calibrate": _Kind(_run_calibrate, True, ()),
     "cumulant": _Kind(_run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_SOLVER)),
@@ -460,18 +422,17 @@ _KINDS = {
         ("ratioTolerance", float, None),
     )),
     "yaglom": _Kind(_run_yaglom, True, (
-        ("f", _floats, None), *_sampled("theta"),
-        ("horizon", float, None), ("horizons", _floats, None), *_SOLVER,
+        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_SOLVER,
         ("supTolerance", float, None),
-    )),
+    ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
         ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", float, REQUIRED),
         ("horizon", float, REQUIRED), ("paths", int, REQUIRED),
-    )),
+    ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
         ("paths", int, 10000), ("rGridSize", int, 16), *_SOLVER, ("zMax", float, None),
-    )),
+    ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True, (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", float, None))
     ),
@@ -482,7 +443,7 @@ _KINDS = {
     "mixture-check": _Kind(_run_mixture_check, False, (
         ("alpha", _floats, REQUIRED), ("rho", _floats, REQUIRED), *_sampled("t"),
         ("ratioTolerance", float, None),
-    )),
+    ), {"t_grid": "t"}),
 }
 
 
@@ -502,6 +463,12 @@ def _resolve(spec):
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"parameter {name!r}: {exc}") from exc
     return resolved
+
+
+def _parameter(kind, argument):
+    """The parameter of `kind` that the library argument `argument` carries, or None."""
+    names = {_words(name, "_"): name for name, _, _ in _KINDS[kind].params}
+    return {**names, **_KINDS[kind].aliases}.get(argument)
 
 
 def _seed(value):
@@ -561,7 +528,13 @@ def run(spec):
             except (OSError, TypeError, ValueError) as exc:
                 raise SchemaError(f"model file {spec.model_path!r}: {exc}") from exc
             manifest["model_hash"] = mhash
-        code, artifacts, summary = _KINDS[spec.kind].handler(spec, params, outdir, model, mhash)
+        try:
+            code, artifacts, summary = _KINDS[spec.kind].handler(spec, params, outdir, model, mhash)
+        except ArgumentError as exc:
+            name = _parameter(spec.kind, exc.name)
+            if name is None:
+                raise
+            raise SchemaError(f"parameter {name!r}: {exc}") from exc
         manifest["artifacts"] = artifacts
         manifest["summary"] = summary
         manifest["status"] = "ok" if code == EXIT_OK else "tolerance_violation"

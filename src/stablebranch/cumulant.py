@@ -25,7 +25,7 @@ import numpy as np
 
 from ._fork import map_forked, worker_count
 from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
-from .model import eta
+from .model import ArgumentError, _as_vector, _density, eta
 
 __all__ = [
     "SolverOptions",
@@ -47,7 +47,7 @@ class SolverOptions:
     """Tolerances and limits of the ODE engine.
 
     Every value must be finite except max_step, whose default inf means no
-    limit; a value out of range raises ValueError naming its field.
+    limit; a value out of range raises ArgumentError naming its field.
     """
 
     rel_tol: float = 1e-10
@@ -65,7 +65,7 @@ class SolverOptions:
         )
         for name, ok, rule in rules:
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise ArgumentError(name, f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -103,47 +103,45 @@ class CumulantCurve:
 
 def _check_times(times, minimum=0.0):
     """The grid every solve and every reading runs on: a nonempty, finite,
-    nondecreasing 1-d array starting at or above minimum."""
+    strictly increasing 1-d array starting at or above minimum."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a nonempty 1-d grid")
+        raise ArgumentError("times", "times must be a nonempty 1-d grid")
     if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    if np.any(np.diff(t) < 0):
-        raise ValueError("times must be nondecreasing")
+        raise ArgumentError("times", "times must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ArgumentError("times", "times must be strictly increasing")
     if t[0] < minimum:
-        raise ValueError(f"times must start at or above {minimum}")
+        raise ArgumentError("times", f"times must start at or above {minimum}")
     return t
 
 
 def _check_horizon(T):
-    """T as a float; ValueError unless it is finite and positive."""
+    """T as a float; ArgumentError unless it is finite and positive."""
     if not 0.0 < T < np.inf:  # written so that NaN fails
-        raise ValueError(f"horizon must be finite and positive, got {T!r}")
+        raise ArgumentError("horizon", f"horizon must be finite and positive, got {T!r}")
     return float(T)
 
 
 def _check_thetas(thetas):
-    """thetas as a 1-d array; ValueError unless each is finite and nonnegative."""
+    """thetas as a 1-d array; ArgumentError unless each is finite and nonnegative."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.all((thetas >= 0.0) & (thetas < np.inf)):  # NaN fails both
-        raise ValueError("theta must be finite and nonnegative")
+        raise ArgumentError("theta", "theta must be finite and nonnegative")
     return thetas
 
 
 def solve_cumulant(model, f, times, opts=None):
     """Evolve the log-Laplace functional from initial field f over the grid.
 
-    f must be nonnegative.  The returned curve satisfies the weighted
+    f must be finite and nonnegative.  The returned curve satisfies the weighted
     conservation identity (see conservation_residual) to quadrature accuracy
     and is dominated by the linear mean flow.
     """
     opts = opts or SolverOptions()
-    f = np.asarray(f, dtype=float)
-    if f.shape != (model.d,):
-        raise ValueError(f"f must have shape ({model.d},)")
+    f = _as_vector(f, model.d, "f")
     if np.any(f < 0):
-        raise ValueError("initial field must be nonnegative")
+        raise ArgumentError("f", "initial field must be nonnegative")
     times = _check_times(times)
     sol = _cumulant_flow(model, f, float(times[-1]), opts)
     return CumulantCurve(
@@ -329,11 +327,11 @@ def _yaglom_batch(model, f, thetas, T, opts):
     opts = opts or SolverOptions()
     thetas = _check_thetas(thetas)
     T = _check_horizon(T)
-    f = np.asarray(f, dtype=float)
+    f = _density(f, model.d, "f")
     norm = model.inner_m(f, model.phi_star)
     if abs(norm - 1.0) > 1e-10:
-        raise ValueError(
-            f"<f, phi_star>_m = {norm!r} must equal 1 (rescale f before calling)"
+        raise ArgumentError(
+            "f", f"<f, phi_star>_m = {norm!r} must equal 1 (rescale f before calling)"
         )
     eta_T = eta(model, T)
     gamma = model.mechanism.gamma

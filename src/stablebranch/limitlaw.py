@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .model import ArgumentError
+
 __all__ = [
     "ZolotarevLaw",
     "laplace",
@@ -97,15 +99,18 @@ class DelayEquationProblem:
     tol: float = 1e-10
 
     def __post_init__(self):
+        # Written so that NaN fails every rule.
         if not 1.0 < self.a < 2.0:
-            raise ValueError("index a must lie in (1, 2)")
+            raise ArgumentError("a", f"index a must lie in (1, 2), got {self.a!r}")
         grid = np.asarray(self.theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-            raise ValueError("theta_grid must be 1-d, start at 0, and have >= 2 points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("theta_grid must be strictly increasing")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ArgumentError(
+                "theta_grid", "theta_grid must be 1-d, start at 0, and have >= 2 points"
+            )
+        if not np.all(np.diff(grid) > 0):
+            raise ArgumentError("theta_grid", "theta_grid must be strictly increasing")
+        if not 0.0 < self.tol < np.inf:
+            raise ArgumentError("tol", f"tol must be finite and positive, got {self.tol!r}")
         grid.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
 

@@ -27,6 +27,7 @@ __all__ = [
     "BranchingMechanism",
     "EigenData",
     "CriticalModel",
+    "ArgumentError",
     "ReducibleMatrixError",
     "EigenSolverError",
     "build_feynman_kac_matrix",
@@ -55,6 +56,24 @@ NEAR_ORTHOGONAL_WARN = 1e-8
 CALIBRATED_FILE_RTOL = 1e-9
 
 
+class ArgumentError(ValueError):
+    """An argument out of its range; `name` is the argument at fault.
+
+    exc.args is (name, message), so that it pickles like any ValueError, and
+    str(exc) is the message.
+    """
+
+    def __init__(self, name, message):
+        super().__init__(name, message)
+
+    @property
+    def name(self):
+        return self.args[0]
+
+    def __str__(self):
+        return self.args[1]
+
+
 class ReducibleMatrixError(ValueError):
     """Raised when the positive off-diagonal graph is not strongly connected."""
 
@@ -66,11 +85,11 @@ class EigenSolverError(RuntimeError):
 def _as_vector(values, d=None, name="values"):
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        raise ArgumentError(name, f"{name} must be one-dimensional, got shape {arr.shape}")
     if d is not None and arr.shape[0] != d:
-        raise ValueError(f"{name} has length {arr.shape[0]}, expected {d}")
+        raise ArgumentError(name, f"{name} has length {arr.shape[0]}, expected {d}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ArgumentError(name, f"{name} contains non-finite entries")
     return arr
 
 
@@ -78,7 +97,7 @@ def _density(values, d, name="mu"):
     """values as a finite, nonnegative, nontrivial density vector of length d."""
     arr = _as_vector(values, d, name)
     if np.any(arr < 0) or arr.sum() == 0:
-        raise ValueError(f"{name} must be a nonnegative, nontrivial density vector")
+        raise ArgumentError(name, f"{name} must be a nonnegative, nontrivial density vector")
     return arr
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._fork import map_forked, worker_count
 from ._mapped import mapped_zeros
-from .model import _density
+from .model import ArgumentError, _density
 
 __all__ = [
     "SimConfig",
@@ -60,8 +60,8 @@ _BLOCK_STEPS = 1024
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters.  A value out of range raises ValueError whose message
-    begins with the name of the field at fault.
+    """Run parameters.  A value out of range raises ArgumentError naming the
+    field at fault, whose message begins with that name.
 
     There is no mass floor: extinction is decided by exact per-step thinning,
     and any positive floor measurably biases survival when the minimal stable
@@ -78,13 +78,13 @@ class SimConfig:
         for name in ("step_size", "horizon"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+                raise ArgumentError(name, f"{name} must be finite and positive, got {value!r}")
         if self.step_size > self.horizon:
-            raise ValueError("step_size must not exceed the horizon")
+            raise ArgumentError("step_size", "step_size must not exceed the horizon")
         if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+            raise ArgumentError("replicates", "replicates must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ArgumentError("seed", "seed must fit in 64 bits")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property

@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_simpson
 
 from ._mapped import mapped_zeros
 from .cumulant import SolverOptions, _check_horizon, _check_thetas, _cumulant_flow
-from .model import _density
+from .model import ArgumentError, _density
 
 __all__ = [
     "SpineChain",
@@ -302,7 +302,9 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, r_grid_size=None, opt
     """
     _check_thetas(theta)
     if n_paths < 2:
-        raise ValueError("need at least two paths")
+        raise ArgumentError("n_paths", f"need at least two paths, got {n_paths!r}")
+    if r_grid_size is not None and r_grid_size < 1:
+        raise ArgumentError("r_grid_size", f"r_grid_size must be at least 1, got {r_grid_size!r}")
     _check_horizon(T)
     f = _density(f, model.d, "f")
     opts = opts or SolverOptions(rel_tol=1e-8)

@@ -8,7 +8,7 @@ from stablebranch.analysis import (
     yaglom_table,
 )
 from stablebranch.cumulant import SolverOptions, solve_extinction
-from stablebranch.model import eta
+from stablebranch.model import ArgumentError, eta
 
 from conftest import normalized_ones
 
@@ -39,6 +39,22 @@ class TestRVFit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             rv_index_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "times",
+        [[1e3, 1e4, np.nan, 1e5, 1e6], [1e3, 1e4, 1e4, 1e5, 1e6], [1e3, 1e5, 1e4, 1e6, 1e7]],
+        ids=["nan", "repeated", "unsorted"],
+    )
+    def test_time_grid_rules_are_the_solvers(self, times):
+        # a NaN time used to be dropped from the fit
+        with pytest.raises(ArgumentError) as info:
+            rv_index_fit(times, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert info.value.name == "times"
+
+    def test_short_window_names_times(self):
+        with pytest.raises(ArgumentError, match="fit window") as info:
+            rv_index_fit([1e3, 1e4], [1.0, 0.5])
+        assert info.value.name == "times"
 
 
 class TestKolmogorovTable:
@@ -132,3 +148,18 @@ class TestMixtureCheck:
     def test_rejects_trivial_rho(self):
         with pytest.raises(ValueError):
             mixture_rv_check(np.array([1.2]), np.array([0.0]), np.array([0.1]))
+
+    @pytest.mark.parametrize(
+        "alpha, rho, t, name",
+        [([1.2, 1.8], [1.0, 1.0], [np.nan, 1e-3], "t_grid"),
+         ([1.2, 1.8], [1.0, 1.0], [0.0, 1e-3], "t_grid"),
+         ([1.2, 1.8], [1.0], [1e-3], "rho"),
+         ([1.2, 1.8], [np.nan, 1.0], [1e-3], "rho"),
+         ([np.nan, 1.8], [1.0, 1.0], [1e-3], "alpha")],
+        ids=["t-nan", "t-zero", "rho-short", "rho-nan", "alpha-nan"],
+    )
+    def test_bad_argument_named(self, alpha, rho, t, name):
+        # a NaN t used to give a NaN ratio
+        with pytest.raises(ArgumentError) as info:
+            mixture_rv_check(alpha, rho, t)
+        assert info.value.name == name

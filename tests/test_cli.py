@@ -149,10 +149,12 @@ class TestRun:
 
     def test_runtime_failure_exit_three(self, preset_dir, tmp_path):
         model_path = preset_dir / "two-site" / "two-site_model.json"
-        params = {"f": [1.0, 1.0], "horizon": 10.0, "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}}
-        # f violates the normalization precondition -> runtime failure
-        spec = make_spec("yaglom", model_path, params, tmp_path)
+        params = {"mu": [0.5, 0.5], "times": [1e-3, 1.0], "warmStartTime": 1e-4, "relTol": 1e-12}
+        # valid arguments whose warm start cannot be certified -> runtime failure
+        spec = make_spec("survival", model_path, params, tmp_path)
         assert run(spec) == EXIT_RUNTIME
+        error = json.loads((tmp_path / "run_manifest.json").read_text())["error"]
+        assert error.startswith("CertificationError: ")
 
     @pytest.mark.parametrize("kind, params", [
         ("calibrate", {}),
@@ -351,7 +353,7 @@ class TestSchema:
             ("simulate", {"paths": 10, "horizon": 0.1, "mu": [1.0]}, "step"),
             ("delay-eq", {"thetaMax": 1.0}, "a"),
             ("survival", {"mu": [1.0], "timesGrid": {"min": 1.0, "max": 10.0}}, "timesGrid"),
-            ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}}, "horizon"),
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}}, "horizons"),
             ("simulate", {"paths": "many", "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
             ("delay-eq", {"a": 1.5, "supTolerence": 1e-30}, "supTolerence"),
             ("cumulant", {"f": [1.0], "times": [1.0], "relTol": 0}, "relTol"),
@@ -362,7 +364,7 @@ class TestSchema:
             ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 10.0, "max": 1.0, "count": 5}}, "timesGrid"),
-            ("yaglom", {"thetaGrid": {"min": 0.1, "max": "inf", "count": 3}, "horizon": 1.0},
+            ("yaglom", {"thetaGrid": {"min": 0.1, "max": "inf", "count": 3}, "horizons": [1.0]},
              "thetaGrid"),
             ("simulate", {"paths": 10, "step": "nan", "horizon": 0.1, "mu": [1.0]}, "step"),
             ("simulate", {"paths": 10, "step": 0.1, "horizon": "inf", "mu": [1.0]}, "horizon"),
@@ -375,7 +377,7 @@ class TestSchema:
             ("simulate", {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0], "f": [-1.0]},
              "f"),
             ("yaglom", {"f": [float("nan")], "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
-                        "horizon": 1.0}, "f"),
+                        "horizons": [1.0]}, "f"),
             ("delay-eq", {"a": 1.5, "step": 0.0}, "step"),
             ("delay-eq", {"a": 1.5, "step": "nan"}, "step"),
             ("delay-eq", {"a": 1.5, "thetaMax": "inf"}, "thetaMax"),
@@ -389,10 +391,21 @@ class TestSchema:
             ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
                         "horizons": [10.0, float("inf")]}, "horizons"),
             ("yaglom", {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
-                        "horizon": float("nan")}, "horizon"),
-            ("yaglom", {"theta": [1.0, float("nan")], "horizon": 10.0}, "theta"),
+                        "horizons": [float("nan")]}, "horizons"),
+            ("yaglom", {"theta": [1.0, float("nan")], "horizons": [10.0]}, "theta"),
             ("spine-check", {"horizon": float("nan"), "paths": 10}, "horizon"),
             ("spine-check", {"theta": float("inf"), "paths": 10}, "theta"),
+            ("delay-eq", {"a": 2.5}, "a"),
+            ("delay-eq", {"a": 1.5, "tol": -1.0}, "tol"),
+            ("delay-eq", {"a": 1.5, "tol": "nan", "thetaMax": 1.0}, "tol"),
+            ("spine-check", {"paths": 1}, "paths"),
+            ("spine-check", {"paths": 10, "rGridSize": 0}, "rGridSize"),
+            ("survival", {"mu": [1.0], "times": [1e-9, 1.0]}, "times"),
+            ("rv-fit", {"times": [1e3, 1e3, 1e4, 1e5]}, "times"),
+            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0], "t": [1e-3]}, "rho"),
+            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": ["nan", 1e-3]}, "'t'"),
+            ("yaglom", {"f": [2.0], "theta": [1.0], "horizons": [10.0]}, "f"),
+            ("yaglom", {"theta": [1.0], "horizons": []}, "horizons"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf",
@@ -404,7 +417,10 @@ class TestSchema:
              "delay-grid-over-limit", "cumulant-times-inf", "survival-times-inf",
              "rv-fit-times-inf", "rv-fit-times-nan", "yaglom-horizons-inf",
              "yaglom-horizon-nan", "yaglom-theta-nan", "spine-horizon-nan",
-             "spine-theta-inf"],
+             "spine-theta-inf", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
+             "spine-paths-one", "spine-r-grid-zero", "survival-times-below-warm-start",
+             "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan",
+             "yaglom-f-unnormalized", "yaglom-horizons-empty"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
@@ -442,16 +458,32 @@ class TestSchema:
         (["rv-fit", "--times", "[1e3, 1e4, Infinity]"], "times"),
         (["cumulant", "--f", "[1, 1]", "--times", "[1, NaN]"], "times"),
         (["yaglom", "--horizons", "[10, Infinity]", "--theta", "[1]"], "horizons"),
-        (["yaglom", "--horizon", "NaN", "--theta", "[1]"], "horizon"),
-        (["yaglom", "--horizon", "10", "--theta", "[1, NaN]"], "theta"),
+        (["yaglom", "--horizons", "[NaN]", "--theta", "[1]"], "horizons"),
+        (["yaglom", "--horizons", "[10]", "--theta", "[1, NaN]"], "theta"),
+        (["delay-eq", "--a", "2.5"], "a"),
+        (["delay-eq", "--a", "1.5", "--tol", "-1"], "tol"),
+        (["delay-eq", "--a", "1.5", "--tol", "nan", "--theta-max", "1"], "tol"),
+        (["spine-check", "--paths", "1"], "paths"),
+        (["spine-check", "--r-grid-size", "0"], "rGridSize"),
+        (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e-9, 1]"], "times"),
+        (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
+        (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
+        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1]", "--t", "[1e-3]"], "rho"),
+        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[NaN, 1e-3]"],
+         "t"),
     ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
-            "yaglom-theta-nan"])
+            "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
+            "spine-paths-one", "spine-r-grid-zero", "survival-times-below-warm-start",
+            "rv-fit-window", "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
-                                    monkeypatch):
-        no_solver(monkeypatch)  # each is refused before any solve
-        if argv[0] != "delay-eq":
+                                    monkeypatch, request):
+        # the fit window is read from the solved grid; every other case is
+        # refused before any solve
+        if request.node.callspec.id != "rv-fit-window":
+            no_solver(monkeypatch)
+        if _KINDS[argv[0]].needs_model:
             argv = [*argv, "--model", str(preset_dir / "two-site" / "two-site_model.json")]
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
@@ -471,8 +503,8 @@ class TestGeneratedCommands:
          {"mu": [1.0], "timesGrid": {"min": 1, "max": 10, "count": 3}, "relTol": 1e-8,
           "ratioTolerance": 0.5}, None),
         ("yaglom", "scalar-csbp",
-         ["--theta-grid", '{"min": 0.1, "max": 1, "count": 3}', "--horizon", "1"],
-         {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}, "horizon": 1.0}, None),
+         ["--theta-grid", '{"min": 0.1, "max": 1, "count": 3}', "--horizons", "[1]"],
+         {"thetaGrid": {"min": 0.1, "max": 1.0, "count": 3}, "horizons": [1.0]}, None),
         ("simulate", "scalar-csbp",
          ["--mu", "[1.0]", "--paths", "200", "--step", "1e-2", "--horizon", "0.2"],
          {"mu": [1.0], "paths": 200, "step": 1e-2, "horizon": 0.2}, 5),

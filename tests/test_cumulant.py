@@ -18,6 +18,7 @@ from stablebranch.cumulant import (
 )
 from stablebranch.limitlaw import g_closed
 from stablebranch.model import (
+    ArgumentError,
     BranchingMechanism,
     MotionGenerator,
     StateSpace,
@@ -461,5 +462,18 @@ class TestNonFiniteTimes:
 
     def test_unsorted_times_refused(self, two_site_model):
         # the weighted norm reads solve_extinction's grid; it no longer sorts
-        with pytest.raises(ValueError, match="nondecreasing"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             weighted_extinction_norm(two_site_model, [1e4, 1e3])
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda m: solve_cumulant(m, [1.0, 1.0], [1.0, 1.0]),
+         lambda m: solve_extinction(m, [1e3, 1e3, 1e4]),
+         lambda m: kolmogorov_table(m, [0.5, 0.5], [1e3, 1e3])],
+        ids=["cumulant", "extinction", "survival"],
+    )
+    def test_repeated_times_refused(self, two_site_model, monkeypatch, call):
+        no_solver(monkeypatch)
+        with pytest.raises(ArgumentError, match="strictly increasing") as info:
+            call(two_site_model)
+        assert info.value.name == "times"

@@ -10,6 +10,7 @@ from stablebranch.limitlaw import (
     mean_diagnostic,
     solve_delay_equation,
 )
+from stablebranch.model import ArgumentError
 
 
 class TestLaplace:
@@ -133,6 +134,19 @@ class TestDelayEquation:
             DelayEquationProblem(a=1.5, theta_grid=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             DelayEquationProblem(a=1.5, theta_grid=np.array([0.0, 1.0]), tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"a": np.nan}, "a"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+         ({"tol": -1.0}, "tol"), ({"theta_grid": np.array([0.0, 1.0, 1.0])}, "theta_grid")],
+        ids=["a-nan", "tol-nan", "tol-inf", "tol-negative", "grid-repeated"],
+    )
+    def test_bad_argument_named(self, kwargs, name):
+        # a NaN tol used to run the Picard cap out before failing
+        args = {"a": 1.5, "theta_grid": np.array([0.0, 1.0]), **kwargs}
+        with pytest.raises(ArgumentError) as info:
+            DelayEquationProblem(**args)
+        assert info.value.name == name
 
 
 class TestMeanDiagnostic:

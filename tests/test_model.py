@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 import stablebranch.model as model_mod
 from stablebranch.model import (
+    ArgumentError,
     BranchingMechanism,
     EigenData,
     MotionGenerator,
@@ -86,6 +88,14 @@ class TestValidation:
     def test_state_space_weights(self):
         with pytest.raises(ValueError):
             StateSpace(d=2, m=[1.0, 0.0])
+
+    def test_argument_error_names_argument_and_pickles(self):
+        with pytest.raises(ArgumentError) as info:
+            StateSpace(d=2, m=[1.0, np.nan])
+        assert (info.value.name, str(info.value)) == ("m", "m contains non-finite entries")
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (type(copy), copy.args) == (ArgumentError, info.value.args)
+        assert isinstance(copy, ValueError)
 
     def test_eigendata_positivity(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_simpson
 
 import stablebranch.spine as spine_module
 from stablebranch.cumulant import SolverOptions, solve_cumulant
-from stablebranch.model import CriticalModel, semigroup_apply
+from stablebranch.model import ArgumentError, CriticalModel, semigroup_apply
 from stablebranch.spine import (
     _batch_paths_accumulate,
     _composite_geometric_nodes,
@@ -254,6 +254,20 @@ class TestFeynmanKac:
     def test_bad_field_rejected(self, two_site_model, rng, f, match):
         with pytest.raises(ValueError, match=match):
             feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng)
+
+    @pytest.mark.parametrize(
+        "n_paths, r_grid_size, name",
+        [(1, None, "n_paths"), (100, 0, "r_grid_size")],
+        ids=["one-path", "r-grid-zero"],
+    )
+    def test_bad_count_named_before_solving(self, two_site_model, monkeypatch,
+                                            n_paths, r_grid_size, name):
+        # an r_grid_size of 0 used to fail inside numpy's leggauss
+        no_solver(monkeypatch)
+        with pytest.raises(ArgumentError) as info:
+            feynman_kac_estimate(two_site_model, normalized_ones(two_site_model), 1.0, 2.0,
+                                 n_paths, NoDraws(), r_grid_size=r_grid_size)
+        assert info.value.name == name
 
 
 def fk_digest(est, se):
