@@ -72,13 +72,15 @@ class OdeSolution:
     """Dense solution over [t_start, t_end]; callable on scalars or arrays.
 
     Returns (d,) per time for a single system and (B, d) for a batch, clipped
-    to be nonnegative.
+    to be nonnegative.  step_times holds the solver's step boundaries, from
+    t_start to t_end: the dense output is one polynomial per step.
     """
 
     def __init__(self, dense, t_start, t_end, shape, squeeze, to_u, report):
         self._dense = dense
         self.t_start = t_start
         self.t_end = t_end
+        self.step_times = dense.ts
         self._shape = shape
         self._squeeze = squeeze
         self._to_u = to_u

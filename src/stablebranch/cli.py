@@ -286,11 +286,7 @@ def _run_spine_check(spec, params, outdir, model, mhash):
     theta, T = params["theta"], params["horizon"]
     rng = np.random.default_rng(spec.seed)
     opts = _solver_options(params)
-    est, se = feynman_kac_estimate(
-        model, f, theta, T, params["paths"], rng,
-        r_grid_size=params["rGridSize"],
-        opts=opts,
-    )
+    est, se = feynman_kac_estimate(model, f, theta, T, params["paths"], rng, opts=opts)
     ode = solve_cumulant(model, theta * f, [T], opts).values[0]
     rows = [
         {
@@ -431,7 +427,7 @@ _KINDS = {
     ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
-        ("paths", int, 10000), ("rGridSize", int, 16), *_SOLVER, ("zMax", float, None),
+        ("paths", int, 10000), *_SOLVER, ("zMax", float, None),
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True, (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", float, None))
@@ -439,7 +435,7 @@ _KINDS = {
     "delay-eq": _Kind(_run_delay_eq, False, (
         ("a", float, REQUIRED), ("thetaMax", float, 10.0), ("step", float, 0.01),
         ("tol", float, 1e-10), ("supTolerance", float, 1e-8),
-    )),
+    ), {"theta_grid": "step"}),
     "mixture-check": _Kind(_run_mixture_check, False, (
         ("alpha", _floats, REQUIRED), ("rho", _floats, REQUIRED), *_sampled("t"),
         ("ratioTolerance", float, None),

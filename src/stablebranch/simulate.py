@@ -114,7 +114,6 @@ class PathStats:
     replicates: int
     survivors: int
     functional_values: np.ndarray  # X_T(f) per surviving path, replicate order
-    functional_description: str
     final_states: np.ndarray | None = field(default=None, repr=False)
     live_by_block: np.ndarray | None = None
     cluster_share: float | None = None
@@ -401,7 +400,6 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
         replicates=config.replicates,
         survivors=sum(survivors),
         functional_values=np.concatenate([values[i] for i in order]),
-        functional_description=f"field({np.array2string(f, precision=6, max_line_width=200)})",
         final_states=np.concatenate([finals[i] for i in order]) if keep_final_states else None,
         live_by_block=np.sum(live_by_block, axis=0),
         cluster_share=sum(cluster_site_steps) / sum(live_site_steps),

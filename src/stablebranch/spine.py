@@ -285,35 +285,26 @@ def _composite_geometric_nodes(theta):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def feynman_kac_estimate(model, f, theta, T, n_paths, rng, r_grid_size=None, opts=None):
+def feynman_kac_estimate(model, f, theta, T, n_paths, rng, opts=None):
     """Per-site path estimate of V_T(theta f) via the transformed chain.
 
-    The outer integral over r in [0, theta] uses geometrically refined
-    Gauss-Legendre panels by default (the integrand has a fractional-power
-    kink at r = 0 that a single-panel rule resolves only to ~1e-4); passing
-    r_grid_size selects a plain single-panel rule with that many nodes.  All
-    nodes share one ensemble of n_paths chain paths per start site (common
-    random numbers).  The exponent integral along each piecewise-constant
-    trajectory is read off cumulative tables of the dense cumulant output on
-    _FK_TAU_POINTS uniform points of [0, T], so no time-discretization bias
-    enters beyond the table resolution.  f must be a nonnegative, nontrivial
-    field of length d.  Returns (estimate, stderr), each a field over start
-    sites.
+    The outer integral over r in [0, theta] uses Gauss-Legendre panels
+    refined geometrically toward r = 0 (see `_composite_geometric_nodes`);
+    all nodes share one ensemble of n_paths chain paths per start site
+    (common random numbers).  The exponent integral along each
+    piecewise-constant trajectory is read off cumulative tables of the dense
+    cumulant output on _FK_TAU_POINTS uniform points of [0, T], so no
+    time-discretization bias enters beyond the table resolution.  f must be a
+    nonnegative, nontrivial field of length d.  Returns (estimate, stderr),
+    each a field over start sites.
     """
     _check_thetas(theta)
     if n_paths < 2:
         raise ArgumentError("n_paths", f"need at least two paths, got {n_paths!r}")
-    if r_grid_size is not None and r_grid_size < 1:
-        raise ArgumentError("r_grid_size", f"r_grid_size must be at least 1, got {r_grid_size!r}")
     _check_horizon(T)
     f = _density(f, model.d, "f")
     opts = opts or SolverOptions(rel_tol=1e-8)
-    if r_grid_size is None:
-        r_nodes, r_weights = _composite_geometric_nodes(theta)
-    else:
-        x_gl, w_gl = np.polynomial.legendre.leggauss(r_grid_size)
-        r_nodes = 0.5 * theta * (x_gl + 1.0)
-        r_weights = 0.5 * theta * w_gl
+    r_nodes, r_weights = _composite_geometric_nodes(theta)
 
     chain = spine_generator(model)
     tau, W, S = _exponent_tables(model, f, r_nodes, T, opts, _FK_TAU_POINTS)

@@ -5,6 +5,7 @@ import platform
 import re
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,7 +400,6 @@ class TestSchema:
             ("delay-eq", {"a": 1.5, "tol": -1.0}, "tol"),
             ("delay-eq", {"a": 1.5, "tol": "nan", "thetaMax": 1.0}, "tol"),
             ("spine-check", {"paths": 1}, "paths"),
-            ("spine-check", {"paths": 10, "rGridSize": 0}, "rGridSize"),
             ("survival", {"mu": [1.0], "times": [1e-9, 1.0]}, "times"),
             ("rv-fit", {"times": [1e3, 1e3, 1e4, 1e5]}, "times"),
             ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0], "t": [1e-3]}, "rho"),
@@ -418,9 +418,9 @@ class TestSchema:
              "rv-fit-times-inf", "rv-fit-times-nan", "yaglom-horizons-inf",
              "yaglom-horizon-nan", "yaglom-theta-nan", "spine-horizon-nan",
              "spine-theta-inf", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
-             "spine-paths-one", "spine-r-grid-zero", "survival-times-below-warm-start",
-             "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan",
-             "yaglom-f-unnormalized", "yaglom-horizons-empty"],
+             "spine-paths-one", "survival-times-below-warm-start", "rv-fit-times-repeated",
+             "mixture-rho-short", "mixture-t-nan", "yaglom-f-unnormalized",
+             "yaglom-horizons-empty"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
@@ -464,19 +464,20 @@ class TestSchema:
         (["delay-eq", "--a", "1.5", "--tol", "-1"], "tol"),
         (["delay-eq", "--a", "1.5", "--tol", "nan", "--theta-max", "1"], "tol"),
         (["spine-check", "--paths", "1"], "paths"),
-        (["spine-check", "--r-grid-size", "0"], "rGridSize"),
         (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e-9, 1]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
         (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1]", "--t", "[1e-3]"], "rho"),
         (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[NaN, 1e-3]"],
          "t"),
+        (["delay-eq", "--a", "1.5", "--step", "1e-13", "--theta-max", "1e-11"], "step"),
     ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
-            "spine-paths-one", "spine-r-grid-zero", "survival-times-below-warm-start",
-            "rv-fit-window", "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan"])
+            "spine-paths-one", "survival-times-below-warm-start", "rv-fit-window",
+            "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan",
+            "delay-step-merges-grid"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
                                     monkeypatch, request):
         # the fit window is read from the solved grid; every other case is
@@ -559,7 +560,7 @@ class TestGeneratedCommands:
     def test_flag_names_keep_their_spelling(self, capsys):
         for kind, flags in [
             ("delay-eq", ["--theta-max", "--sup-tolerance"]),
-            ("spine-check", ["--r-grid-size", "--z-max", "--rel-tol"]),
+            ("spine-check", ["--paths", "--z-max", "--rel-tol"]),
             ("simulate", ["--paths", "--mu", "--f"]),
         ]:
             with pytest.raises(SystemExit):
@@ -574,8 +575,27 @@ class TestGeneratedCommands:
         assert main(argv + ["--outdir", str(tmp_path / "a")]) == EXIT_OK
         manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
         assert manifest["parameters"]["zMax"] is None
-        assert manifest["parameters"]["rGridSize"] == 16
         assert main(argv + ["--z-max", "0.01", "--outdir", str(tmp_path / "b")]) == EXIT_TOLERANCE
+
+    def test_readme_names_only_existing_flags(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        assert named
+        flags = set()
+        for command in [[], ["run"], ["preset"], *([kind] for kind in _KINDS)]:
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            flags |= set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert named <= flags, sorted(named - flags)
+
+    def test_spine_check_matches_ode_on_scalar_model(self, preset_dir, tmp_path):
+        # scalar paths are deterministic, so the gap is the r-quadrature's bias
+        model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
+        argv = ["spine-check", "--model", model, "--theta", "10", "--paths", "2"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_OK
+        (row,) = json.loads((tmp_path / "spine_check.json").read_text())["rows"]
+        assert abs(row["fk_estimate"] / row["ode_value"] - 1.0) <= 1e-5
 
     def test_three_site_bundle_runs_clean(self, tmp_path, capsys):
         argv = ["preset", "three-site-mixed", "--outdir", str(tmp_path), "--execute"]

@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stablebranch import cumulant
-from stablebranch._ivp import SolverError
+from stablebranch._ivp import SolverError, SolverReport
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     CertificationError,
+    CumulantCurve,
     SolverOptions,
     _warm_start,
     conservation_residual,
@@ -183,12 +184,33 @@ class TestMultiSiteAccuracy:
         model = request.getfixturevalue(name)
         curve = solve_extinction(model, times, SolverOptions(rel_tol=rel_tol))
         s, t = times[0], times[-1]
-        # quadrature tolerance scaled to the value checked, as in the benchmark
         base = float(curve.evaluate(s) @ (model.phi_star * model.m))
-        res = conservation_residual(model, curve, s, t, quad_tol=1e-3 * rel_tol * base)
-        assert res / base <= 10 * rel_tol
+        assert conservation_residual(model, curve, s, t) / base <= 10 * rel_tol
         ref = self.reference(model, times)
         assert np.abs(curve.values / ref - 1.0).max() <= 10 * rel_tol
+
+    def test_default_quadrature_tolerance_at_long_horizons(self, two_site_model):
+        # <v_s, phi*>_m is about 1e-10 here, far below any fixed absolute
+        # tolerance: the default scales with it
+        times, rel_tol = np.geomspace(1e3, 1e6, 25), 1e-7
+        curve = solve_extinction(two_site_model, times, SolverOptions(rel_tol=rel_tol))
+        base = float(curve.evaluate(times[0]) @ (two_site_model.phi_star * two_site_model.m))
+        res = conservation_residual(two_site_model, curve, times[0], times[-1])
+        assert res <= 10 * rel_tol * base
+
+    def test_kink_inside_a_step_raises(self, two_site_model):
+        # a dense output that is not smooth inside its one step defeats every rule
+        class Kinked:
+            t_start, t_end, step_times = 0.0, 1.0, np.array([0.0, 1.0])
+
+            def __call__(self, t):
+                return np.multiply.outer(np.abs(np.asarray(t) - 1 / 3), np.ones(2))
+
+        dense = Kinked()
+        curve = CumulantCurve(times=np.array([0.0, 1.0]), values=dense(np.array([0.0, 1.0])),
+                              solver_report=SolverReport(), _dense=dense)
+        with pytest.raises(RuntimeError, match="32 nodes per step"):
+            conservation_residual(two_site_model, curve, 0.0, 1.0)
 
 
 class TestSolverTelemetry:

@@ -147,6 +147,15 @@ class TestDirectLapack:
             )
 
 
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+def test_step_times_bound_every_step(case, models):
+    args, kwargs = case(models)
+    sol = solve_branching_ode(*args, **kwargs)
+    steps = sol.step_times
+    assert steps.size == sol.report.accepted + 1 and np.all(np.diff(steps) > 0)
+    assert (steps[0], steps[-1]) == (sol.t_start, sol.t_end)
+
+
 class TestOdeGoldenDigests:
     """ODE outputs pinned bit for bit; recorded with scipy's stock Radau
     (scipy 1.17.1, numpy 2.4.6).  Any change to the engine's arithmetic, the

@@ -335,7 +335,6 @@ class TestPathStats:
             replicates=4,
             survivors=2,
             functional_values=np.array([0.5, 2.0]),
-            functional_description="test",
         )
         vals = np.array([np.exp(-0.5), np.exp(-2.0), 1.0, 1.0])
         mean, se = stats.laplace_functional()
@@ -347,7 +346,6 @@ class TestPathStats:
             replicates=100,
             survivors=0,
             functional_values=np.empty(0),
-            functional_description="test",
         )
         assert stats.survivors == 0
         assert stats.survival_rate == 0.0

@@ -146,16 +146,6 @@ class TestFeynmanKac:
         assert se[0] <= 1e-12
         assert abs(est[0] - exact) <= 1e-5
 
-    def test_plain_rule_available_but_coarser(self, scalar_model, rng):
-        theta, T = 2.0, 1.5
-        f = normalized_ones(scalar_model)
-        exact = (theta ** -0.5 + 0.5 * T) ** -2.0
-        plain, _ = feynman_kac_estimate(
-            scalar_model, f, theta, T, 100, rng, r_grid_size=16
-        )
-        composite, _ = feynman_kac_estimate(scalar_model, f, theta, T, 100, rng)
-        assert abs(composite[0] - exact) < abs(plain[0] - exact)
-
     def test_zero_theta_node_reduces_to_semigroup(self, three_site_model, rng, monkeypatch):
         f = np.array([0.6, 1.4, 0.9])
         f = f / three_site_model.inner_m(f, three_site_model.phi_star)
@@ -255,19 +245,13 @@ class TestFeynmanKac:
         with pytest.raises(ValueError, match=match):
             feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng)
 
-    @pytest.mark.parametrize(
-        "n_paths, r_grid_size, name",
-        [(1, None, "n_paths"), (100, 0, "r_grid_size")],
-        ids=["one-path", "r-grid-zero"],
-    )
-    def test_bad_count_named_before_solving(self, two_site_model, monkeypatch,
-                                            n_paths, r_grid_size, name):
-        # an r_grid_size of 0 used to fail inside numpy's leggauss
+    @pytest.mark.parametrize("n_paths", [1], ids=["one-path"])
+    def test_bad_count_named_before_solving(self, two_site_model, monkeypatch, n_paths):
         no_solver(monkeypatch)
         with pytest.raises(ArgumentError) as info:
             feynman_kac_estimate(two_site_model, normalized_ones(two_site_model), 1.0, 2.0,
-                                 n_paths, NoDraws(), r_grid_size=r_grid_size)
-        assert info.value.name == name
+                                 n_paths, NoDraws())
+        assert info.value.name == "n_paths"
 
 
 def fk_digest(est, se):
@@ -290,15 +274,6 @@ class TestGoldenDigests:
         out = feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42))
         assert fk_digest(*out) == (
             "9eb2584ed28aa497934d0eb40bc693b3329bd365c36e545f8d9ffc6ffc8d284c"
-        )
-
-    def test_plain_rule_nodes(self, two_site_model):
-        f = normalized_ones(two_site_model)
-        out = feynman_kac_estimate(
-            two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42), r_grid_size=8
-        )
-        assert fk_digest(*out) == (
-            "025dcf933b1d8f62abbfb27c04293bae021c133f66648d0fce89bddef49ba811"
         )
 
 
