@@ -150,9 +150,7 @@ def _assemble(blocks):
     return blocks[0] if len(blocks) == 1 else scipy.sparse.block_diag(blocks, format="csc")
 
 
-def solve_branching_ode(
-    A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, max_step=np.inf, _bernoulli=False
-):
+def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _bernoulli=False):
     """Integrate u' = A u - kappa * max(u,0)^gamma over t_span with dense output.
 
     `_bernoulli=True` integrates z = u^(1-min(gamma)) under purely relative
@@ -212,7 +210,7 @@ def solve_branching_ode(
 
     res = solve_ivp(
         fun, (t0, t_end), y_start.ravel(), method=_Radau, dense_output=True,
-        jac=jac, max_step=max_step, **tols,
+        jac=jac, **tols,
     )
     if res.status != 0:
         raise SolverError(f"Radau failed at t={res.t[-1]:.6g}: {res.message}")

@@ -35,7 +35,6 @@ class RVEstimate:
     """OLS slope of log value against log time over the fitted window."""
 
     slope: float
-    intercept: float
     stderr: float
     window: tuple
     point_count: int
@@ -75,7 +74,6 @@ def rv_index_fit(times, values):
     sigma2 = float((resid**2).sum() / max(n - 2, 1))
     return RVEstimate(
         slope=slope,
-        intercept=intercept,
         stderr=float(np.sqrt(sigma2 / sxx)),
         window=(float(window[0]), float(window[1])),
         point_count=int(n),
@@ -123,7 +121,6 @@ class YaglomTable:
     theta: np.ndarray
     surface: np.ndarray  # g(T, theta, x), shape (n_theta, d)
     limit: np.ndarray  # G(theta)
-    horizon: float
 
     @property
     def sup_error(self):
@@ -138,12 +135,7 @@ def yaglom_table(model, f, theta_grid, T, opts=None):
     theta_grid = np.asarray(theta_grid, dtype=float)
     surface = _yaglom_batch(model, f, theta_grid, T, opts)
     limit = g_closed(model.gamma0, theta_grid)
-    return YaglomTable(
-        theta=theta_grid,
-        surface=surface,
-        limit=np.atleast_1d(limit),
-        horizon=float(T),
-    )
+    return YaglomTable(theta=theta_grid, surface=surface, limit=np.atleast_1d(limit))
 
 
 @dataclass

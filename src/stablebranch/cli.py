@@ -14,13 +14,14 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import re
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -33,7 +34,7 @@ from .model import ArgumentError, _atomic_write_text, eta, read_model, save_cali
 from .simulate import SimConfig, simulate_paths
 from .spine import feynman_kac_estimate
 
-__all__ = ["ExperimentSpec", "PresetBundle", "run", "preset", "main"]
+__all__ = ["ExperimentSpec", "run", "main"]
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -57,6 +58,9 @@ class ExperimentSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        for key, value in (("kind", self.kind), ("outputDir", self.output_dir)):
+            if not isinstance(value, str):
+                raise SchemaError(f"{key} must be a string, got {value!r}")
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.parameters, dict):
@@ -80,25 +84,21 @@ class ExperimentSpec:
             seed=data.get("seed"),
         )
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "modelPath": self.model_path,
-            "parameters": self.parameters,
-            "outputDir": self.output_dir,
-            "seed": self.seed,
-        }
 
-
-@dataclass
-class PresetBundle:
-    name: str
-    model: dict
-    specs: list = field(default_factory=list)
+def _strict(data):
+    """data with every non-finite float replaced by None, as strict JSON has
+    no NaN or Infinity."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(value) for value in data]
+    return data
 
 
 def _write_json(path, data):
-    _atomic_write_text(path, json.dumps(data, indent=2))
+    _atomic_write_text(path, json.dumps(_strict(data), indent=2, allow_nan=False))
 
 
 def _write_csv(path, header_meta, columns, rows):
@@ -221,12 +221,18 @@ def _run_yaglom(spec, params, outdir, model, mhash):
     horizons = params["horizons"]
     for T in horizons:  # every horizon is checked before the first solve
         _check_horizon(T)
+    # the trend gate reads the horizons in order, and each has its own table
+    if any(a >= b for a, b in zip(horizons, horizons[1:])):
+        raise SchemaError(f"parameter 'horizons' must be strictly increasing, got {horizons}")
+    names = [f"yaglom_T{T:g}.csv" for T in horizons]
+    if len(set(names)) < len(names):
+        raise SchemaError(f"parameter 'horizons': {horizons} repeat a table name in {names}")
     opts = _solver_options(params)
     sup_by_T = []
     artifacts = []
-    for T in horizons:
+    for T, name in zip(horizons, names):
         table = yaglom_table(model, f, thetas, T, opts)
-        out = os.path.join(outdir, f"yaglom_T{T:g}.csv")
+        out = os.path.join(outdir, name)
         rows = [
             (float(th), float(se), float(gl))
             for th, se, gl in zip(table.theta, table.sup_error, table.limit)
@@ -288,20 +294,22 @@ def _run_spine_check(spec, params, outdir, model, mhash):
     opts = _solver_options(params)
     est, se = feynman_kac_estimate(model, f, theta, T, params["paths"], rng, opts=opts)
     ode = solve_cumulant(model, theta * f, [T], opts).values[0]
+    # z is 0 where the estimate equals the ODE value, and undefined (NaN,
+    # written null) where every path agrees (se = 0) on another value
+    z = np.where(est == ode, 0.0, (est - ode) / np.where(se > 0.0, se, np.nan))
     rows = [
         {
             "site": x,
             "fk_estimate": float(est[x]),
             "fk_se": float(se[x]),
             "ode_value": float(ode[x]),
-            "z_score": float((est[x] - ode[x]) / se[x]),
+            "z_score": float(z[x]),
         }
         for x in range(model.d)
     ]
     out = os.path.join(outdir, "spine_check.json")
     _write_json(out, {"model": mhash, "theta": theta, "T": T, "rows": rows})
-    z_max = np.abs([r["z_score"] for r in rows]).max()
-    return _gate(z_max, params["zMax"]), [out], {"rows": rows}
+    return _gate(np.abs(z).max(), params["zMax"]), [out], {"rows": rows}
 
 
 def _run_rv_fit(spec, params, outdir, model, mhash):
@@ -401,7 +409,7 @@ def _sampled(key):
 
 
 # SolverOptions fields under their camelCase names; absent means its default.
-_SOLVER = tuple((name, float, None) for name in ("relTol", "absTol", "maxStep", "warmStartTime"))
+_SOLVER = tuple((name, float, None) for name in ("relTol", "absTol", "warmStartTime"))
 
 
 _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},))
@@ -500,7 +508,10 @@ def _environment():
 
 
 def run(spec):
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    Raises OSError when the output directory cannot be created.
+    """
     started = time.time()
     outdir = spec.output_dir or os.environ.get("STABLEBRANCH_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
@@ -602,37 +613,23 @@ _PRESET_SPECS = {
 }
 
 
-def preset(name, outdir=None, seed=20260808):
-    """Ready-to-run spec bundle for a canonical model."""
+def write_preset(name, outdir, seed=20260808):
+    """Write the preset's model JSON and one spec JSON per experiment; returns
+    their paths, the model's first."""
     if name not in _PRESET_MODELS:
         raise SchemaError(f"unknown preset {name!r}")
-    bundle = PresetBundle(name=name, model=dict(_PRESET_MODELS[name]))
-    outdir = outdir or os.environ.get("STABLEBRANCH_OUTDIR", ".")
-    model_path = os.path.join(outdir, f"{name}_model.json")
-    for i, (kind, params) in enumerate(_PRESET_SPECS[name]):
-        bundle.specs.append(
-            ExperimentSpec(
-                kind=kind,
-                model_path=model_path,
-                parameters=dict(params),
-                output_dir=os.path.join(outdir, f"{name}_{i:02d}_{kind}"),
-                seed=seed,
-            )
-        )
-    return bundle
-
-
-def write_preset(name, outdir, seed=20260808):
-    """Materialize the preset: model JSON plus one spec JSON per experiment."""
     os.makedirs(outdir, exist_ok=True)
-    bundle = preset(name, outdir, seed)
     model_path = os.path.join(outdir, f"{name}_model.json")
-    _write_json(model_path, bundle.model)
+    _write_json(model_path, _PRESET_MODELS[name])
     paths = [model_path]
-    for i, sp in enumerate(bundle.specs):
-        path = os.path.join(outdir, f"{name}_{i:02d}_{sp.kind}.json")
-        _write_json(path, sp.to_dict())
-        paths.append(path)
+    for i, (kind, params) in enumerate(_PRESET_SPECS[name]):
+        stem = os.path.join(outdir, f"{name}_{i:02d}_{kind}")
+        spec = {
+            "kind": kind, "modelPath": model_path, "parameters": params,
+            "outputDir": stem, "seed": seed,
+        }
+        _write_json(stem + ".json", spec)
+        paths.append(stem + ".json")
     return paths
 
 
@@ -656,9 +653,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="stablebranch",
         description="Experiment runner for critical stable-branching models.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="cap BLAS threads (needs threadpoolctl)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -691,15 +685,6 @@ def main(argv=None):
             )
 
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        # numpy has loaded its BLAS by now, so setting OMP_NUM_THREADS would be
-        # silently ignored; threadpoolctl is the only way the cap takes effect.
-        try:
-            import threadpoolctl
-        except ImportError:
-            print("error: --threads needs threadpoolctl, which is not installed", file=sys.stderr)
-            return EXIT_SCHEMA
-        threadpoolctl.threadpool_limits(args.threads)
     outdir = getattr(args, "outdir", None) or os.environ.get("STABLEBRANCH_OUTDIR", ".")
 
     try:
@@ -725,6 +710,9 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as exc:  # an output directory that cannot be made holds no manifest
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -44,23 +44,21 @@ class CertificationError(SolverError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and limits of the ODE engine.
+    """Tolerances of the ODE engine and the extinction warm start.
 
-    Every value must be finite except max_step, whose default inf means no
-    limit; a value out of range raises ArgumentError naming its field.
+    Every value must be finite; a value out of range raises ArgumentError
+    naming its field.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     warm_start_time: float = 1e-8
 
     def __post_init__(self):
-        # Written so that NaN fails every rule; only max_step may be inf.
+        # Written so that NaN fails every rule.
         rules = (
             ("rel_tol", 0.0 < self.rel_tol < np.inf, "finite and positive"),
             ("abs_tol", 0.0 <= self.abs_tol < np.inf, "finite and nonnegative"),
-            ("max_step", self.max_step > 0.0, "positive (inf for no limit)"),
             ("warm_start_time", 0.0 < self.warm_start_time < np.inf, "finite and positive"),
         )
         for name, ok, rule in rules:
@@ -78,11 +76,11 @@ class CumulantCurve:
     the certification achieved at the first reported time, and
     certification_reports holds the solver reports of its coarse (t0) and
     halved (t0/2) runs, in that order; both are None for other curves.
+    solver_report is the report of the solve behind values.
     """
 
     times: np.ndarray
     values: np.ndarray
-    solver_report: SolverReport
     _dense: OdeSolution
     certification_bound: float | None = None
     certification_reports: tuple[SolverReport, SolverReport] | None = None
@@ -90,6 +88,10 @@ class CumulantCurve:
     def evaluate(self, t):
         """Dense-output values at arbitrary t inside the solved span."""
         return self._dense(t)
+
+    @property
+    def solver_report(self):
+        return self._dense.report
 
     @property
     def t_start(self):
@@ -146,7 +148,6 @@ def solve_cumulant(model, f, times, opts=None):
     return CumulantCurve(
         times=times,
         values=sol(times),
-        solver_report=sol.report,
         _dense=sol,
     )
 
@@ -188,7 +189,6 @@ def _cumulant_flow(model, F, T, opts, kappa=None):
         (0.0, float(T)),
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
-        max_step=opts.max_step,
     )
 
 
@@ -203,7 +203,6 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
         _warm_start(model, t0),
         (t0, t_max),
         rtol=rtol if rtol is not None else opts.rel_tol,
-        max_step=opts.max_step,
         _bernoulli=True,
     )
 
@@ -297,7 +296,6 @@ def solve_extinction(model, times, opts=None):
     return CumulantCurve(
         times=times,
         values=fine(times),
-        solver_report=fine.report,
         _dense=fine,
         certification_bound=bound,
         certification_reports=reports,

@@ -117,13 +117,11 @@ class DelayEquationProblem:
 
 @dataclass
 class DelaySolution:
-    """Converged fixed point on theta_grid."""
+    """Converged fixed point on the problem's theta_grid."""
 
-    theta_grid: np.ndarray
     values: np.ndarray
     iterations: int
     sup_changes: np.ndarray
-    a: float
 
 
 def _panel_coefficients(y, F):
@@ -217,11 +215,7 @@ def solve_delay_equation(prob):
     values = _eval_from_nodes(a, y, g_new, coef, prob.theta_grid)
     values[prob.theta_grid == 0.0] = 0.0
     return DelaySolution(
-        theta_grid=prob.theta_grid,
-        values=values,
-        iterations=iteration,
-        sup_changes=np.asarray(sup_changes),
-        a=a,
+        values=values, iterations=iteration, sup_changes=np.asarray(sup_changes)
     )
 
 

@@ -108,7 +108,8 @@ class PathStats:
     cluster_share is the share of live site-steps that took the exact cluster
     branch instead of the stable kick.  Both are sums over all workers, so
     they do not depend on how many ran; workers is that number, the calling
-    process included.
+    process included.  simulate_paths fills final_states, X_T per replicate
+    with shape (replicates, d) in replicate order; an extinct row is 0.
     """
 
     replicates: int
@@ -287,12 +288,12 @@ class _StepKernel:
         return np.clip(branched, 0.0, None), idx.size
 
 
-def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
+def _simulate_chunks(kernel, mu, config, f_weights, starts):
     """Simulate the chunks of replicates that begin at `starts`.
 
     Returns the summable parts of their result: the survivor count, each
-    chunk's survivor values and (if kept) final states in the order of
-    `starts`, live_by_block, and the cluster and live site-step counts.
+    chunk's survivor values and final states in the order of `starts`,
+    live_by_block, and the cluster and live site-step counts.
     """
     d = kernel.m.size
     m = kernel.m
@@ -307,7 +308,7 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
 
     survivors = 0
     surv_vals = []
-    finals = [] if keep_final_states else None
+    finals = []
     live_by_block = np.zeros(len(block_starts), dtype=np.int64)
     cluster_site_steps = live_site_steps = 0
 
@@ -361,12 +362,11 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts, keep_final_states):
         alive = (Z_full @ m) > 0.0
         survivors += int(np.count_nonzero(alive))
         surv_vals.append((Z_full @ f_weights)[alive])
-        if keep_final_states:
-            finals.append(Z_full)
+        finals.append(Z_full)
     return survivors, surv_vals, finals, live_by_block, cluster_site_steps, live_site_steps
 
 
-def simulate_paths(model, mu, config, f=None, keep_final_states=False):
+def simulate_paths(model, mu, config, f=None):
     """Run independent replicates of the Euler scheme; record survival and X_T(f).
 
     mu is the initial density against m; f, a nonnegative, nontrivial field,
@@ -385,22 +385,19 @@ def simulate_paths(model, mu, config, f=None, keep_final_states=False):
     starts = list(range(0, config.replicates, _CHUNK_REPLICATES))
     workers = worker_count(len(starts))
     shares = [starts[i::workers] for i in range(workers)]
-    run = functools.partial(
-        _simulate_chunks, _StepKernel(model), mu, config, f * model.m,
-        keep_final_states=keep_final_states,
-    )
+    run = functools.partial(_simulate_chunks, _StepKernel(model), mu, config, f * model.m)
     parts = map_forked(run, shares)
 
     # put the chunks back in replicate order and sum the rest
     survivors, values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
     order = np.argsort(np.concatenate(shares))
     values = [v for share in values for v in share]
-    finals = [z for share in finals for z in share] if keep_final_states else None
+    finals = [z for share in finals for z in share]
     return PathStats(
         replicates=config.replicates,
         survivors=sum(survivors),
         functional_values=np.concatenate([values[i] for i in order]),
-        final_states=np.concatenate([finals[i] for i in order]) if keep_final_states else None,
+        final_states=np.concatenate([finals[i] for i in order]),
         live_by_block=np.sum(live_by_block, axis=0),
         cluster_share=sum(cluster_site_steps) / sum(live_site_steps),
         workers=workers,

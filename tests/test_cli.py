@@ -1,10 +1,9 @@
 import builtins
+import hashlib
 import json
 import os
 import platform
 import re
-import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +16,24 @@ from stablebranch.cli import (
     EXIT_SCHEMA,
     EXIT_TOLERANCE,
     ExperimentSpec,
+    SchemaError,
     _KINDS,
     main,
-    preset,
     run,
     write_preset,
 )
 from stablebranch.model import read_model, save_calibrated_model
 
 from conftest import no_solver
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def strict_json(path):
+    """The JSON file at path, parsed by a reader that refuses NaN and Infinity."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse)
 
 
 def make_spec(kind, model_path, params, outdir, seed=None):
@@ -47,16 +55,35 @@ def preset_dir(tmp_path_factory):
 
 
 class TestPresets:
-    def test_bundle_contents(self):
-        bundle = preset("two-site", outdir="/tmp/unused")
-        kinds = [s.kind for s in bundle.specs]
+    def test_bundle_contents(self, tmp_path):
+        model_path, *spec_paths = write_preset("two-site", str(tmp_path))
+        specs = [json.loads(Path(p).read_text()) for p in spec_paths]
+        kinds = [s["kind"] for s in specs]
         assert kinds[0] == "calibrate"
         assert "simulate" in kinds and "spine-check" in kinds
-        assert bundle.model["gamma"] == [1.2, 1.8]
+        assert json.loads(Path(model_path).read_text())["gamma"] == [1.2, 1.8]
+        for i, (path, spec) in enumerate(zip(spec_paths, specs)):
+            assert path == str(tmp_path / f"two-site_{i:02d}_{spec['kind']}.json")
+            assert spec["modelPath"] == model_path
+            assert spec["outputDir"] == str(tmp_path / f"two-site_{i:02d}_{spec['kind']}")
+            assert spec["seed"] == 20260808
 
-    def test_unknown_preset(self):
-        with pytest.raises(Exception):
-            preset("no-such-preset")
+    def test_unknown_preset(self, tmp_path):
+        with pytest.raises(SchemaError, match="no-such-preset"):
+            write_preset("no-such-preset", str(tmp_path))
+
+    def test_written_bundles_pinned(self, tmp_path, monkeypatch):
+        # every byte and path write_preset writes; a relative outdir keeps the
+        # paths inside the specs the same on every machine
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for name in ("scalar-csbp", "two-site", "three-site-mixed"):
+            for path in write_preset(name, os.path.join("bundles", name)):
+                digest.update(path.encode())
+                digest.update(Path(path).read_bytes())
+        assert digest.hexdigest() == (
+            "3f4fabc598e0dd050e637d032409230a088a4d6212834bf7d0b12f542ff38c64"
+        )
 
     def test_two_site_calibrates_symmetric(self, preset_dir):
         model, _ = read_model(preset_dir / "two-site" / "two-site_model.json")
@@ -122,8 +149,7 @@ class TestRun:
 
     def test_cumulant_manifest_records_solver_counts(self, preset_dir, tmp_path):
         model_path = preset_dir / "two-site" / "two-site_model.json"
-        # an unbounded step is the default and may also be given explicitly
-        params = {"f": [1.0, 1.0], "times": [0.5, 1.0, 2.0], "maxStep": "inf"}
+        params = {"f": [1.0, 1.0], "times": [0.5, 1.0, 2.0]}
         assert run(make_spec("cumulant", model_path, params, tmp_path)) == EXIT_OK
         summary = json.loads((tmp_path / "run_manifest.json").read_text())["summary"]
         assert summary["engine"] == "radau" and summary["variable"] == "u"
@@ -202,14 +228,11 @@ class TestRun:
             assert run(spec) == EXIT_OK, spec.kind
 
     def test_yaglom_trend_gated_above_noise_floor(self, preset_dir, tmp_path):
-        # reversed horizons make the sup error grow far above 10 rel_tol
+        # at theta 0.1 the two-site surface crosses its limit near T = 11, so
+        # the sup error grows from 1.06e-3 at T = 12 to 1.43e-3 at T = 15, far
+        # above 10 rel_tol
         model_path = preset_dir / "two-site" / "two-site_model.json"
-        params = {
-            "thetaGrid": {"min": 0.1, "max": 10.0, "count": 3},
-            "horizons": [1e3, 1e2],
-            "relTol": 1e-7,
-            "supTolerance": 1.0,
-        }
+        params = {"theta": [0.1], "horizons": [12.0, 15.0], "relTol": 1e-7, "supTolerance": 1.0}
         assert run(make_spec("yaglom", model_path, params, tmp_path)) == EXIT_TOLERANCE
 
     def test_rv_fit_runs_with_tolerance(self, preset_dir, tmp_path):
@@ -255,21 +278,16 @@ class TestMain:
         assert main(["preset", "scalar-csbp", "--outdir", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "scalar-csbp_model.json").exists()
 
-    def test_cli_threads_without_threadpoolctl_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        argv = ["--threads", "1", "delay-eq", "--a", "1.5", "--outdir", str(tmp_path)]
-        assert main(argv) == EXIT_SCHEMA
-        assert "threadpoolctl" in capsys.readouterr().err
-        assert not (tmp_path / "delay_eq.csv").exists()
-
-    def test_cli_threads_applies_cap(self, tmp_path, monkeypatch):
-        calls = []
-        fake = types.SimpleNamespace(threadpool_limits=calls.append, threadpool_info=list)
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        argv = ["--threads", "2", "delay-eq", "--a", "1.5", "--theta-max", "1.0",
-                "--outdir", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        assert calls == [2]
+    @pytest.mark.parametrize("command", [
+        ["delay-eq", "--a", "1.5", "--theta-max", "1"],
+        ["preset", "scalar-csbp"],
+    ], ids=["delay-eq", "preset"])
+    def test_uncreatable_outdir_exits_three(self, command, tmp_path, capsys):
+        # no manifest can be written where the directory cannot be made
+        (tmp_path / "afile").write_text("")
+        assert main([*command, "--outdir", str(tmp_path / "afile" / "sub")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: "), err
 
 
 def _kebab(name):
@@ -288,7 +306,8 @@ class TestSchema:
     @pytest.mark.parametrize("case", [
         "missing-spec", "malformed-spec", "missing-mu-file", "missing-model", "malformed-model",
         "calibrated-no-phi", "calibrated-no-phiStar", "calibrated-no-C_X", "calibrated-no-gamma0",
-        "gamma-out-of-range", "fractional-d", "integer-model-path",
+        "gamma-out-of-range", "fractional-d", "integer-model-path", "kind-not-string",
+        "outdir-not-string",
     ])
     def test_unreadable_input_exits_two(self, case, preset_dir, tmp_path, capsys):
         model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
@@ -313,8 +332,18 @@ class TestSchema:
             (tmp_path / "fd.json").write_text(json.dumps(
                 {"kind": "calibrate", "modelPath": 0, "outputDir": str(tmp_path / "out")}
             ))
+        elif case == "kind-not-string":
+            (tmp_path / "kind.json").write_text(json.dumps(
+                {"kind": ["delay-eq"], "parameters": {"a": 1.5}, "outputDir": str(tmp_path)}
+            ))
+        elif case == "outdir-not-string":
+            (tmp_path / "outdir.json").write_text(json.dumps(
+                {"kind": "delay-eq", "parameters": {"a": 1.5}, "outputDir": 5}
+            ))
         argv = {
             "missing-spec": ["run", str(tmp_path / "no-such-spec.json")],
+            "kind-not-string": ["run", str(tmp_path / "kind.json")],
+            "outdir-not-string": ["run", str(tmp_path / "outdir.json")],
             "integer-model-path": ["run", str(tmp_path / "fd.json")],
             "malformed-spec": ["run", str(tmp_path / "bad.json")],
             "missing-mu-file": [
@@ -360,7 +389,6 @@ class TestSchema:
             ("cumulant", {"f": [1.0], "times": [1.0], "relTol": 0}, "relTol"),
             ("cumulant", {"f": [1.0], "times": [1.0], "relTol": "nan"}, "relTol"),
             ("cumulant", {"f": [1.0], "times": [1.0], "absTol": "inf"}, "absTol"),
-            ("survival", {"mu": [1.0], "times": [1.0], "maxStep": "nan"}, "maxStep"),
             ("rv-fit", {"times": [1.0, 10.0], "warmStartTime": "inf"}, "warmStartTime"),
             ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
@@ -408,7 +436,7 @@ class TestSchema:
             ("yaglom", {"theta": [1.0], "horizons": []}, "horizons"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
-             "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "max-step-nan", "warm-start-inf",
+             "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
              "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
              "step-nan", "horizon-inf", "paths-zero", "mu-nan", "mu-negative", "mu-zero",
              "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
@@ -471,13 +499,16 @@ class TestSchema:
         (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[NaN, 1e-3]"],
          "t"),
         (["delay-eq", "--a", "1.5", "--step", "1e-13", "--theta-max", "1e-11"], "step"),
+        (["yaglom", "--horizons", "[100, 100.0001]", "--theta", "[1]"], "horizons"),
+        (["yaglom", "--horizons", "[100, 1]", "--theta", "[1]"], "horizons"),
     ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
             "spine-paths-one", "survival-times-below-warm-start", "rv-fit-window",
             "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan",
-            "delay-step-merges-grid"])
+            "delay-step-merges-grid", "yaglom-horizons-same-file",
+            "yaglom-horizons-decreasing"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
                                     monkeypatch, request):
         # the fit window is read from the solved grid; every other case is
@@ -590,13 +621,32 @@ class TestGeneratedCommands:
         assert named <= flags, sorted(named - flags)
 
     def test_spine_check_matches_ode_on_scalar_model(self, preset_dir, tmp_path):
-        # scalar paths are deterministic, so the gap is the r-quadrature's bias
+        # scalar paths are deterministic, so the gap is the r-quadrature's bias;
+        # with se = 0 and a nonzero gap z is undefined, written null
         model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
         argv = ["spine-check", "--model", model, "--theta", "10", "--paths", "2"]
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_OK
-        (row,) = json.loads((tmp_path / "spine_check.json").read_text())["rows"]
+        (row,) = strict_json(tmp_path / "spine_check.json")["rows"]
         assert abs(row["fk_estimate"] / row["ode_value"] - 1.0) <= 1e-5
+        assert row["fk_se"] == 0.0 and row["z_score"] is None
+        assert strict_json(tmp_path / "run_manifest.json")["summary"]["rows"] == [row]
+        # an undefined z fails a present zMax
+        assert main([*argv, "--z-max", "3", "--outdir", str(tmp_path / "gated")]) == EXIT_TOLERANCE
+        strict_json(tmp_path / "gated" / "run_manifest.json")
+
+    def test_spine_check_agreeing_paths_pass(self, preset_dir, tmp_path):
+        # at theta 0 the estimate and the ODE value are both exactly 0: z is 0
+        model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
+        argv = ["spine-check", "--model", model, "--theta", "0", "--paths", "2", "--z-max", "3"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_OK
+        (row,) = strict_json(tmp_path / "spine_check.json")["rows"]
+        assert row["fk_estimate"] == row["ode_value"] == row["fk_se"] == row["z_score"] == 0.0
+        assert strict_json(tmp_path / "run_manifest.json")["status"] == "ok"
 
     def test_three_site_bundle_runs_clean(self, tmp_path, capsys):
         argv = ["preset", "three-site-mixed", "--outdir", str(tmp_path), "--execute"]
         assert main(argv) == EXIT_OK
+        written = sorted(tmp_path.rglob("*.json"))
+        assert len(written) == 10  # the model, four specs, four manifests, the calibrated model
+        for path in written:
+            strict_json(path)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stablebranch import cumulant
-from stablebranch._ivp import SolverError, SolverReport
+from stablebranch._ivp import SolverError
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     CertificationError,
@@ -49,7 +49,6 @@ class TestSolverOptions:
         [
             ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", 0.0),
             ("abs_tol", np.nan), ("abs_tol", np.inf), ("abs_tol", -1e-12),
-            ("max_step", np.nan), ("max_step", 0.0),
             ("warm_start_time", np.nan), ("warm_start_time", np.inf), ("warm_start_time", 0.0),
         ],
     )
@@ -58,8 +57,7 @@ class TestSolverOptions:
             SolverOptions(**{field: value})
 
     def test_unbounded_step_and_zero_abs_tol_allowed(self, two_site_model):
-        opts = SolverOptions(abs_tol=0.0, max_step=np.inf)
-        assert opts.max_step == SolverOptions().max_step == np.inf
+        opts = SolverOptions(abs_tol=0.0)
         curve = solve_cumulant(two_site_model, [1.0, 1.0], [0.5, 1.0, 2.0], opts)
         default = solve_cumulant(two_site_model, [1.0, 1.0], [0.5, 1.0, 2.0])
         np.testing.assert_allclose(curve.values, default.values, rtol=1e-8)
@@ -208,7 +206,7 @@ class TestMultiSiteAccuracy:
 
         dense = Kinked()
         curve = CumulantCurve(times=np.array([0.0, 1.0]), values=dense(np.array([0.0, 1.0])),
-                              solver_report=SolverReport(), _dense=dense)
+                              _dense=dense)
         with pytest.raises(RuntimeError, match="32 nodes per step"):
             conservation_residual(two_site_model, curve, 0.0, 1.0)
 

@@ -92,7 +92,7 @@ class TestStepEuler:
         h = 1e-3
         mu = np.array([0.8, 0.5])
         cfg = SimConfig(step_size=h, horizon=h, replicates=300_000, seed=6)
-        stats = simulate_paths(weighted_model, mu, cfg, keep_final_states=True)
+        stats = simulate_paths(weighted_model, mu, cfg)
         Z = stats.final_states
         exact = np.clip(mu + h * (weighted_model.mean_adjoint @ mu), 0.0, None)
         z_scores = (Z.mean(axis=0) - exact) / (Z.std(axis=0) / np.sqrt(len(Z)))
@@ -101,7 +101,7 @@ class TestStepEuler:
     def test_scalar_critical_mean(self, scalar_model):
         h = 1e-3
         cfg = SimConfig(step_size=h, horizon=h, replicates=200_000, seed=6)
-        stats = simulate_paths(scalar_model, np.array([1.0]), cfg, keep_final_states=True)
+        stats = simulate_paths(scalar_model, np.array([1.0]), cfg)
         Z = stats.final_states[:, 0]
         z = (Z.mean() - 1.0) / (Z.std() / np.sqrt(Z.size))
         assert abs(z) <= 4.0
@@ -118,7 +118,7 @@ class TestDeterminism:
         h = 2e-3
         mu = np.array([0.4, 1.1])
         cfg = SimConfig(step_size=h, horizon=h, replicates=1, seed=42)
-        batch = simulate_paths(weighted_model, mu, cfg, keep_final_states=True)
+        batch = simulate_paths(weighted_model, mu, cfg)
         direct = one_step(weighted_model, mu, h, replicate_stream(42, 0))
         assert np.array_equal(batch.final_states[0], direct)
 
@@ -155,8 +155,7 @@ class TestWorkers:
         runs = []
         for n in (1, 2, 3):
             use_cpus(monkeypatch, n)
-            stats = simulate_paths(two_site_model, np.array(mu), cfg, f=np.array([1.0, 2.0]),
-                                   keep_final_states=True)
+            stats = simulate_paths(two_site_model, np.array(mu), cfg, f=np.array([1.0, 2.0]))
             assert stats.workers == n
             runs.append(stats)
         one = runs[0]
@@ -262,7 +261,7 @@ class TestGoldenDigests:
 
     def test_final_states(self, weighted_model):
         cfg = SimConfig(step_size=4e-4, horizon=0.6, replicates=600, seed=99)
-        stats = simulate_paths(weighted_model, np.array([2e-3, 1e-3]), cfg, keep_final_states=True)
+        stats = simulate_paths(weighted_model, np.array([2e-3, 1e-3]), cfg)
         Z = stats.final_states
         assert Z.shape == (600, 2)
         assert stats.survivors == 44
