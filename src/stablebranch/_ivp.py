@@ -28,20 +28,24 @@ State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
 
 A single system's dense Jacobian is factored with LAPACK getrf/getrs called
-directly (`_Radau`): the same routines on the same arrays as scipy's
+directly (`_DirectLU`): the same routines on the same arrays as scipy's
 lu_factor/lu_solve, so the same arithmetic, without their per-call wrapper
 layers, which cost more than the 2x2 or 3x3 factorisation itself.  A batch's
 sparse Jacobian keeps scipy's splu.
+
+scipy.integrate is imported on the first solve (`_radau`), not with this
+module: it takes about a third of a fresh `import stablebranch`, and runs that
+never integrate (calibrate, simulate, mixture-check) need none of it.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.integrate import Radau, solve_ivp
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
@@ -108,8 +112,8 @@ def _finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-class _Radau(Radau):
-    """scipy's Radau with a dense Jacobian's LU done by getrf/getrs directly.
+class _DirectLU:
+    """Mixin for scipy's Radau: a dense Jacobian's LU done by getrf/getrs directly.
 
     Keeps what scipy's lu_factor/lu_solve do around the LAPACK call: the
     `nlu` count, the ValueError on a non-finite matrix or right-hand side, the
@@ -143,6 +147,17 @@ class _Radau(Radau):
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrs")
         return x
+
+
+@functools.cache
+def _radau():
+    """The Radau class every solve runs: scipy's, with `_DirectLU` mixed in.
+
+    Built once, on the first call, which is what imports scipy.integrate.
+    """
+    from scipy.integrate import Radau
+
+    return type("_Radau", (_DirectLU, Radau), {})
 
 
 def _assemble(blocks):
@@ -208,8 +223,10 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
 
         y_start, tols = y0, dict(rtol=rtol, atol=atol)
 
+    from scipy.integrate import solve_ivp
+
     res = solve_ivp(
-        fun, (t0, t_end), y_start.ravel(), method=_Radau, dense_output=True,
+        fun, (t0, t_end), y_start.ravel(), method=_radau(), dense_output=True,
         jac=jac, **tols,
     )
     if res.status != 0:

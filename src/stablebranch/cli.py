@@ -61,6 +61,8 @@ class ExperimentSpec:
         for key, value in (("kind", self.kind), ("outputDir", self.output_dir)):
             if not isinstance(value, str):
                 raise SchemaError(f"{key} must be a string, got {value!r}")
+        if not self.output_dir:
+            raise SchemaError("outputDir must not be empty")
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.parameters, dict):
@@ -513,7 +515,7 @@ def run(spec):
     Raises OSError when the output directory cannot be created.
     """
     started = time.time()
-    outdir = spec.output_dir or os.environ.get("STABLEBRANCH_OUTDIR", ".")
+    outdir = spec.output_dir
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "kind": spec.kind,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import map_forked, worker_count
-from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
+from ._ivp import OdeSolution, SolverError, SolverReport, _radau, solve_branching_ode
 from .model import ArgumentError, _as_vector, _density, eta
 
 __all__ = [
@@ -282,6 +282,8 @@ def solve_extinction(model, times, opts=None):
     certify = functools.partial(_certify, model, t0, float(times[0]), opts)
     solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
     if worker_count(2) == 2:
+        # Load scipy.integrate here, before the fork, not in both processes.
+        _radau()
         # The returned solve runs here, since its OdeSolution cannot be
         # pickled; the worker sends back only the bound and reports, or its error.
         (solve_error, fine), (cert_error, cert) = map_forked(_outcome, [solve, certify])

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .model import ArgumentError
 
@@ -177,6 +176,9 @@ def solve_delay_equation(prob):
     quadrature with exact x-moments.  Iteration stops when the sup change of
     G on the grid falls below prob.tol; raises RuntimeError at the cap.
     """
+    # imported here, not with the package: see _ivp's module docstring
+    from scipy.integrate import cumulative_simpson
+
     a = prob.a
     am1 = a - 1.0
     y_max = prob.theta_grid[-1] ** am1

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from ._mapped import mapped_zeros
 from .cumulant import SolverOptions, _check_horizon, _check_thetas, _cumulant_flow
@@ -226,6 +225,9 @@ def _exponent_tables(model, f, r_nodes, T, opts, n_tau):
     its mmap threshold to the size of the largest block freed, so a large
     temporary freed here would raise the peak memory of the path phase by
     several MB."""
+    # imported here, not with the package: see _ivp's module docstring
+    from scipy.integrate import cumulative_simpson
+
     kappa = model.mechanism.kappa[:, None, None]
     gamma = model.mechanism.gamma[:, None, None]
     tau = np.linspace(0.0, T, n_tau)

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from stablebranch.cli import (
     run,
     write_preset,
 )
+from stablebranch.analysis import mixture_rv_check
 from stablebranch.model import read_model, save_calibrated_model
 
 from conftest import no_solver
@@ -165,8 +167,14 @@ class TestRun:
             "ratioTolerance": 1e-3,
         }
         assert run(make_spec("mixture-check", None, params, tmp_path)) == EXIT_OK
-        rows = (tmp_path / "mixture_check.csv").read_text().splitlines()
-        assert rows[2].startswith("t,ratio") or rows[2].startswith("1e-06") or len(rows) >= 5
+        table = mixture_rv_check([1.2, 1.8], [1.0, 1.0], np.geomspace(1e-6, 1e-2, 5))
+        lines = (tmp_path / "mixture_check.csv").read_text().splitlines()
+        assert lines[:3] == [
+            f"# alpha0={table.alpha0}", f"# minimal_mass={table.minimal_mass}", "t,ratio",
+        ]
+        # csv writes floats by repr, so every value reads back exactly
+        rows = [tuple(map(float, row)) for row in csv.reader(lines[3:])]
+        assert rows == list(zip(table.t.tolist(), table.ratio.tolist()))
 
     def test_schema_violations_exit_two(self, tmp_path):
         with pytest.raises(Exception):
@@ -307,7 +315,7 @@ class TestSchema:
         "missing-spec", "malformed-spec", "missing-mu-file", "missing-model", "malformed-model",
         "calibrated-no-phi", "calibrated-no-phiStar", "calibrated-no-C_X", "calibrated-no-gamma0",
         "gamma-out-of-range", "fractional-d", "integer-model-path", "kind-not-string",
-        "outdir-not-string",
+        "outdir-not-string", "outdir-empty",
     ])
     def test_unreadable_input_exits_two(self, case, preset_dir, tmp_path, capsys):
         model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
@@ -336,14 +344,16 @@ class TestSchema:
             (tmp_path / "kind.json").write_text(json.dumps(
                 {"kind": ["delay-eq"], "parameters": {"a": 1.5}, "outputDir": str(tmp_path)}
             ))
-        elif case == "outdir-not-string":
+        elif case.startswith("outdir-"):
             (tmp_path / "outdir.json").write_text(json.dumps(
-                {"kind": "delay-eq", "parameters": {"a": 1.5}, "outputDir": 5}
+                {"kind": "delay-eq", "parameters": {"a": 1.5},
+                 "outputDir": 5 if case == "outdir-not-string" else ""}
             ))
         argv = {
             "missing-spec": ["run", str(tmp_path / "no-such-spec.json")],
             "kind-not-string": ["run", str(tmp_path / "kind.json")],
             "outdir-not-string": ["run", str(tmp_path / "outdir.json")],
+            "outdir-empty": ["run", str(tmp_path / "outdir.json")],
             "integer-model-path": ["run", str(tmp_path / "fd.json")],
             "malformed-spec": ["run", str(tmp_path / "bad.json")],
             "missing-mu-file": [
@@ -359,6 +369,8 @@ class TestSchema:
             assert err[0].startswith(f"schema error: model file {str(bad_model)!r}: ")
         if case == "integer-model-path":
             assert err[0].startswith("schema error: model file 0: ")
+        if case.startswith("outdir-"):
+            assert err[0].startswith("schema error: outputDir ")
 
     @pytest.mark.parametrize("seed", ["abc", -1, 1.5, 2**64, True])
     def test_bad_seed_exits_two(self, seed, preset_dir, tmp_path, capsys):

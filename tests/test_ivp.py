@@ -10,7 +10,7 @@ from scipy.integrate._ivp import radau
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from stablebranch import _ivp
-from stablebranch._ivp import _Radau, solve_branching_ode
+from stablebranch._ivp import _radau, solve_branching_ode
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     SolverOptions,
@@ -65,7 +65,7 @@ def models(scalar_model, two_site_model, three_site_model):
 
 
 def stock_radau(monkeypatch):
-    monkeypatch.setattr(_ivp, "_Radau", scipy.integrate.Radau)
+    monkeypatch.setattr(_ivp, "_radau", lambda: scipy.integrate.Radau)
 
 
 class TestDirectLapack:
@@ -110,7 +110,7 @@ class TestDirectLapack:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_routines_match_scipy_wrappers(self, dtype, rng):
-        solver = _Radau(lambda t, y: -y, 0.0, np.ones(3), 1.0, jac=lambda t, y: -np.eye(3))
+        solver = _radau()(lambda t, y: -y, 0.0, np.ones(3), 1.0, jac=lambda t, y: -np.eye(3))
         a = rng.standard_normal((3, 3)).astype(dtype)
         b = rng.standard_normal(3).astype(dtype)
         if dtype is np.complex128:
@@ -124,7 +124,7 @@ class TestDirectLapack:
         assert solver.nlu == 1
 
     def test_routines_keep_wrapper_errors_and_warning(self):
-        solver = _Radau(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
+        solver = _radau()(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
         with pytest.raises(ValueError, match="infs or NaNs"):
             solver._getrf(np.array([[1.0, np.nan], [0.0, 1.0]]))
         lu = solver._getrf(np.eye(2))
