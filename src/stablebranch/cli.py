@@ -279,6 +279,7 @@ def _run_simulate(spec, params, outdir, model, mhash):
         "se": stats.survival_se,
         "functionals_csv_path": csv_path,
         "live_by_block": stats.live_by_block.tolist(),
+        "site_steps": stats.site_steps,
         "cluster_share": stats.cluster_share,
     }
     report_path = os.path.join(outdir, "report.json")

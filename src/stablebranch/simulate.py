@@ -56,6 +56,8 @@ __all__ = [
 
 _CHUNK_REPLICATES = 2048
 _BLOCK_STEPS = 1024
+# scheduled site-steps per worker below which a fork costs more than it saves
+_SPLIT_FLOOR = 100_000
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,10 @@ class PathStats:
     Run telemetry: live_by_block[i] counts the replicates with a nonzero site
     at the end of draw block i (blocks of 1024 steps), so it never increases;
     its last entry equals survivors unless a state underflows to zero mass.
-    cluster_share is the share of live site-steps that took the exact cluster
-    branch instead of the stable kick.  Both are sums over all workers, so
-    they do not depend on how many ran; workers is that number, the calling
+    site_steps counts the site-steps executed on live replicates, and
+    cluster_share is the share of them that took the exact cluster branch
+    instead of the stable kick.  All three are sums over all workers, so they
+    do not depend on how many ran; workers is that number, the calling
     process included.  simulate_paths fills final_states, X_T per replicate
     with shape (replicates, d) in replicate order; an extinct row is 0.
     """
@@ -117,6 +120,7 @@ class PathStats:
     functional_values: np.ndarray  # X_T(f) per surviving path, replicate order
     final_states: np.ndarray | None = field(default=None, repr=False)
     live_by_block: np.ndarray | None = None
+    site_steps: int | None = None
     cluster_share: float | None = None
     workers: int | None = None
 
@@ -165,7 +169,7 @@ def _stable_transform(gamma_idx, b, u01, w):
     exponential, normalised so that E[exp(-u S)] = exp(u^gamma) for u >= 0;
     the increments have mean zero and take both signs.
     """
-    u = np.pi * (np.clip(u01, 1e-12, 1.0 - 1e-12) - 0.5)
+    u = np.pi * (np.minimum(np.maximum(u01, 1e-12), 1.0 - 1e-12) - 0.5)
     w = np.maximum(w, 1e-300)
     t = gamma_idx * (u + b)
     return (
@@ -242,11 +246,15 @@ class _StepKernel:
         self.drift_matrix = model.mean_adjoint
         # the constants of the stable kick, site by site
         self._site_consts = list(zip(self.gamma, self.b, self.kappa, self.inv_gamma, self.m_pow))
+        self._weights = {}  # step size -> extinction_weight
 
     def extinction_weight(self, h):
         """w_h: per-density one-step extinction weight, per site."""
-        g1 = self.gamma - 1.0
-        return self.m * (self.kappa * g1 * h) ** (-1.0 / g1)
+        w_h = self._weights.get(h)
+        if w_h is None:
+            g1 = self.gamma - 1.0
+            w_h = self._weights[h] = self.m * (self.kappa * g1 * h) ** (-1.0 / g1)
+        return w_h
 
     @staticmethod
     def _kicked(Zp, u01, w_exp, h, gamma, b, kappa, inv_gamma, m_pow):
@@ -257,6 +265,8 @@ class _StepKernel:
 
     def advance(self, Z, u01, w_exp, h):
         """One step for a (B, d) batch; consumes matching (B, d) draw blocks.
+        The cluster branch indexes them flat, which copies a strided block, so
+        callers pass C-contiguous ones.
 
         The mean (motion + linear rate) update is applied first and the
         branching outcome is drawn from the post-drift mass, so step inflow is
@@ -265,7 +275,7 @@ class _StepKernel:
         stable transform is evaluated only on the entries that take the kick.
         Returns the new state and the number of entries on the cluster branch.
         """
-        Zp = np.clip(Z + h * (Z @ self.drift_matrix.T), 0.0, None)
+        Zp = np.maximum(Z + h * (Z @ self.drift_matrix.T), 0.0)
         w_h = self.extinction_weight(h)
         lam = Zp * w_h
         cluster = lam <= _CLUSTER_THRESHOLD
@@ -285,14 +295,14 @@ class _StepKernel:
         if idx.size:
             N = _poisson_quantile(lam.take(idx), u01.take(idx))
             branched.put(idx, N * w_exp.take(idx) / w_h.take(idx % w_h.size))
-        return np.clip(branched, 0.0, None), idx.size
+        return np.maximum(branched, 0.0), idx.size
 
 
-def _simulate_chunks(kernel, mu, config, f_weights, starts):
-    """Simulate the chunks of replicates that begin at `starts`.
+def _simulate_chunks(kernel, mu, config, f_weights, chunks):
+    """Simulate the chunks of replicates [start, stop) listed in `chunks`.
 
     Returns the summable parts of their result: the survivor count, each
-    chunk's survivor values and final states in the order of `starts`,
+    chunk's survivor values and final states in the order of `chunks`,
     live_by_block, and the cluster and live site-step counts.
     """
     d = kernel.m.size
@@ -303,7 +313,7 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts):
     n_steps = hs.size
     block_starts = range(0, n_steps, _BLOCK_STEPS)
     # draw buffers, reused by every chunk and block
-    draw_shape = (min(_CHUNK_REPLICATES, config.replicates), min(_BLOCK_STEPS, n_steps), d)
+    draw_shape = (max(stop - start for start, stop in chunks), min(_BLOCK_STEPS, n_steps), d)
     U_all, W_all = mapped_zeros((2, *draw_shape))
 
     survivors = 0
@@ -312,8 +322,8 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts):
     live_by_block = np.zeros(len(block_starts), dtype=np.int64)
     cluster_site_steps = live_site_steps = 0
 
-    for start in starts:
-        count = min(_CHUNK_REPLICATES, config.replicates - start)
+    for start, stop in chunks:
+        count = stop - start
         rows = np.arange(count)  # chunk positions of the live replicates
         saved = None  # their stream states at the last block boundary
         Z = np.broadcast_to(mu, (count, d)).copy()
@@ -335,9 +345,11 @@ def _simulate_chunks(kernel, mu, config, f_weights, starts):
                     states.append(streams.bit_generator.state)
             pos = None  # rows of U and W still live; None while all are
             for k in range(nb):
-                u01, w_exp = U[:, k], W[:, k]
-                if pos is not None:
-                    u01, w_exp = u01.take(pos, axis=0), w_exp.take(pos, axis=0)
+                # contiguous (rows, d) copies: advance indexes them flat
+                if pos is None:
+                    u01, w_exp = U[:, k].copy(), W[:, k].copy()
+                else:
+                    u01, w_exp = U[:, k].take(pos, axis=0), W[:, k].take(pos, axis=0)
                 Z, n_cluster = kernel.advance(Z, u01, w_exp, hs[step + k])
                 cluster_site_steps += n_cluster
                 live_site_steps += Z.size
@@ -373,32 +385,42 @@ def simulate_paths(model, mu, config, f=None):
     defaults to the constant field 1 (so X_T(f) is the total mass).  Zero
     survivors is reported, not fatal.
 
-    The chunks of replicates are dealt out to one worker per CPU in the
-    process's affinity mask (see _fork.worker_count); the calling process runs
-    one share and forked children the others.  Each chunk runs the same code with
-    the same streams wherever it runs, so the result is bit for bit the same
-    for any number of workers.
+    The run uses one worker per CPU in the process's affinity mask (see
+    _fork.worker_count), but at most one per _SPLIT_FLOOR (100,000) scheduled
+    site-steps, replicates x steps x sites: a run of fewer than 200,000 never
+    forks.  The replicates are split into equal chunks of at most
+    _CHUNK_REPLICATES (2,048), as few as allow a multiple of the worker count,
+    and the chunks are dealt out in turn: the calling process runs one share
+    and forked children the others.  Each replicate runs the same code on its
+    own stream wherever it runs, so the result is bit for bit the same for any
+    number of workers.
     """
     mu = _density(mu, model.d)
     f = np.ones(model.d) if f is None else _density(f, model.d, "f")
 
-    starts = list(range(0, config.replicates, _CHUNK_REPLICATES))
-    workers = worker_count(len(starts))
-    shares = [starts[i::workers] for i in range(workers)]
+    n = config.replicates
+    floor = -(-_SPLIT_FLOOR // (len(config.step_sizes) * model.d))  # replicates per worker
+    workers = worker_count(max(1, n // floor))
+    n_chunks = workers * -(-n // (_CHUNK_REPLICATES * workers))
+    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    shares = [chunks[i::workers] for i in range(workers)]
     run = functools.partial(_simulate_chunks, _StepKernel(model), mu, config, f * model.m)
     parts = map_forked(run, shares)
 
     # put the chunks back in replicate order and sum the rest
     survivors, values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
-    order = np.argsort(np.concatenate(shares))
+    order = np.argsort([start for share in shares for start, _ in share])
     values = [v for share in values for v in share]
     finals = [z for share in finals for z in share]
+    site_steps = sum(live_site_steps)
     return PathStats(
-        replicates=config.replicates,
+        replicates=n,
         survivors=sum(survivors),
         functional_values=np.concatenate([values[i] for i in order]),
         final_states=np.concatenate([finals[i] for i in order]),
         live_by_block=np.sum(live_by_block, axis=0),
-        cluster_share=sum(cluster_site_steps) / sum(live_site_steps),
+        site_steps=site_steps,
+        cluster_share=sum(cluster_site_steps) / site_steps,
         workers=workers,
     )

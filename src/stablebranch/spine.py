@@ -184,7 +184,9 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
     divisor = np.maximum(rates, 1e-300)
     trap = rates <= 0
     any_trap = trap.any()
-    cumP = np.cumsum(chain.jump_matrix(), axis=1)
+    # transposed, so that one gather reads the rows of the jumping paths' sites
+    # as contiguous columns: cumPT[j, s] = P(jump from s lands at or below j)
+    cumPT = np.ascontiguousarray(np.cumsum(chain.jump_matrix(), axis=1).T)
     final = starts.copy()
     idx = np.arange(starts.size)
     site = starts.copy()
@@ -205,7 +207,7 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
             idx, site, t = idx[jumped], site[jumped], t[jumped]
         if idx.size:
             u = rng.random(idx.size)
-            site = (u[:, None] > cumP[site]).sum(axis=1)
+            site = np.add.reduce(cumPT.take(site, axis=1) < u, axis=0, dtype=np.intp)
     return final
 
 

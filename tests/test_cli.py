@@ -143,11 +143,13 @@ class TestRun:
         for key in ("survivors", "survival_rate", "se", "functionals_csv_path"):
             assert key in report
         assert report["live_by_block"][-1] == report["survivors"]
+        assert 0 < report["site_steps"] <= 500 * 50
         assert 0.0 <= report["cluster_share"] <= 1.0
         # the worker count depends on the machine, so only the manifest has it
         assert "workers" not in report
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["summary"]["workers"] == 1  # 500 paths are one chunk
+        # 500 paths x 50 steps are below the split floor
+        assert manifest["summary"]["workers"] == 1
 
     def test_cumulant_manifest_records_solver_counts(self, preset_dir, tmp_path):
         model_path = preset_dir / "two-site" / "two-site_model.json"

@@ -6,8 +6,16 @@ import pytest
 
 from stablebranch.cumulant import solve_cumulant, solve_extinction, SolverOptions
 from stablebranch._mapped import mapped_zeros
-from stablebranch.model import eta
+from stablebranch import simulate
+from stablebranch.model import (
+    BranchingMechanism,
+    MotionGenerator,
+    StateSpace,
+    calibrate_critical,
+    eta,
+)
 from stablebranch.simulate import (
+    _CLUSTER_THRESHOLD,
     _POISSON_KMAX,
     _StepKernel,
     _poisson_quantile,
@@ -150,7 +158,8 @@ class TestWorkers:
     )
     def test_result_does_not_depend_on_partition(self, two_site_model, monkeypatch,
                                                  mu, step_size, horizon):
-        # 5,000 replicates are three chunks, the last one short
+        # 5,000 replicates are three chunks of 1,667 or 1,666 on 1 and 3
+        # workers, four of 1,250 on 2
         cfg = SimConfig(step_size, horizon, 5000, seed=2718)
         runs = []
         for n in (1, 2, 3):
@@ -165,13 +174,40 @@ class TestWorkers:
             assert other.functional_values.tobytes() == one.functional_values.tobytes()
             assert other.final_states.tobytes() == one.final_states.tobytes()
             assert np.array_equal(other.live_by_block, one.live_by_block)
+            assert other.site_steps == one.site_steps
             assert other.cluster_share == one.cluster_share
 
+    def test_scalar_chunk_split_over_cpus(self, scalar_model, monkeypatch):
+        # 2,048 replicates of 200 steps: one chunk on 1 CPU, two of 1,024 on
+        # 2 and four of 512 on 4; most replicates die on the way
+        cfg = SimConfig(5e-3, 1.0, 2048, seed=777)
+        runs = []
+        for n in (1, 2, 4):
+            use_cpus(monkeypatch, n)
+            stats = simulate_paths(scalar_model, np.array([1.0]), cfg)
+            assert stats.workers == n
+            runs.append(stats)
+        one = runs[0]
+        assert 0 < one.survivors < 2048
+        for other in runs[1:]:
+            assert other.final_states.tobytes() == one.final_states.tobytes()
+            assert other.functional_values.tobytes() == one.functional_values.tobytes()
+            assert np.array_equal(other.live_by_block, one.live_by_block)
+            assert (other.site_steps, other.cluster_share) == (one.site_steps, one.cluster_share)
+
     def test_single_chunk_runs_in_process(self, two_site_model, monkeypatch):
+        # 2,048 replicates x 48 steps x 2 sites is just below the split floor
+        # of 2 x 100,000 scheduled site-steps
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", None)  # calling it would raise TypeError
-        stats = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(1e-2, 0.1, 2048))
+        stats = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(1e-2, 0.48, 2048))
         assert stats.workers == 1
+
+    def test_split_floor(self, two_site_model, monkeypatch):
+        # one step more crosses the floor: two workers, not one per CPU
+        use_cpus(monkeypatch, 4)
+        stats = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(1e-2, 0.49, 2048))
+        assert stats.workers == 2
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failing_worker(self, two_site_model, monkeypatch, failing):
@@ -186,8 +222,9 @@ class TestWorkers:
 
         monkeypatch.setattr(_StepKernel, "advance", poisoned)
         use_cpus(monkeypatch, 2)
+        # 2,100 replicates x 50 steps x 2 sites cross the split floor:
         # chunk 0 runs here and chunk 1 in a child
-        cfg = SimConfig(step_size=1e-2, horizon=0.05, replicates=2100)
+        cfg = SimConfig(step_size=1e-2, horizon=0.5, replicates=2100)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             simulate_paths(two_site_model, np.array([0.5, 0.5]), cfg)
         assert os.getpid() == parent  # no child came back here
@@ -233,6 +270,44 @@ def test_poisson_quantile_matches_full_search(size):
     assert N[0] == 0.0 and N[3] == _POISSON_KMAX
 
 
+def five_site_model():
+    """A five-site ring whose indices run from 1.2 to 1.8."""
+    Q = np.zeros((5, 5))
+    for x in range(5):
+        Q[x, (x + 1) % 5] = Q[x, (x - 1) % 5] = 1.0
+        Q[x, x] = -2.0
+    mech = BranchingMechanism(beta=[0.0] * 5, kappa=[1.0] * 5, gamma=[1.2, 1.35, 1.5, 1.65, 1.8])
+    return calibrate_critical(MotionGenerator(space=StateSpace(d=5), Q=Q), mech)
+
+
+def test_one_poisson_search_per_step(monkeypatch):
+    # the cluster entries of every site go to one _poisson_quantile call
+    model = five_site_model()
+    calls = []
+
+    def counted(lam, u):
+        calls.append(lam.size)
+        return _poisson_quantile(lam, u)
+
+    monkeypatch.setattr(simulate, "_poisson_quantile", counted)
+    kernel = _StepKernel(model)
+    rng = np.random.default_rng(3)
+    h = 1e-3
+    Z = np.full((400, 5), 1e-3)
+    sites_clustered = set()
+    for _ in range(20):
+        Zp = np.maximum(Z + h * (Z @ model.mean_adjoint.T), 0.0)
+        cluster = Zp * kernel.extinction_weight(h) <= _CLUSTER_THRESHOLD
+        sites_clustered.update(np.flatnonzero(cluster.any(axis=0)))
+        before = len(calls)
+        Z, n_cluster = kernel.advance(Z, rng.random(Z.shape), rng.standard_exponential(Z.shape), h)
+        assert len(calls) - before == (1 if n_cluster else 0)
+        assert n_cluster == np.count_nonzero(cluster)
+        if n_cluster:
+            assert calls[-1] == n_cluster
+    assert len(sites_clustered) >= 3
+
+
 class TestGoldenDigests:
     """Outputs pinned bit for bit under the per-replicate stream contract.
 
@@ -273,6 +348,39 @@ class TestGoldenDigests:
             "3fc62f03840b7ddeafacd9e7f94f79fa3037e62a62539f4cde1979332000a9be"
         )
 
+    def test_three_site_cluster_mixed_kick(self, monkeypatch):
+        # weakly coupled sites with indices 1.2, 1.5 and 1.8: on some step
+        # site 0 is all on the kick, site 1 mixed and site 2 all on the
+        # cluster branch, so the per-site kick loop and the flat cluster
+        # indexing act on the same step
+        r = 1e-3
+        motion = MotionGenerator(
+            space=StateSpace(d=3), Q=[[-2 * r, r, r], [r, -2 * r, r], [r, r, -2 * r]]
+        )
+        mech = BranchingMechanism(beta=[0.0] * 3, kappa=[1.0] * 3, gamma=[1.2, 1.5, 1.8])
+        model = calibrate_critical(motion, mech)
+        patterns = []
+        advance = _StepKernel.advance
+
+        def recorded(self, Z, u01, w_exp, h):
+            Zp = np.maximum(Z + h * (Z @ self.drift_matrix.T), 0.0)
+            cluster = Zp * self.extinction_weight(h) <= _CLUSTER_THRESHOLD
+            patterns.append(
+                "".join("C" if c.all() else "K" if not c.any() else "M" for c in cluster.T)
+            )
+            return advance(self, Z, u01, w_exp, h)
+
+        monkeypatch.setattr(_StepKernel, "advance", recorded)
+        cfg = SimConfig(1e-2, 0.2, 300, seed=31)
+        stats = simulate_paths(model, np.array([1.0, 1e-4, 1e-4]), cfg, f=np.array([1.0, 2.0, 3.0]))
+        assert stats.workers == 1 and "KMC" in patterns
+        assert survivor_digest(stats) == (
+            "83d29562013d16cd612466a8413ef3f267cb21c8a98244f3150fe4fdb0fb85c2"
+        )
+        assert state_digest(stats.final_states) == (
+            "98adbde6e70176669779ec83728498ed3c379d9aa401fdfb4fcdc8a14c7dcfcb"
+        )
+
 
 class TestRunTelemetry:
     def test_live_counts_by_block(self, scalar_model):
@@ -291,6 +399,17 @@ class TestRunTelemetry:
         small = simulate_paths(two_site_model, np.array([4e-4, 4e-4]), SimConfig(**base))
         bulk = simulate_paths(two_site_model, np.array([0.5, 0.5]), SimConfig(**base))
         assert 0.0 <= bulk.cluster_share < 0.1 < 0.4 < small.cluster_share <= 1.0
+
+    def test_site_steps_count_live_rows(self, two_site_model, scalar_model):
+        # order-one mass: nothing dies, so every scheduled site-step runs
+        cfg = SimConfig(step_size=1e-3, horizon=0.05, replicates=300, seed=3)
+        bulk = simulate_paths(two_site_model, np.array([0.5, 0.5]), cfg)
+        assert bulk.survivors == 300
+        assert bulk.site_steps == 300 * 50 * 2
+        # scalar dust: dead replicates leave the batch and stop counting
+        dust = simulate_paths(scalar_model, np.array([1e-6]), cfg)
+        assert dust.survivors < 300
+        assert 300 <= dust.site_steps < 300 * 50
 
 
 class TestAgainstOde:
