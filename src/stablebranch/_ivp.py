@@ -33,6 +33,14 @@ lu_factor/lu_solve, so the same arithmetic, without their per-call wrapper
 layers, which cost more than the 2x2 or 3x3 factorisation itself.  A batch's
 sparse Jacobian keeps scipy's splu.
 
+The step control is scipy's plus one rule of Hairer & Wanner's RADAU5
+(section IV.8), `_NoGrowthAfterReject`: a step accepted after a rejection
+is not followed by a larger one.  Simplified Newton, not the error estimate,
+limits the step along the extinction runs; scipy lets the step grow by up to
+10x straight after a step that a Newton failure cut, and the next step failed
+again.  scipy's Newton cap is kept: a larger cap lets the error estimate set
+the step, and the error then exceeds rtol.
+
 scipy.integrate is imported on the first solve (`_radau`), not with this
 module: it takes about a third of a fresh `import stablebranch`, and runs that
 never integrate (calibrate, simulate, mixture-check) need none of it.
@@ -149,15 +157,35 @@ class _DirectLU:
         return x
 
 
+class _NoGrowthAfterReject:
+    """Mixin for scipy's Radau: RADAU5's rule that a step accepted after a
+    rejection (a Newton failure or an error-test failure) is not followed by
+    a larger one.
+
+    scipy lets the step grow again straight away, so a step just halved by a
+    Newton failure is followed by one that fails again.  A step was rejected
+    when the step taken is not the one first tried, t + h_abs; the last step,
+    clipped to t_bound, ends the solve and does not count.
+    """
+
+    def _step_impl(self):
+        t, tried = self.t, min(self.h_abs, self.max_step)
+        success, message = super()._step_impl()
+        if success and self.t != self.t_bound and self.t != t + self.direction * tried:
+            self.h_abs = min(self.h_abs, abs(self.t - t))
+        return success, message
+
+
 @functools.cache
 def _radau():
-    """The Radau class every solve runs: scipy's, with `_DirectLU` mixed in.
+    """The Radau class every solve runs: scipy's, with `_NoGrowthAfterReject`
+    and `_DirectLU` mixed in.
 
     Built once, on the first call, which is what imports scipy.integrate.
     """
     from scipy.integrate import Radau
 
-    return type("_Radau", (_DirectLU, Radau), {})
+    return type("_Radau", (_NoGrowthAfterReject, _DirectLU, Radau), {})
 
 
 def _assemble(blocks):

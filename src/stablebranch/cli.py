@@ -27,6 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._fork import map_forked, worker_count
+from ._ivp import _radau
 from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
 from .cumulant import SolverOptions, _check_horizon, solve_cumulant, weighted_extinction_norm
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
@@ -230,10 +232,31 @@ def _run_yaglom(spec, params, outdir, model, mhash):
     if len(set(names)) < len(names):
         raise SchemaError(f"parameter 'horizons': {horizons} repeat a table name in {names}")
     opts = _solver_options(params)
+
+    def solve(share):
+        # A share's tables up to its first error, and that error (or None).
+        tables = []
+        try:
+            for T in share:
+                tables.append(yaglom_table(model, f, thetas, T, opts))
+        except Exception as exc:  # noqa: BLE001 - raised below, in horizon order
+            return tables, exc
+        return tables, None
+
+    # Each horizon is an independent solve: worker i takes horizons i, i + w, ...
+    workers = worker_count(len(horizons))
+    if workers > 1:
+        _radau()  # load scipy.integrate before the fork, not in every worker
+    parts = map_forked(solve, [horizons[i::workers] for i in range(workers)])
     sup_by_T = []
     artifacts = []
-    for T, name in zip(horizons, names):
-        table = yaglom_table(model, f, thetas, T, opts)
+    for k, (T, name) in enumerate(zip(horizons, names)):
+        # As in one process: the tables before the first failing horizon are
+        # written, then its error is raised.
+        tables, error = parts[k % workers]
+        if k // workers == len(tables):
+            raise error
+        table = tables[k // workers]
         out = os.path.join(outdir, name)
         rows = [
             (float(th), float(se), float(gl))

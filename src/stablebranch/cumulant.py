@@ -267,7 +267,8 @@ def solve_extinction(model, times, opts=None):
     10*t0 and the first requested time; the warm-start discrepancy decays
     like t0/t along the contracting flow, so the earliest comparison point
     dominates all later ones.  A relative change above 10 * rel_tol raises
-    CertificationError.  The t0/2 run is returned.
+    CertificationError.  The t0/2 run is returned.  A grid past the time where
+    eta(t)^-gamma0 overflows a double is refused before any solve.
 
     Where the process's affinity mask holds 2 or more CPUs (and os.fork
     exists), the certification runs in a forked worker while this process
@@ -279,6 +280,14 @@ def solve_extinction(model, times, opts=None):
     opts = opts or SolverOptions()
     t0 = opts.warm_start_time
     times = _check_times(times, minimum=10.0 * t0)
+    # The z variable's right-hand side scales like eta(t)^-gamma0: where that
+    # leaves double range the solver works on inf and NaN and never ends.
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.isfinite(np.power(eta(model, times[-1]), -model.gamma0)):
+            raise ArgumentError(
+                "times", f"times must end where eta(t)^-gamma0 is a finite double, "
+                f"got {times[-1]:g}"
+            )
     certify = functools.partial(_certify, model, t0, float(times[0]), opts)
     solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
     if worker_count(2) == 2:

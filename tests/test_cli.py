@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
+from stablebranch import cli
 from stablebranch.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -23,10 +24,11 @@ from stablebranch.cli import (
     run,
     write_preset,
 )
+from stablebranch._ivp import SolverError
 from stablebranch.analysis import mixture_rv_check
 from stablebranch.model import read_model, save_calibrated_model
 
-from conftest import no_solver
+from conftest import count_forks, no_solver, use_cpus
 
 
 def _refuse(constant):
@@ -256,6 +258,54 @@ class TestRun:
         assert run(spec) == EXIT_OK
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["slope"] == pytest.approx(-5.0, rel=0.02)
+
+
+class TestYaglomWorkers:
+    """The yaglom kind solves its horizons in forked workers, one per CPU."""
+
+    PARAMS = {"thetaGrid": {"min": 0.1, "max": 10.0, "count": 21},
+              "horizons": [1.0, 10.0, 100.0], "supTolerance": 1e-8}
+
+    def run_on(self, n, preset_dir, outdir, monkeypatch):
+        use_cpus(monkeypatch, n)
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        code = run(make_spec("yaglom", model, self.PARAMS, outdir))
+        manifest = json.loads((outdir / "run_manifest.json").read_text())
+        tables = {p.name: p.read_bytes() for p in sorted(outdir.glob("yaglom_T*.csv"))}
+        return code, manifest, tables
+
+    def test_same_files_on_one_and_two_cpus(self, preset_dir, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        runs = []
+        for n in (1, 2):
+            runs.append(self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch))
+            assert len(forks) == n - 1  # no fork on one CPU, one worker on two
+        (code1, manifest1, tables1), (code2, manifest2, tables2) = runs
+        assert code1 == code2 == EXIT_OK
+        assert list(tables1) == ["yaglom_T1.csv", "yaglom_T10.csv", "yaglom_T100.csv"]
+        assert tables2 == tables1
+        assert manifest2["summary"] == manifest1["summary"]
+        assert [Path(p).name for p in manifest2["artifacts"]] == [
+            Path(p).name for p in manifest1["artifacts"]
+        ]
+
+    def test_solver_error_in_forked_horizon(self, preset_dir, tmp_path, monkeypatch):
+        # on two CPUs horizon 10 is the forked worker's; its error is raised
+        # after horizon 1's table is written, as in one process
+        table = cli.yaglom_table
+
+        def failing_at_ten(model, f, thetas, T, opts):
+            if T == 10.0:
+                raise SolverError("Radau failed at t=5")
+            return table(model, f, thetas, T, opts)
+
+        monkeypatch.setattr(cli, "yaglom_table", failing_at_ten)
+        runs = [self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch) for n in (1, 2)]
+        for code, manifest, tables in runs:
+            assert code == EXIT_RUNTIME
+            assert manifest["error"] == "SolverError: Radau failed at t=5"
+            assert list(tables) == ["yaglom_T1.csv"]
+        assert runs[0][2] == runs[1][2]
 
 
 class TestMain:
@@ -509,6 +559,7 @@ class TestSchema:
         (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e-9, 1]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
+        (["rv-fit", "--times", "[1e100, 1e101, 1e102]"], "times"),
         (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1]", "--t", "[1e-3]"], "rho"),
         (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[NaN, 1e-3]"],
          "t"),
@@ -520,8 +571,8 @@ class TestSchema:
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
             "spine-paths-one", "survival-times-below-warm-start", "rv-fit-window",
-            "rv-fit-times-repeated", "mixture-rho-short", "mixture-t-nan",
-            "delay-step-merges-grid", "yaglom-horizons-same-file",
+            "rv-fit-times-repeated", "rv-fit-times-past-double-range", "mixture-rho-short",
+            "mixture-t-nan", "delay-step-merges-grid", "yaglom-horizons-same-file",
             "yaglom-horizons-decreasing"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
                                     monkeypatch, request):

@@ -28,7 +28,7 @@ from stablebranch.model import (
     semigroup_apply,
 )
 
-from conftest import no_solver, normalized_ones, use_cpus
+from conftest import count_forks, no_solver, normalized_ones, use_cpus
 
 
 def scalar_closed_form(c, kappa, gamma, t):
@@ -242,19 +242,6 @@ def coarse_warm_start_model():
     return calibrate_critical(motion, mech)
 
 
-def count_forks(monkeypatch):
-    """Wrap os.fork; the returned list gains one entry per call made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 class TestCertificationWorker:
     """The certification runs in a forked worker beside the returned solve when
     the mask has 2 or more CPUs, and in-process before it otherwise."""
@@ -451,7 +438,8 @@ INF, NAN = np.inf, np.nan
 
 class TestNonFiniteTimes:
     """Every solve and reading refuses a NaN or infinite time, horizon or theta
-    before it solves; an infinite time used to run the solver without end."""
+    before it solves; an infinite time used to run the solver without end.  So
+    does an extinction grid past the time where eta(t)^-gamma0 overflows."""
 
     @pytest.mark.parametrize(
         "call, match",
@@ -463,6 +451,7 @@ class TestNonFiniteTimes:
             (lambda m: weighted_extinction_norm(m, [1e3, 1e4, INF]), "times must be finite"),
             (lambda m: kolmogorov_table(m, [0.5, 0.5], [1e3, INF]), "times must be finite"),
             (lambda m: kolmogorov_table(m, [0.5, 0.5], [1e3, NAN]), "times must be finite"),
+            (lambda m: solve_extinction(m, [1e3, 1e53]), "finite double"),
             (lambda m: yaglom_table(m, normalized_ones(m), [1.0], INF), "horizon"),
             (lambda m: yaglom_table(m, normalized_ones(m), [1.0], NAN), "horizon"),
             (lambda m: yaglom_table(m, normalized_ones(m), [1.0], 0.0), "horizon"),
@@ -471,9 +460,9 @@ class TestNonFiniteTimes:
             (lambda m: yaglom_table(m, normalized_ones(m), [-1.0], 10.0), "theta"),
         ],
         ids=["cumulant-inf", "cumulant-nan", "extinction-inf", "extinction-nan",
-             "norm-inf", "survival-inf", "survival-nan", "yaglom-horizon-inf",
-             "yaglom-horizon-nan", "yaglom-horizon-zero", "yaglom-theta-nan",
-             "yaglom-theta-inf", "yaglom-theta-negative"],
+             "norm-inf", "survival-inf", "survival-nan", "extinction-past-double-range",
+             "yaglom-horizon-inf", "yaglom-horizon-nan", "yaglom-horizon-zero",
+             "yaglom-theta-nan", "yaglom-theta-inf", "yaglom-theta-negative"],
     )
     def test_refused_before_solving(self, two_site_model, monkeypatch, call, match):
         no_solver(monkeypatch)

@@ -1,4 +1,5 @@
-"""The Radau engine against scipy's stock Radau, and ODE outputs pinned bit for bit."""
+"""The Radau engine against scipy's stock Radau, its step rule and accuracy, and
+ODE outputs pinned bit for bit."""
 
 import hashlib
 import warnings
@@ -14,6 +15,7 @@ from stablebranch._ivp import _radau, solve_branching_ode
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     SolverOptions,
+    _extinction_solution,
     _warm_start,
     solve_extinction,
     weighted_extinction_norm,
@@ -65,7 +67,10 @@ def models(scalar_model, two_site_model, three_site_model):
 
 
 def stock_radau(monkeypatch):
-    monkeypatch.setattr(_ivp, "_radau", lambda: scipy.integrate.Radau)
+    """Solve with scipy's own LU wrappers and the same step rule, so that a
+    comparison isolates `_DirectLU`."""
+    engine = type("_StockLU", (_ivp._NoGrowthAfterReject, scipy.integrate.Radau), {})
+    monkeypatch.setattr(_ivp, "_radau", lambda: engine)
 
 
 class TestDirectLapack:
@@ -156,15 +161,86 @@ def test_step_times_bound_every_step(case, models):
     assert (steps[0], steps[-1]) == (sol.t_start, sol.t_end)
 
 
+class _StepLog:
+    """Engine mixin logging each accepted step: (a Newton solve failed in it,
+    its size, the size proposed next, it ended the solve)."""
+
+    def _step_impl(self):
+        t = self.t
+        self.failed.clear()
+        success, message = super()._step_impl()
+        self.log.append((any(self.failed), self.t - t, self.h_abs, self.t == self.t_bound))
+        return success, message
+
+
+def logged_steps(monkeypatch, models, mixins):
+    failed = []
+    solve = radau.solve_collocation_system
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        failed.append(not out[0])
+        return out
+
+    monkeypatch.setattr(radau, "solve_collocation_system", counted)
+    engine = type("_Logged", (_StepLog, *mixins, scipy.integrate.Radau),
+                  {"log": [], "failed": failed})
+    monkeypatch.setattr(_ivp, "_radau", lambda: engine)
+    args, kwargs = extinction_two_site(models)
+    solve_branching_ode(*args, **kwargs)
+    return engine.log
+
+
+@pytest.fixture(scope="module")
+def tight_extinction(models):
+    """The returned extinction solve of each model at rel_tol 1e-11."""
+    return {
+        name: _extinction_solution(models[name], 5e-9, 1e6, SolverOptions(rel_tol=1e-11))
+        for name in ("two", "three")
+    }
+
+
+class TestStepRule:
+    """RADAU5's rule: a step accepted after a rejection is not followed by a
+    larger one (Hairer & Wanner, Solving ODEs II, section IV.8)."""
+
+    def test_no_growth_after_a_newton_failure(self, models, monkeypatch):
+        log = logged_steps(monkeypatch, models, [_ivp._NoGrowthAfterReject])
+        after_failure = [(taken, proposed) for failed, taken, proposed, last in log
+                         if failed and not last]
+        assert len(after_failure) > 100
+        assert all(proposed <= taken for taken, proposed in after_failure)
+
+    def test_stock_radau_grows_again(self, models, monkeypatch):
+        # what the rule takes away: scipy proposes a larger step straight after
+        # a step that a Newton failure cut
+        log = logged_steps(monkeypatch, models, [])
+        assert sum(proposed > taken for failed, taken, proposed, last in log if failed) > 100
+
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-8])
+    @pytest.mark.parametrize("name", ["two", "three"])
+    def test_returned_extinction_solve_within_rel_tol(self, models, tight_extinction, name,
+                                                       rel_tol):
+        # the stated tolerance is the error the caller gets: solve_extinction's
+        # returned run against a 1e-11 run, relative, from 1e-7 to 1e6
+        model = models[name]
+        grid = np.geomspace(1e-7, 1e6, 40)
+        sol = _extinction_solution(model, 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
+        err = np.max(np.abs(sol(grid) / tight_extinction[name](grid) - 1.0))
+        assert err <= rel_tol
+
+
 class TestOdeGoldenDigests:
-    """ODE outputs pinned bit for bit; recorded with scipy's stock Radau
-    (scipy 1.17.1, numpy 2.4.6).  Any change to the engine's arithmetic, the
-    step control or the warm start shows here."""
+    """ODE outputs pinned bit for bit; recorded with the engine's Radau, scipy's
+    under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
+    change to the engine's arithmetic, the step control or the warm start shows
+    here.  The Yaglom surface's solve never accepts a step after a rejection,
+    so the rule left its digest as scipy's stock Radau recorded it."""
 
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert digest(curve.values) == (
-            "d4f3e3d1e63ccf602b4217116bb66c7f13e405c8e67797a3d7c754c9daf3a291"
+            "ed3f1dcee450b5df4f81e9f2fddb1689f2f1d8f14bd5d02474459c4c78951291"
         )
 
     def test_two_site_weighted_norm(self, two_site_model):
@@ -172,7 +248,7 @@ class TestOdeGoldenDigests:
             two_site_model, np.geomspace(1e3, 1e6, 25), SolverOptions(rel_tol=1e-7)
         )
         assert digest(values) == (
-            "c5bfb5cec40170f2b14768dac56baa12bd636d8e21728033064921690d72113e"
+            "14e09aa02f6613be7201504738ecbbbef4d608359bbdda4f0f14e1547f18c389"
         )
 
     def test_three_site_survival(self, three_site_model):
@@ -182,7 +258,7 @@ class TestOdeGoldenDigests:
             SolverOptions(rel_tol=1e-7),
         )
         assert digest(table.normalized) == (
-            "1dbeb516d11b7f2982714ac5f80ad3919e4df9ec747ac67e870672eff4378ece"
+            "00f0b4db8efd40b6e881cc35c0cec57520a5818e7554559ab824426a24fa24f7"
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):
