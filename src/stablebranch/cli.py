@@ -28,7 +28,6 @@ import scipy
 
 from . import __version__
 from ._fork import map_forked, worker_count
-from ._ivp import _radau
 from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
 from .cumulant import SolverOptions, _check_horizon, solve_cumulant, weighted_extinction_norm
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
@@ -191,7 +190,7 @@ def _run_cumulant(spec, params, outdir, model, mhash):
         rows,
     )
     rep = curve.solver_report
-    keys = ("engine", "variable", "accepted", "nfev", "njev", "nlu")
+    keys = ("engine", "variable", "accepted", "rejected", "nfev", "njev", "nlu")
     return EXIT_OK, [out], {key: getattr(rep, key) for key in keys}
 
 
@@ -245,8 +244,6 @@ def _run_yaglom(spec, params, outdir, model, mhash):
 
     # Each horizon is an independent solve: worker i takes horizons i, i + w, ...
     workers = worker_count(len(horizons))
-    if workers > 1:
-        _radau()  # load scipy.integrate before the fork, not in every worker
     parts = map_forked(solve, [horizons[i::workers] for i in range(workers)])
     sup_by_T = []
     artifacts = []

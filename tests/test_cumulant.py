@@ -217,7 +217,7 @@ class TestSolverTelemetry:
         curve = solve_extinction(two_site_model, [1.0], opts)
         rep = curve.solver_report
         assert rep.engine == "radau" and rep.variable == "z"
-        assert rep.accepted > 0 and rep.rejected == 0
+        assert rep.accepted > 0 and rep.rejected > 0
         assert rep.nfev > rep.accepted and rep.njev >= 1 and rep.nlu >= 2
         assert 0.0 <= curve.certification_bound <= 10 * opts.rel_tol
         coarse, halved = curve.certification_reports

@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
+import scipy.sparse.linalg
 from scipy.integrate._ivp import radau
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from stablebranch import _ivp
-from stablebranch._ivp import _radau, solve_branching_ode
+from stablebranch._ivp import solve_branching_ode
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     SolverOptions,
@@ -66,48 +68,119 @@ def models(scalar_model, two_site_model, three_site_model):
     return {"scalar": scalar_model, "two": two_site_model, "three": three_site_model}
 
 
-def stock_radau(monkeypatch):
-    """Solve with scipy's own LU wrappers and the same step rule, so that a
-    comparison isolates `_DirectLU`."""
-    engine = type("_StockLU", (_ivp._NoGrowthAfterReject, scipy.integrate.Radau), {})
-    monkeypatch.setattr(_ivp, "_radau", lambda: engine)
+class _NoGrowthAfterReject:
+    """Mixin for scipy's Radau: RADAU5's rule that a step accepted after a
+    rejection is not followed by a larger one.  A step was rejected when the
+    step taken is not the one first tried, t + h_abs; the last step, clipped
+    to t_bound, ends the solve and does not count."""
+
+    def _step_impl(self):
+        t, tried = self.t, min(self.h_abs, self.max_step)
+        success, message = super()._step_impl()
+        if success and self.t != self.t_bound and self.t != t + self.direction * tried:
+            self.h_abs = min(self.h_abs, abs(self.t - t))
+        return success, message
+
+
+def capture_system(monkeypatch):
+    """Record the right-hand side, Jacobian, span and tolerances each
+    solve_branching_ode call hands its stepper, in the returned dict."""
+    system = {}
+
+    class Capturing(_ivp._RadauIIA):
+        def __init__(self, fun, jac, t0, y0, t_bound, rtol, atol):
+            system.update(fun=fun, jac=jac, t_span=(t0, t_bound), y0=y0, rtol=rtol, atol=atol)
+            super().__init__(fun, jac, t0, y0, t_bound, rtol, atol)
+
+    monkeypatch.setattr(_ivp, "_RadauIIA", Capturing)
+    return system
+
+
+def scipy_reference(system, mixins=(_NoGrowthAfterReject,)):
+    """The same system through scipy's own Radau and solve_ivp: one stage per
+    right-hand-side call, scipy's LU wrappers and scipy's dense output."""
+    fun, jac = system["fun"], system["jac"]
+    return scipy.integrate.solve_ivp(
+        lambda t, y: fun(y), system["t_span"], system["y0"],
+        method=type("_Reference", (*mixins, scipy.integrate.Radau), {}),
+        dense_output=True, jac=lambda t, y: jac(y), rtol=system["rtol"], atol=system["atol"],
+    )
+
+
+def zero_length(models):
+    return (*ode_args(models["two"]), [0.5, 1.5], (0.0, 0.0)), {}
+
+
+def scalar_large_start(models):
+    # a start far above the flow's scale: a step fails the error test
+    return (*ode_args(models["scalar"]), [1e6], (0.0, 10.0)), dict(rtol=1e-9)
+
+
+def scalar_tiny_rtol(models):
+    # rtol below 100 eps is raised to it, but the Newton tolerance is not
+    return (*ode_args(models["scalar"]), [2.0], (0.0, 1.0)), dict(rtol=1e-16)
 
 
 class TestDirectLapack:
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+    """The stepper is scipy's Radau ported with its arithmetic unchanged: LAPACK
+    getrf/getrs called directly, the three stages in one right-hand-side call,
+    and RADAU5's no-growth rule.  Every solve is bit for bit scipy's stock
+    Radau under that rule."""
+
+    @pytest.mark.parametrize("case", CASES + [zero_length, scalar_large_start, scalar_tiny_rtol],
+                             ids=lambda c: c.__name__)
+    @pytest.mark.filterwarnings("ignore:.*rtol.*too small")
     def test_same_solution_and_counts_as_stock_radau(self, case, models, monkeypatch):
         args, kwargs = case(models)
+        system = capture_system(monkeypatch)
         sol = solve_branching_ode(*args, **kwargs)
+        attempts = []
+        solve = radau.solve_collocation_system
+
+        def logged(fun, t, y, h, *rest):
+            attempts.append((t, h))
+            return solve(fun, t, y, h, *rest)
+
+        monkeypatch.setattr(radau, "solve_collocation_system", logged)
+        ref = scipy_reference(system)
+        assert bits(sol.step_times) == bits(ref.t)
         grid = np.linspace(sol.t_start, sol.t_end, 97)
-        stock_radau(monkeypatch)
-        ref = solve_branching_ode(*args, **kwargs)
-        assert bits(sol(grid)) == bits(ref(grid))
-        assert sol.report == ref.report
-        assert sol.report.accepted > 0 and sol.report.nlu >= 2
+        assert bits(sol._values(grid)) == bits(ref.sol(grid))
+        # a step boundary takes the earlier step's polynomial, as in scipy
+        assert bits(sol._values(sol.step_times)) == bits(ref.sol(ref.t))
+        rep = sol.report
+        assert (rep.accepted, rep.nfev, rep.njev, rep.nlu) == (
+            ref.t.size - 1, ref.nfev, ref.njev, ref.nlu
+        )
+        # every step attempt tries a new (t, h), and a retry under a fresh
+        # Jacobian repeats it: the attempts not accepted are the rejected ones
+        # (a zero-length run attempts no step)
+        tried = sum(1 for k, a in enumerate(attempts) if k == 0 or a != attempts[k - 1])
+        assert rep.rejected == (tried - rep.accepted if attempts else 0)
 
     def test_dense_path_never_calls_scipy_lu_wrappers(self, models, monkeypatch):
-        # a scipy release that renames Radau's lu/solve_lu would route the
-        # dense path back through these wrappers and fail here
         def refuse(*args, **kwargs):
             raise AssertionError("scipy's LU wrapper was called")
 
-        monkeypatch.setattr(radau, "lu_factor", refuse)
-        monkeypatch.setattr(radau, "lu_solve", refuse)
+        calls = []
+        getrf = _ivp._getrf
+        monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(_ivp, "_getrf", lambda a: calls.append(a.shape) or getrf(a))
         args, kwargs = extinction_two_site(models)
-        assert solve_branching_ode(*args, **kwargs).report.nlu > 0
-        stock_radau(monkeypatch)
-        with pytest.raises(AssertionError, match="wrapper was called"):
-            solve_branching_ode(*args, **kwargs)
+        nlu = solve_branching_ode(*args, **kwargs).report.nlu
+        assert len(calls) == nlu > 0
 
     def test_batch_still_factors_with_splu(self, models, monkeypatch):
         calls = []
-        real_splu = radau.splu
+        real_splu = scipy.sparse.linalg.splu
 
         def counting_splu(a):
             calls.append(a.shape)
             return real_splu(a)
 
-        monkeypatch.setattr(radau, "splu", counting_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         args, kwargs = batch_two_site(models)
         sol = solve_branching_ode(*args, **kwargs)
         assert len(calls) == sol.report.nlu > 0
@@ -115,41 +188,39 @@ class TestDirectLapack:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_routines_match_scipy_wrappers(self, dtype, rng):
-        solver = _radau()(lambda t, y: -y, 0.0, np.ones(3), 1.0, jac=lambda t, y: -np.eye(3))
         a = rng.standard_normal((3, 3)).astype(dtype)
         b = rng.standard_normal(3).astype(dtype)
         if dtype is np.complex128:
             a += 1j * rng.standard_normal((3, 3))
             b += 1j * rng.standard_normal(3)
-        lu = solver._getrf(a.copy())
+        lu = _ivp._getrf(a.copy())
         ref = lu_factor(a.copy(), overwrite_a=True)
         assert lu[0].tobytes() == ref[0].tobytes() and np.array_equal(lu[1], ref[1])
-        x = solver._getrs(lu, b.copy())
+        x = _ivp._getrs(lu, b.copy())
         assert x.tobytes() == lu_solve(ref, b.copy(), overwrite_b=True).tobytes()
-        assert solver.nlu == 1
 
     def test_routines_keep_wrapper_errors_and_warning(self):
-        solver = _radau()(lambda t, y: -y, 0.0, np.ones(2), 1.0, jac=lambda t, y: -np.eye(2))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solver._getrf(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        lu = solver._getrf(np.eye(2))
+            _ivp._getrf(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        lu = _ivp._getrf(np.eye(2))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solver._getrs(lu, np.array([np.inf, 1.0]))
+            _ivp._getrs(lu, np.array([np.inf, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", LinAlgWarning)
             with pytest.raises(LinAlgWarning, match="exactly zero"):
-                solver._getrf(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert solver.nlu == 3
+                _ivp._getrf(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     @pytest.mark.parametrize("engine", ["direct", "stock"])
     @pytest.mark.parametrize("bernoulli", [False, True], ids=["u", "z"])
     def test_nan_rtol_raises(self, engine, bernoulli, models, monkeypatch):
-        if engine == "stock":
-            stock_radau(monkeypatch)
+        system = capture_system(monkeypatch)
         with pytest.raises(ValueError):
             solve_branching_ode(
                 *ode_args(models["two"]), [1.0, 2.0], (0.0, 1.0), rtol=np.nan, _bernoulli=bernoulli
             )
+        if engine == "stock":
+            with pytest.raises(ValueError):
+                scipy_reference(system)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
@@ -161,9 +232,23 @@ def test_step_times_bound_every_step(case, models):
     assert (steps[0], steps[-1]) == (sol.t_start, sol.t_end)
 
 
-class _StepLog:
-    """Engine mixin logging each accepted step: (a Newton solve failed in it,
-    its size, the size proposed next, it ended the solve)."""
+class _LoggedStepper(_ivp._RadauIIA):
+    """The engine's stepper, logging each accepted step: (a Newton solve
+    failed in it, its size, the size proposed next, it ended the solve)."""
+
+    def solve_collocation_system(self, *args):
+        out = super().solve_collocation_system(*args)
+        self.failed |= not out[0]
+        return out
+
+    def step(self):
+        t, self.failed = self.t, False
+        super().step()
+        self.log.append((self.failed, self.t - t, self.h_abs, self.t == self.t_bound))
+
+
+class _ScipyStepLog:
+    """The same log for scipy's Radau, whose collocation outcomes go to `failed`."""
 
     def _step_impl(self):
         t = self.t
@@ -171,24 +256,6 @@ class _StepLog:
         success, message = super()._step_impl()
         self.log.append((any(self.failed), self.t - t, self.h_abs, self.t == self.t_bound))
         return success, message
-
-
-def logged_steps(monkeypatch, models, mixins):
-    failed = []
-    solve = radau.solve_collocation_system
-
-    def counted(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        failed.append(not out[0])
-        return out
-
-    monkeypatch.setattr(radau, "solve_collocation_system", counted)
-    engine = type("_Logged", (_StepLog, *mixins, scipy.integrate.Radau),
-                  {"log": [], "failed": failed})
-    monkeypatch.setattr(_ivp, "_radau", lambda: engine)
-    args, kwargs = extinction_two_site(models)
-    solve_branching_ode(*args, **kwargs)
-    return engine.log
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +272,11 @@ class TestStepRule:
     larger one (Hairer & Wanner, Solving ODEs II, section IV.8)."""
 
     def test_no_growth_after_a_newton_failure(self, models, monkeypatch):
-        log = logged_steps(monkeypatch, models, [_ivp._NoGrowthAfterReject])
-        after_failure = [(taken, proposed) for failed, taken, proposed, last in log
+        logger = type("_Logged", (_LoggedStepper,), {"log": []})
+        monkeypatch.setattr(_ivp, "_RadauIIA", logger)
+        args, kwargs = extinction_two_site(models)
+        solve_branching_ode(*args, **kwargs)
+        after_failure = [(taken, proposed) for failed, taken, proposed, last in logger.log
                          if failed and not last]
         assert len(after_failure) > 100
         assert all(proposed <= taken for taken, proposed in after_failure)
@@ -214,8 +284,21 @@ class TestStepRule:
     def test_stock_radau_grows_again(self, models, monkeypatch):
         # what the rule takes away: scipy proposes a larger step straight after
         # a step that a Newton failure cut
-        log = logged_steps(monkeypatch, models, [])
-        assert sum(proposed > taken for failed, taken, proposed, last in log if failed) > 100
+        failed = []
+        solve = radau.solve_collocation_system
+
+        def counted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            failed.append(not out[0])
+            return out
+
+        system = capture_system(monkeypatch)
+        args, kwargs = extinction_two_site(models)
+        solve_branching_ode(*args, **kwargs)
+        monkeypatch.setattr(radau, "solve_collocation_system", counted)
+        logger = type("_Logged", (_ScipyStepLog,), {"log": [], "failed": failed})
+        scipy_reference(system, mixins=(logger,))
+        assert sum(proposed > taken for failed, taken, proposed, last in logger.log if failed) > 100
 
     @pytest.mark.parametrize("rel_tol", [1e-7, 1e-8])
     @pytest.mark.parametrize("name", ["two", "three"])

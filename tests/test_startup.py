@@ -1,4 +1,5 @@
-"""What a fresh process loads: scipy.integrate only once a run integrates.
+"""What a fresh process loads: scipy.integrate only where a run needs its
+cumulative_simpson (spine and limitlaw); the ODE engine does not import it.
 
 The pytest process has loaded scipy.integrate long before these tests run, so
 each check runs in a fresh interpreter.
@@ -20,7 +21,7 @@ import json, os, sys
 import numpy as np
 
 import stablebranch as sb
-from stablebranch import cli, cumulant
+from stablebranch import cli
 
 out = sys.argv[1]
 readings = {"after_import": "scipy.integrate" in sys.modules}
@@ -41,22 +42,12 @@ readings["exits"] = [
 ]
 readings["after_mc"] = "scipy.integrate" in sys.modules
 
-# Take the forked certification path whatever the host's CPU count, and note
-# whether the module is loaded when the worker is forked.
+# Take the forked certification path whatever the host's CPU count.
 os.sched_getaffinity = lambda pid: {0, 1}
-forked = []
-map_forked = cumulant.map_forked
-
-def recording_map_forked(fn, shares):
-    forked.append("scipy.integrate" in sys.modules)
-    return map_forked(fn, shares)
-
-cumulant.map_forked = recording_map_forked
 opts = sb.SolverOptions(rel_tol=1e-7)
 first = sb.solve_extinction(model, [1e-3, 1.0], opts).values
 readings["after_solve"] = "scipy.integrate" in sys.modules
 second = sb.solve_extinction(model, [1e-3, 1.0], opts).values
-readings["loaded_at_fork"] = forked
 readings["same_bits"] = first.tobytes() == second.tobytes()
 print(json.dumps(readings))
 """
@@ -74,7 +65,5 @@ def test_only_integrating_runs_load_scipy_integrate(tmp_path):
     assert readings["exits"] == [0, 0, 0]
     assert readings["after_import"] is False
     assert readings["after_mc"] is False, "calibrate, simulate or mixture-check loaded it"
-    assert readings["after_solve"] is True
-    # resolved before the fork, so the worker inherits it and does not import it again
-    assert readings["loaded_at_fork"] == [True, True]
+    assert readings["after_solve"] is False, "an ODE solve loaded it"
     assert readings["same_bits"] is True
