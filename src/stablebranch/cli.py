@@ -232,28 +232,14 @@ def _run_yaglom(spec, params, outdir, model, mhash):
         raise SchemaError(f"parameter 'horizons': {horizons} repeat a table name in {names}")
     opts = _solver_options(params)
 
-    def solve(share):
-        # A share's tables up to its first error, and that error (or None).
-        tables = []
-        try:
-            for T in share:
-                tables.append(yaglom_table(model, f, thetas, T, opts))
-        except Exception as exc:  # noqa: BLE001 - raised below, in horizon order
-            return tables, exc
-        return tables, None
-
-    # Each horizon is an independent solve: worker i takes horizons i, i + w, ...
-    workers = worker_count(len(horizons))
-    parts = map_forked(solve, [horizons[i::workers] for i in range(workers)])
+    # Each horizon is an independent solve.  As in one process, the tables
+    # before the first failing horizon are written, then its error is raised.
+    tables, error = map_forked(
+        lambda T: yaglom_table(model, f, thetas, T, opts), horizons, worker_count(len(horizons))
+    )
     sup_by_T = []
     artifacts = []
-    for k, (T, name) in enumerate(zip(horizons, names)):
-        # As in one process: the tables before the first failing horizon are
-        # written, then its error is raised.
-        tables, error = parts[k % workers]
-        if k // workers == len(tables):
-            raise error
-        table = tables[k // workers]
+    for T, name, table in zip(horizons, names, tables):
         out = os.path.join(outdir, name)
         rows = [
             (float(th), float(se), float(gl))
@@ -267,6 +253,8 @@ def _run_yaglom(spec, params, outdir, model, mhash):
         )
         artifacts.append(out)
         sup_by_T.append(float(table.sup_error.max()))
+    if error is not None:
+        raise error
     summary = {"horizons": horizons, "sup_error": sup_by_T}
     # The error must fall with the horizon until it reaches the solver's
     # noise floor; below 10 rel_tol the order of the errors is noise.
@@ -414,10 +402,20 @@ def _floats(value):
     return arr.tolist()
 
 
+def _int(value):
+    """An integer, given as a number or as a decimal string (a command-line
+    value); a boolean or a fractional number is refused, not truncated."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _grid(value):
     if not isinstance(value, dict) or set(value) != {"min", "max", "count"}:
         raise ValueError(f"expected an object with keys min, max and count, got {value!r}")
-    grid = {"min": float(value["min"]), "max": float(value["max"]), "count": int(value["count"])}
+    grid = {"min": float(value["min"]), "max": float(value["max"]), "count": _int(value["count"])}
     # written so that a NaN bound fails
     if not 0.0 < grid["min"] <= grid["max"] < np.inf:
         raise ValueError(f"expected finite bounds with 0 < min <= max, got {value!r}")
@@ -454,11 +452,11 @@ _KINDS = {
     ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
         ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", float, REQUIRED),
-        ("horizon", float, REQUIRED), ("paths", int, REQUIRED),
+        ("horizon", float, REQUIRED), ("paths", _int, REQUIRED),
     ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
-        ("paths", int, 10000), *_SOLVER, ("zMax", float, None),
+        ("paths", _int, 10000), *_SOLVER, ("zMax", float, None),
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True, (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", float, None))
@@ -502,10 +500,13 @@ def _seed(value):
     """The spec's seed: null means 0, otherwise an integer in [0, 2**64)."""
     if value is None:
         return 0
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integral and 0 <= value < 2**64):
+    try:
+        seed = _int(value)
+    except (TypeError, ValueError, OverflowError):
+        seed = -1  # refused below
+    if not 0 <= seed < 2**64:
         raise SchemaError(f"seed must be null or an integer in [0, 2**64), got {value!r}")
-    return int(value)
+    return seed
 
 
 def _environment():
@@ -702,7 +703,8 @@ def main(argv=None):
                 "--" + _words(name, "-"),
                 dest=name,
                 required=default is REQUIRED,
-                metavar="JSON|FILE" if coerce in (_floats, _grid) else coerce.__name__.upper(),
+                metavar="JSON|FILE" if coerce in (_floats, _grid)
+                else coerce.__name__.lstrip("_").upper(),
                 help="required" if default is REQUIRED
                 else f"default {'absent' if default is None else default}",
             )

@@ -250,15 +250,6 @@ def _certify(model, t0, t_first, opts):
     return bound, (coarse.report, halved.report)
 
 
-def _outcome(task):
-    """(None, task()), or (the exception task raised, None): an error comes
-    back as a value, so that the caller chooses which of two errors to raise."""
-    try:
-        return None, task()
-    except Exception as exc:
-        return exc, None
-
-
 def solve_extinction(model, times, opts=None):
     """Extinction cumulant on the grid, certified by warm-start halving.
 
@@ -270,12 +261,10 @@ def solve_extinction(model, times, opts=None):
     CertificationError.  The t0/2 run is returned.  A grid past the time where
     eta(t)^-gamma0 overflows a double is refused before any solve.
 
-    Where the process's affinity mask holds 2 or more CPUs (and os.fork
-    exists), the certification runs in a forked worker while this process
-    runs the returned solve; `taskset -c 0` gives the serial path, certify
-    then solve.  Both paths run the same solves on the same inputs, so the
-    curve is bit for bit the same, and a failed certification's error is
-    raised before the returned solve's.
+    The certification and the returned solve are the two items dealt out by
+    _fork.map_forked, in that order, so a failed certification's error is
+    raised before the returned solve's.  On 2 CPUs the returned solve, the
+    last item, runs in this process, since its OdeSolution cannot be pickled.
     """
     opts = opts or SolverOptions()
     t0 = opts.warm_start_time
@@ -290,18 +279,10 @@ def solve_extinction(model, times, opts=None):
             )
     certify = functools.partial(_certify, model, t0, float(times[0]), opts)
     solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
-    if worker_count(2) == 2:
-        # The returned solve runs here, since its OdeSolution cannot be
-        # pickled; the worker sends back only the bound and reports, or its error.
-        (solve_error, fine), (cert_error, cert) = map_forked(_outcome, [solve, certify])
-        if cert_error is not None:
-            raise cert_error
-        if solve_error is not None:
-            raise solve_error
-    else:
-        cert = certify()
-        fine = solve()
-    bound, reports = cert
+    results, error = map_forked(lambda task: task(), [certify, solve], worker_count(2))
+    if error is not None:
+        raise error
+    (bound, reports), fine = results
     return CumulantCurve(
         times=times,
         values=fine(times),

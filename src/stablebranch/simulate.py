@@ -298,84 +298,70 @@ class _StepKernel:
         return np.maximum(branched, 0.0), idx.size
 
 
-def _simulate_chunks(kernel, mu, config, f_weights, chunks):
-    """Simulate the chunks of replicates [start, stop) listed in `chunks`.
+def _simulate_chunk(kernel, streams, mu, hs, draws, f_weights, chunk):
+    """Simulate the replicates [start, stop) of `chunk` in the draw buffers `draws`.
 
-    Returns the summable parts of their result: the survivor count, each
-    chunk's survivor values and final states in the order of `chunks`,
-    live_by_block, and the cluster and live site-step counts.
+    Returns the summable parts of the result: the survivor values and final
+    states in replicate order, live_by_block, and the cluster and live
+    site-step counts.
     """
+    start, stop = chunk
+    count = stop - start
     d = kernel.m.size
-    m = kernel.m
-    streams = _ReplicateStreams(config.seed)
-    ones = np.ones(d)
-    hs = np.asarray(config.step_sizes)
     n_steps = hs.size
     block_starts = range(0, n_steps, _BLOCK_STEPS)
-    # draw buffers, reused by every chunk and block
-    draw_shape = (max(stop - start for start, stop in chunks), min(_BLOCK_STEPS, n_steps), d)
-    U_all, W_all = mapped_zeros((2, *draw_shape))
-
-    survivors = 0
-    surv_vals = []
-    finals = []
     live_by_block = np.zeros(len(block_starts), dtype=np.int64)
     cluster_site_steps = live_site_steps = 0
-
-    for start, stop in chunks:
-        count = stop - start
-        rows = np.arange(count)  # chunk positions of the live replicates
-        saved = None  # their stream states at the last block boundary
-        Z = np.broadcast_to(mu, (count, d)).copy()
-        for block, step in enumerate(block_starts):
-            if rows.size == 0:
-                break
-            nb = min(_BLOCK_STEPS, n_steps - step)
-            more_blocks = step + nb < n_steps
-            U, W = U_all[: rows.size, :nb], W_all[: rows.size, :nb]
-            states = []
-            for j, r in enumerate(rows):
-                if saved is None:
-                    streams.start(start + r)
-                else:
-                    streams.bit_generator.state = saved[j]
-                streams.rng.random(out=U[j])
-                streams.rng.standard_exponential(out=W[j])
-                if more_blocks:
-                    states.append(streams.bit_generator.state)
-            pos = None  # rows of U and W still live; None while all are
-            for k in range(nb):
-                # contiguous (rows, d) copies: advance indexes them flat
-                if pos is None:
-                    u01, w_exp = U[:, k].copy(), W[:, k].copy()
-                else:
-                    u01, w_exp = U[:, k].take(pos, axis=0), W[:, k].take(pos, axis=0)
-                Z, n_cluster = kernel.advance(Z, u01, w_exp, hs[step + k])
-                cluster_site_steps += n_cluster
-                live_site_steps += Z.size
-                live = (Z @ ones) != 0.0  # Z >= 0: zero row sum means all sites zero
-                if not live.all():
-                    pos = np.flatnonzero(live) if pos is None else pos[live]
-                    Z = Z[live]
-                    if pos.size == 0:
-                        break
-            if pos is not None:
-                rows = rows[pos]
-                if more_blocks:
-                    states = [states[i] for i in pos]
-            saved = states
-            live_by_block[block] += rows.size
-        if not np.all(np.isfinite(Z)):
-            raise FloatingPointError("non-finite state (scale misconfiguration)")
-        # scatter back to the full chunk so the reductions see the same matrix
-        # as an uncompacted run: dropped rows are exactly zero
-        Z_full = np.zeros((count, d))
-        Z_full[rows] = Z
-        alive = (Z_full @ m) > 0.0
-        survivors += int(np.count_nonzero(alive))
-        surv_vals.append((Z_full @ f_weights)[alive])
-        finals.append(Z_full)
-    return survivors, surv_vals, finals, live_by_block, cluster_site_steps, live_site_steps
+    ones = np.ones(d)
+    rows = np.arange(count)  # chunk positions of the live replicates
+    saved = None  # their stream states at the last block boundary
+    Z = np.broadcast_to(mu, (count, d)).copy()
+    for block, step in enumerate(block_starts):
+        if rows.size == 0:
+            break
+        nb = min(_BLOCK_STEPS, n_steps - step)
+        more_blocks = step + nb < n_steps
+        U, W = draws[0, : rows.size, :nb], draws[1, : rows.size, :nb]
+        states = []
+        for j, r in enumerate(rows):
+            if saved is None:
+                streams.start(start + r)
+            else:
+                streams.bit_generator.state = saved[j]
+            streams.rng.random(out=U[j])
+            streams.rng.standard_exponential(out=W[j])
+            if more_blocks:
+                states.append(streams.bit_generator.state)
+        pos = None  # rows of U and W still live; None while all are
+        for k in range(nb):
+            # contiguous (rows, d) copies: advance indexes them flat
+            if pos is None:
+                u01, w_exp = U[:, k].copy(), W[:, k].copy()
+            else:
+                u01, w_exp = U[:, k].take(pos, axis=0), W[:, k].take(pos, axis=0)
+            Z, n_cluster = kernel.advance(Z, u01, w_exp, hs[step + k])
+            cluster_site_steps += n_cluster
+            live_site_steps += Z.size
+            live = (Z @ ones) != 0.0  # Z >= 0: zero row sum means all sites zero
+            if not live.all():
+                pos = np.flatnonzero(live) if pos is None else pos[live]
+                Z = Z[live]
+                if pos.size == 0:
+                    break
+        if pos is not None:
+            rows = rows[pos]
+            if more_blocks:
+                states = [states[i] for i in pos]
+        saved = states
+        live_by_block[block] = rows.size
+    if not np.all(np.isfinite(Z)):
+        raise FloatingPointError("non-finite state (scale misconfiguration)")
+    # scatter back to the full chunk so the reductions see the same matrix
+    # as an uncompacted run: dropped rows are exactly zero
+    Z_full = np.zeros((count, d))
+    Z_full[rows] = Z
+    alive = (Z_full @ kernel.m) > 0.0
+    return (Z_full @ f_weights)[alive], Z_full, live_by_block, cluster_site_steps, live_site_steps
 
 
 def simulate_paths(model, mu, config, f=None):
@@ -385,40 +371,40 @@ def simulate_paths(model, mu, config, f=None):
     defaults to the constant field 1 (so X_T(f) is the total mass).  Zero
     survivors is reported, not fatal.
 
-    The run uses one worker per CPU in the process's affinity mask (see
-    _fork.worker_count), but at most one per _SPLIT_FLOOR (100,000) scheduled
-    site-steps, replicates x steps x sites: a run of fewer than 200,000 never
-    forks.  The replicates are split into equal chunks of at most
-    _CHUNK_REPLICATES (2,048), as few as allow a multiple of the worker count,
-    and the chunks are dealt out in turn: the calling process runs one share
-    and forked children the others.  Each replicate runs the same code on its
-    own stream wherever it runs, so the result is bit for bit the same for any
-    number of workers.
+    The replicates are split into equal chunks of at most _CHUNK_REPLICATES
+    (2,048), as few as allow a multiple of the worker count, and the chunks
+    are dealt out by _fork.map_forked.  The workers are one per CPU in the
+    process's affinity mask, but at most one per _SPLIT_FLOOR (100,000)
+    scheduled site-steps, replicates x steps x sites: a run of fewer than
+    200,000 never forks.  Each replicate draws from its own stream, so the
+    result is bit for bit the same for any number of workers.
     """
     mu = _density(mu, model.d)
     f = np.ones(model.d) if f is None else _density(f, model.d, "f")
 
     n = config.replicates
-    floor = -(-_SPLIT_FLOOR // (len(config.step_sizes) * model.d))  # replicates per worker
+    hs = np.asarray(config.step_sizes)
+    floor = -(-_SPLIT_FLOOR // (hs.size * model.d))  # replicates per worker
     workers = worker_count(max(1, n // floor))
     n_chunks = workers * -(-n // (_CHUNK_REPLICATES * workers))
     bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    shares = [chunks[i::workers] for i in range(workers)]
-    run = functools.partial(_simulate_chunks, _StepKernel(model), mu, config, f * model.m)
-    parts = map_forked(run, shares)
-
-    # put the chunks back in replicate order and sum the rest
-    survivors, values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
-    order = np.argsort([start for share in shares for start, _ in share])
-    values = [v for share in values for v in share]
-    finals = [z for share in finals for z in share]
+    # draw buffers, reused by every chunk and block
+    draws = mapped_zeros((2, -(-n // n_chunks), min(_BLOCK_STEPS, hs.size), model.d))
+    run = functools.partial(
+        _simulate_chunk, _StepKernel(model), _ReplicateStreams(config.seed), mu, hs, draws,
+        f * model.m,
+    )
+    parts, error = map_forked(run, list(zip(bounds, bounds[1:])), workers)
+    if error is not None:
+        raise error
+    values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
     site_steps = sum(live_site_steps)
+    functional_values = np.concatenate(values)
     return PathStats(
         replicates=n,
-        survivors=sum(survivors),
-        functional_values=np.concatenate([values[i] for i in order]),
-        final_states=np.concatenate([finals[i] for i in order]),
+        survivors=functional_values.size,
+        functional_values=functional_values,
+        final_states=np.concatenate(finals),
         live_by_block=np.sum(live_by_block, axis=0),
         site_steps=site_steps,
         cluster_share=sum(cluster_site_steps) / site_steps,

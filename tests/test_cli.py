@@ -290,8 +290,9 @@ class TestYaglomWorkers:
         ]
 
     def test_solver_error_in_forked_horizon(self, preset_dir, tmp_path, monkeypatch):
-        # on two CPUs horizon 10 is the forked worker's; its error is raised
-        # after horizon 1's table is written, as in one process
+        # on two CPUs the forked worker solves horizons 1 and 100 and this
+        # process horizon 10; its error is raised after horizon 1's table is
+        # written, as in one process
         table = cli.yaglom_table
 
         def failing_at_ten(model, f, thetas, T, opts):
@@ -424,7 +425,7 @@ class TestSchema:
         if case.startswith("outdir-"):
             assert err[0].startswith("schema error: outputDir ")
 
-    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, 2**64, True])
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5, "2.5", 2**64, True])
     def test_bad_seed_exits_two(self, seed, preset_dir, tmp_path, capsys):
         model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
         params = {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0]}
@@ -433,7 +434,7 @@ class TestSchema:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "functionals.csv").exists()
 
-    @pytest.mark.parametrize("seed, checked", [(None, 0), (7, 7), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize("seed, checked", [(None, 0), (7, 7), (7.0, 7), (2**64 - 1, 2**64 - 1)])
     def test_manifest_records_checked_seed(self, seed, checked, preset_dir, tmp_path):
         model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
         params = {"paths": 10, "step": 0.1, "horizon": 0.1, "mu": [1.0]}
@@ -498,6 +499,11 @@ class TestSchema:
             ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": ["nan", 1e-3]}, "'t'"),
             ("yaglom", {"f": [2.0], "theta": [1.0], "horizons": [10.0]}, "f"),
             ("yaglom", {"theta": [1.0], "horizons": []}, "horizons"),
+            ("simulate", {"paths": 2.5, "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
+            ("simulate", {"paths": True, "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
+            ("spine-check", {"paths": 100.5}, "paths"),
+            ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 2.5}}, "timesGrid"),
+            ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": True}}, "timesGrid"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
@@ -512,7 +518,8 @@ class TestSchema:
              "spine-theta-inf", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
              "spine-paths-one", "survival-times-below-warm-start", "rv-fit-times-repeated",
              "mixture-rho-short", "mixture-t-nan", "yaglom-f-unnormalized",
-             "yaglom-horizons-empty"],
+             "yaglom-horizons-empty", "paths-fractional", "paths-boolean",
+             "spine-paths-fractional", "grid-count-fractional", "grid-count-boolean"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
@@ -556,6 +563,7 @@ class TestSchema:
         (["delay-eq", "--a", "1.5", "--tol", "-1"], "tol"),
         (["delay-eq", "--a", "1.5", "--tol", "nan", "--theta-max", "1"], "tol"),
         (["spine-check", "--paths", "1"], "paths"),
+        (["spine-check", "--paths", "2.5"], "paths"),
         (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e-9, 1]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
@@ -570,7 +578,8 @@ class TestSchema:
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
-            "spine-paths-one", "survival-times-below-warm-start", "rv-fit-window",
+            "spine-paths-one", "spine-paths-fractional", "survival-times-below-warm-start",
+            "rv-fit-window",
             "rv-fit-times-repeated", "rv-fit-times-past-double-range", "mixture-rho-short",
             "mixture-t-nan", "delay-step-merges-grid", "yaglom-horizons-same-file",
             "yaglom-horizons-decreasing"])

@@ -318,7 +318,9 @@ class TestOdeGoldenDigests:
     under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
     change to the engine's arithmetic, the step control or the warm start shows
     here.  The Yaglom surface's solve never accepts a step after a rejection,
-    so the rule left its digest as scipy's stock Radau recorded it."""
+    so the rule left its digest as scipy's stock Radau recorded it.  They hold
+    on 2 BLAS threads: on one (`taskset -c 0` or OPENBLAS_NUM_THREADS=1)
+    OpenBLAS zgetrs returns other bits, and test_two_site_extinction fails."""
 
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))

@@ -100,3 +100,28 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names that no code calls: {unused}"
     # a kept reference that gains a caller leaves the list
     assert not set(TEST_REFERENCES) & referenced
+
+
+def test_only_fork_module_forks():
+    # a parallel route maps over _fork.map_forked instead of growing its own
+    # fork, pipe and reaping
+    plumbing = {"fork", "pipe", "waitpid"}
+    readers = {}
+    for path in _python_files():
+        if not path.startswith(SRC + os.sep):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in plumbing
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and plumbing & {alias.name for alias in node.names}
+            ):
+                readers.setdefault(os.path.basename(path), node.lineno)
+    assert set(readers) == {"_fork.py"}, f"modules that read os process plumbing: {readers}"

@@ -223,7 +223,7 @@ class TestWorkers:
         monkeypatch.setattr(_StepKernel, "advance", poisoned)
         use_cpus(monkeypatch, 2)
         # 2,100 replicates x 50 steps x 2 sites cross the split floor:
-        # chunk 0 runs here and chunk 1 in a child
+        # chunk 0 runs in a child and chunk 1, the last, here
         cfg = SimConfig(step_size=1e-2, horizon=0.5, replicates=2100)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             simulate_paths(two_site_model, np.array([0.5, 0.5]), cfg)
