@@ -38,7 +38,7 @@ step that a Newton failure cut, and the next step failed again.  scipy's
 Newton cap is kept: a larger cap lets the error estimate set the step, and the
 error then exceeds rtol.
 
-Every solve is bit for bit scipy's Radau under that rule.  Two differences
+Every solve is bit for bit scipy's Radau under that rule.  Three differences
 touch only the Python around the arithmetic:
 
 - Each Newton iteration evaluates its three stages in one right-hand-side
@@ -49,6 +49,14 @@ touch only the Python around the arithmetic:
   directly: the routines scipy's lu_factor/lu_solve call, on the same arrays,
   without their wrapper layers, which cost more than the 2x2 or 3x3
   factorisation itself.  A batch's sparse Jacobian keeps scipy's splu.
+- The step and its Newton iterations call none of numpy's wrappers written
+  in Python.  The RMS norm takes np.linalg.norm's square root of the dot
+  product of the flattened array, directly.  An array is proved finite by a
+  finite sum before any full scan.  The dense output multiplies x, x^2, x^3
+  in place instead of tiling and cumprod.  Step bounds take math.nextafter
+  and abs on Python floats, and each LU carries its getrs routine.  The
+  right-hand side of the z variable takes no max(u, 0), which leaves its
+  u = z^(1/p) unchanged.  Each value is what the replaced call gave.
 
 The report counts what scipy counts (nfev, njev, nlu, accepted steps), and
 also the step attempts the stepper abandoned (`rejected`), which scipy does
@@ -92,6 +100,8 @@ fresh `import stablebranch`.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -161,22 +171,32 @@ class SolverReport:
     nlu: int = 0
 
 
+_sum = np.add.reduce
+
+
 def _norm(x):
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm: np.linalg.norm(x) / sqrt(x.size), with the norm computed as
+    numpy computes it, the square root of the flattened array's dot product."""
+    v = x.ravel("K")
+    return math.sqrt(v.dot(v)) / x.size ** 0.5
 
 
 def _finite(a):
-    if not np.isfinite(a).all():
+    """scipy's ValueError when a holds an inf or a NaN.  A finite sum proves
+    that it holds none; only a sum that is not finite (such an entry, or an
+    overflow, which numpy reports with its RuntimeWarning) needs the full scan."""
+    if not cmath.isfinite(_sum(a, None)) and not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
 def _getrf(a):
     """LU of a dense float64 or complex128 matrix, overwriting it: LAPACK
     getrf with what scipy's lu_factor does around it (the ValueError on a
-    non-finite matrix or `info < 0`, the LinAlgWarning on an exactly zero pivot)."""
+    non-finite matrix or `info < 0`, the LinAlgWarning on an exactly zero
+    pivot).  Returns (lu, piv, getrs), the getrs routine of a's type."""
     _finite(a)
-    lu, piv, info = (zgetrf if a.dtype == np.complex128 else dgetrf)(a, overwrite_a=True)
+    getrf, getrs = (zgetrf, zgetrs) if a.dtype == np.complex128 else (dgetrf, dgetrs)
+    lu, piv, info = getrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
     if info > 0:
@@ -184,22 +204,18 @@ def _getrf(a):
             f"Diagonal number {info} is exactly zero. Singular matrix.",
             LinAlgWarning, stacklevel=2,
         )
-    return lu, piv
+    return lu, piv, getrs
 
 
 def _getrs(lu_piv, b):
     """Solve with an LU from `_getrf`, overwriting b: LAPACK getrs with scipy
     lu_solve's ValueError on a non-finite right-hand side."""
-    lu, piv = lu_piv
+    lu, piv, getrs = lu_piv
     _finite(b)
-    x, info = (zgetrs if lu.dtype == np.complex128 else dgetrs)(lu, piv, b, overwrite_b=True)
+    x, info = getrs(lu, piv, b, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrs")
     return x
-
-
-def _splu_solve(lu, b):
-    return lu.solve(b)
 
 
 def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -235,24 +251,26 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     """Predict by which factor to increase/decrease the step size: the
     two-step rule of Hairer & Wanner, section IV.8, or the one-step rule where
     no previous step or error is at hand."""
-    if error_norm_old is None or h_abs_old is None or error_norm == 0:
+    if error_norm == 0:
+        return math.inf  # error_norm ** -0.25
+    if error_norm_old is None or h_abs_old is None:
         multiplier = 1
     else:
         multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
 
-    with np.errstate(divide='ignore'):
-        factor = min(1, multiplier) * error_norm ** -0.25
-
-    return factor
+    return min(1, multiplier) * error_norm ** -0.25
 
 
 def _dense_values(t_old, h, Q, y_old, t):
     """A step's dense output (scipy's RadauDenseOutput) at the 1-d times t: (n, len(t))."""
     x = (t - t_old) / h
-    p = np.tile(x, (Q.shape[1], 1))
-    p = np.cumprod(p, axis=0)
+    # x, x^2, x^3: the rows of scipy's cumprod over np.tile(x, (3, 1))
+    p = np.empty((3, x.size))
+    p[0] = x
+    np.multiply(x, x, out=p[1])
+    np.multiply(p[1], x, out=p[2])
     # Here we don't multiply by h, not a mistake.
-    y = np.dot(Q, p)
+    y = Q.dot(p)
     y += y_old[:, None]
     return y
 
@@ -291,9 +309,9 @@ class _RadauIIA:
         self.J = self.jac(y0)
         n = y0.size
         if scipy.sparse.issparse(self.J):
-            from scipy.sparse.linalg import splu
+            from scipy.sparse.linalg import SuperLU, splu
 
-            self.factor, self.solve_lu = splu, _splu_solve
+            self.factor, self.solve_lu = splu, SuperLU.solve
             self.I = scipy.sparse.eye(n, format='csc')
         else:
             self.factor, self.solve_lu = _getrf, _getrs
@@ -320,6 +338,7 @@ class _RadauIIA:
         """Simplified Newton on the collocation system: (converged, iterations,
         Z, rate).  y + Z[i] is the state at t + h C[i]."""
         solve_lu = self.solve_lu
+        fun = self.fun
         tol = self.newton_tol
         M_real = MU_REAL / h
         M_complex = MU_COMPLEX / h
@@ -328,15 +347,16 @@ class _RadauIIA:
         Z = Z0
 
         dW_norm_old = None
-        dW = np.empty_like(W)
+        dW = np.empty(W.shape)
         converged = False
         rate = None
         for k in range(NEWTON_MAXITER):
             # the three stages in one call
             self.nfev += 3
-            F = self.fun(y + Z)
+            F = fun(y + Z)
 
-            if not np.all(np.isfinite(F)):
+            # a finite sum proves every stage finite
+            if not math.isfinite(_sum(F, None)) and not np.isfinite(F).all():
                 break
 
             f_real = F.T.dot(TI_REAL) - M_real * W[0]
@@ -379,7 +399,7 @@ class _RadauIIA:
         atol = self.atol
         rtol = self.rtol
 
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
             h_abs_old = None
@@ -409,7 +429,7 @@ class _RadauIIA:
                 t_new = self.t_bound
 
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             if self.sol is None:
                 Z0 = np.zeros((3, y.shape[0]))
@@ -504,7 +524,7 @@ class _RadauIIA:
         self.current_jac = current_jac
         self.J = J
 
-        Q = np.dot(Z.T, P)
+        Q = Z.T.dot(P)
         self.sol = (t, t_new - t, Q, y)
         self.ts.append(t_new)
         self.Qs.append(Q)
@@ -594,14 +614,18 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
     if t_end < t0:
         raise ValueError("t_span must be increasing")
     diag = np.arange(d)
+    A_T = A.T
+    A_blocks = np.broadcast_to(A, (B, d, d))
+    kappa_gamma, gamma_1 = kappa * gamma, gamma - 1.0
 
-    # F takes a state (B, d) or a stack of states (k, B, d).
-    def F(u):
-        return u @ A.T - kappa * np.power(np.maximum(u, 0.0), gamma)
+    # F takes a state u, (B, d) or a stack of states (k, B, d), and v = max(u, 0).
+    def F(u, v):
+        return u @ A_T - kappa * np.power(v, gamma)
 
-    def J(u):
-        blocks = np.broadcast_to(A, (B, d, d)).copy()
-        blocks[:, diag, diag] -= kappa * gamma * np.power(np.maximum(u, 0.0), gamma - 1.0)
+    # J takes v = max(u, 0) at a state u (B, d).
+    def J(v):
+        blocks = A_blocks.copy()
+        blocks[:, diag, diag] -= kappa_gamma * np.power(v, gamma_1)
         return blocks
 
     # fun and jac see the flat state (B d,); fun also a stack of them (k, B d).
@@ -610,29 +634,33 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
             raise ValueError("the z = u^(1-gamma0) variable needs a strictly positive state")
         g0 = float(gamma.min())
         p = 1.0 - g0
+        inv_p = 1.0 / p
 
+        # u = z^(1/p) is positive, +0, +inf or NaN, never negative, since 1/p
+        # is not an odd integer for gamma0 in (1, 2): u is its own max(u, 0).
         def to_u(z):
-            return np.power(z, 1.0 / p)
+            return np.power(z, inv_p)
 
         def fun(z):
-            u = to_u(z.reshape(z.shape[:-1] + shape))
-            return (p * np.power(u, -g0) * F(u)).reshape(z.shape)
+            u = np.power(z.reshape(z.shape[:-1] + shape), inv_p)
+            return (p * np.power(u, -g0) * F(u, u)).reshape(z.shape)
 
         def jac(z):
             u = to_u(z.reshape(shape))
             blocks = J(u) * (np.power(u, -g0)[:, :, None] * np.power(u, g0)[:, None, :])
-            blocks[:, diag, diag] -= g0 * F(u) / u
+            blocks[:, diag, diag] -= g0 * F(u, u) / u
             return _assemble(blocks)
 
         y_start, tols = np.power(y0, p), dict(rtol=(g0 - 1.0) * rtol, atol=0.0)
     else:
         to_u = np.asarray
 
-        def fun(u):
-            return F(u.reshape(u.shape[:-1] + shape)).reshape(u.shape)
+        def fun(y):
+            u = y.reshape(y.shape[:-1] + shape)
+            return F(u, np.maximum(u, 0.0)).reshape(y.shape)
 
-        def jac(u):
-            return _assemble(J(u.reshape(shape)))
+        def jac(y):
+            return _assemble(J(np.maximum(y.reshape(shape), 0.0)))
 
         y_start, tols = y0, dict(rtol=rtol, atol=atol)
 

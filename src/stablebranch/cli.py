@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import glob
 import io
 import json
 import math
@@ -509,25 +511,43 @@ def _seed(value):
     return seed
 
 
+@functools.cache
+def _blas_thread_getters():
+    """The thread-count getters of the OpenBLAS builds bundled with numpy and
+    scipy (numpy.libs/libscipy_openblas64_*.so, scipy.libs/libscipy_openblas*.so),
+    those that are found."""
+    import ctypes
+
+    getters = []
+    for package, pattern, symbol in (
+        (np, "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        (scipy, "libscipy_openblas*.so", "scipy_openblas_get_num_threads"),
+    ):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, pattern))):
+            try:
+                getter = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            getters.append(getter)
+    return tuple(getters)
+
+
 def _environment():
     """Interpreter and library versions, and the threads this run could use.
 
-    `blas_threads` is read from threadpoolctl and is None when it is missing.
+    `blas_threads` is the larger of the thread counts of numpy's and scipy's
+    OpenBLAS, and None when neither library's getter is found.
     """
-    try:
-        import threadpoolctl
-    except ImportError:
-        blas_threads = None
-    else:
-        blas_threads = max(
-            (pool["num_threads"] for pool in threadpoolctl.threadpool_info()), default=None
-        )
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "blas_threads": blas_threads,
+        "blas_threads": max((getter() for getter in _blas_thread_getters()), default=None),
     }
 
 

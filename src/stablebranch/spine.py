@@ -249,23 +249,27 @@ def _exponent_tables(model, f, r_nodes, T, opts, n_tau):
     return tau, W, S
 
 
-def _table_lookup(W, S, tau, sites, x):
+def _table_lookup(W, S, tau, sites, x, out=None, scratch=None):
     """Every node's table at (sites[i], x[i]) for x in [0, tau[-1]], shape (m, K).
 
     Bit for bit np.interp(x, tau, W[y, :, k]): the bracket j is the largest
     index with tau[j] <= x, found from the uniform spacing and corrected by
     one step against the rounded grid, and the value is np.interp's own
     slope * (x - tau[j]) + W[j] (its exact hit x == tau[j] returns W[j], which
-    this formula also gives)."""
+    this formula also gives).  The result is written to `out` and the second
+    gather to `scratch`, (m, K) arrays, where they are given."""
     last = tau.size - 1
     j = np.minimum((x * (last / tau[-1])).astype(np.intp), last)
     j -= tau[j] > x
     j += (j < last) & (tau[np.minimum(j + 1, last)] <= x)
     rows = sites * tau.size + j
     K = W.shape[-1]
-    out = S.reshape(-1, K).take(rows, axis=0)
+    # take buffers its output under mode="raise" and gathers straight into it
+    # under "clip"; 0 <= j <= last and 0 <= sites < d keep every row in range,
+    # so clipping never acts
+    out = S.reshape(-1, K).take(rows, axis=0, out=out, mode="clip")
     out *= (x - tau[j])[:, None]
-    out += W.reshape(-1, K).take(rows, axis=0)
+    out += W.reshape(-1, K).take(rows, axis=0, out=scratch, mode="clip")
     return out
 
 
@@ -316,6 +320,9 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, opts=None):
 
     starts = np.repeat(np.arange(d), n_paths)
     I = mapped_zeros((starts.size, r_nodes.size))
+    # (rows, K) scratch shared by every chunk: a fresh array of this size
+    # (852 KB at K = 52) is faulted in anew on each lookup
+    upper, lower, scratch = np.empty((3, _HOOK_ROWS, r_nodes.size))
 
     def hook(sites, t0, t1, idx):
         # int_{t0}^{t1} g(T - s) ds = W(T - t0) - W(T - t1), in row chunks
@@ -323,8 +330,9 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, opts=None):
         for c in range(0, idx.size, _HOOK_ROWS):
             rows = slice(c, c + _HOOK_ROWS)
             y = sites[rows]
-            step = _table_lookup(W, S, tau, y, T - t0[rows])
-            step -= _table_lookup(W, S, tau, y, T - t1[rows])
+            m = y.size
+            step = _table_lookup(W, S, tau, y, T - t0[rows], upper[:m], scratch[:m])
+            step -= _table_lookup(W, S, tau, y, T - t1[rows], lower[:m], scratch[:m])
             I[idx[rows]] += step
 
     final_site = _batch_paths_accumulate(chain, starts, T, rng, hook)

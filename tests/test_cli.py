@@ -5,6 +5,8 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,22 @@ class TestRun:
         assert env["scipy"] == scipy.__version__
         assert env["cpus"] >= 1
         assert env["blas_threads"] is None or env["blas_threads"] >= 1
+
+    def test_manifest_reads_blas_threads_from_openblas(self, preset_dir, tmp_path):
+        # read from the OpenBLAS libraries themselves, in a fresh process
+        # whose thread count is set by the environment
+        model_path = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stablebranch.cli", "calibrate", "--model", str(model_path),
+             "--outdir", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == 1
 
     def test_scalar_preset_runs_clean(self, tmp_path):
         # every shipped spec must pass its own gates; the scalar yaglom errors

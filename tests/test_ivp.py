@@ -22,6 +22,7 @@ from stablebranch.cumulant import (
     solve_extinction,
     weighted_extinction_norm,
 )
+from stablebranch.model import eta
 
 from conftest import normalized_ones
 
@@ -121,13 +122,32 @@ def scalar_tiny_rtol(models):
     return (*ode_args(models["scalar"]), [2.0], (0.0, 1.0)), dict(rtol=1e-16)
 
 
+def extinction_three_site(models):
+    # the returned solve of the three-site rv-fit: z from the warm start to 1e6
+    model = models["three"]
+    t0 = 5e-9
+    return (*ode_args(model), _warm_start(model, t0), (t0, 1e6)), dict(rtol=1e-7, _bernoulli=True)
+
+
+def batch_scalar_yaglom(models):
+    # the scalar yaglom run's rescaled flow: 21 thetas of a d = 1 model in one
+    # batch at the default rtol
+    model = models["scalar"]
+    T, thetas = 10.0, np.geomspace(0.1, 10.0, 21)
+    gamma = model.mechanism.gamma
+    kappa = model.mechanism.kappa * np.power(thetas[:, None] * eta(model, T), gamma - 1.0)
+    u0 = np.broadcast_to(normalized_ones(model), (thetas.size, 1))
+    return (model.A, kappa, gamma, u0, (0.0, T)), dict(rtol=1e-10)
+
+
 class TestDirectLapack:
     """The stepper is scipy's Radau ported with its arithmetic unchanged: LAPACK
     getrf/getrs called directly, the three stages in one right-hand-side call,
     and RADAU5's no-growth rule.  Every solve is bit for bit scipy's stock
     Radau under that rule."""
 
-    @pytest.mark.parametrize("case", CASES + [zero_length, scalar_large_start, scalar_tiny_rtol],
+    @pytest.mark.parametrize("case", CASES + [zero_length, scalar_large_start, scalar_tiny_rtol,
+                                              extinction_three_site, batch_scalar_yaglom],
                              ids=lambda c: c.__name__)
     @pytest.mark.filterwarnings("ignore:.*rtol.*too small")
     def test_same_solution_and_counts_as_stock_radau(self, case, models, monkeypatch):
@@ -171,6 +191,18 @@ class TestDirectLapack:
         args, kwargs = extinction_two_site(models)
         nlu = solve_branching_ode(*args, **kwargs).report.nlu
         assert len(calls) == nlu > 0
+
+    def test_solve_never_enters_numpy_wrappers(self, models, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy wrapper was called")
+
+        cases = [case(models) for case in (extinction_two_site, batch_two_site)]
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        monkeypatch.setattr(np, "errstate", refuse)
+        monkeypatch.setattr(np, "tile", refuse)
+        for args, kwargs in cases:
+            sol = solve_branching_ode(*args, **kwargs)
+            sol(np.linspace(sol.t_start, sol.t_end, 9))
 
     def test_batch_still_factors_with_splu(self, models, monkeypatch):
         calls = []
@@ -221,6 +253,41 @@ class TestDirectLapack:
         if engine == "stock":
             with pytest.raises(ValueError):
                 scipy_reference(system)
+
+
+class TestStepHelpers:
+    """The stepper's helpers give what the numpy calls they replace gave."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200], ids=["random", "tiny", "huge"])
+    def test_norm_is_numpy_norm(self, scale, rng):
+        for n in (1, 2, 3, 21, 42):
+            x = rng.standard_normal((3, n)) * scale
+            with np.errstate(over="ignore"):  # the huge squares overflow in both
+                assert bits([_ivp._norm(x)]) == bits([np.linalg.norm(x) / x.size ** 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_finite_raises_on_infs_and_nans(self, dtype, bad):
+        a = np.ones((2, 3), dtype=dtype)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _ivp._finite(a)
+        if dtype is np.complex128:
+            a[1, 2] = complex(1.0, bad)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _ivp._finite(a)
+
+    def test_finite_passes_entries_whose_sum_overflows(self):
+        # the full scan passes them; numpy reports the sum's overflow
+        with np.errstate(over="ignore"):
+            _ivp._finite(np.array([1e308, 1e308]))
+            _ivp._finite(np.array([1e308, 1e308]) * (1 + 1j))
+
+    def test_predict_factor_of_a_zero_error_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ivp._predict_factor(0.1, 0.2, 0.0, 0.5) == np.inf
+            assert _ivp._predict_factor(0.1, None, 0.0, None) == np.inf
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)

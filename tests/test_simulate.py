@@ -8,6 +8,7 @@ from stablebranch.cumulant import solve_cumulant, solve_extinction, SolverOption
 from stablebranch._mapped import mapped_zeros
 from stablebranch import simulate
 from stablebranch.model import (
+    ArgumentError,
     BranchingMechanism,
     MotionGenerator,
     StateSpace,
@@ -480,6 +481,16 @@ class TestPathStats:
             SimConfig(step_size=0.1, horizon=1.0, replicates=10, seed=2**64)
         with pytest.raises(TypeError):
             SimConfig(0.1, 1.0, 10, 7)  # the seed is keyword-only
+
+    @pytest.mark.parametrize("value", [2.5, True, 4.0, "8"], ids=["fraction", "bool", "float", "str"])
+    def test_config_rejects_non_integer_replicates(self, value):
+        with pytest.raises(ArgumentError, match="^replicates must be an integer") as exc:
+            SimConfig(0.1, 0.1, value)
+        assert exc.value.name == "replicates"
+
+    def test_config_stores_numpy_integer_replicates_as_int(self):
+        cfg = SimConfig(0.1, 0.1, np.int64(3))
+        assert cfg.replicates == 3 and type(cfg.replicates) is int
 
     @pytest.mark.parametrize(
         "field, value",

@@ -216,6 +216,20 @@ class TestFeynmanKac:
                 want[sel, k] = np.interp(x[sel], tau, W[y, :, k])
         assert got.tobytes() == want.tobytes()
 
+    def test_table_lookup_into_scratch_is_the_allocating_lookup(self, two_site_model):
+        # the FK hook's path: results and second gather written into row
+        # slices of reused buffers that hold stale values
+        f = normalized_ones(two_site_model)
+        nodes, _ = _composite_geometric_nodes(1.0)
+        tau, W, S = _exponent_tables(two_site_model, f, nodes, 2.0, SolverOptions(rel_tol=1e-8), 257)
+        rng = np.random.default_rng(6)
+        x = np.concatenate([[0.0, 2.0], tau, rng.uniform(0.0, 2.0, 1000)])
+        sites = rng.integers(0, 2, x.size)
+        out, scratch = np.full((2, x.size + 50, nodes.size), np.nan)
+        got = _table_lookup(W, S, tau, sites, x, out[:x.size], scratch[:x.size])
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == _table_lookup(W, S, tau, sites, x).tobytes()
+
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, two_site_model, rng, T):
         f = normalized_ones(two_site_model)
