@@ -44,7 +44,8 @@ EXIT_TOLERANCE = 1
 EXIT_SCHEMA = 2
 EXIT_RUNTIME = 3
 
-# The most points a delay-eq theta grid may have.
+# The most points a grid may have: a delay-eq theta grid, or a timesGrid,
+# thetaGrid or tGrid; each is refused before it is allocated.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -123,7 +124,8 @@ def _words(name, sep):
 
 def _solver_options(params):
     """The spec's SolverOptions, None when it sets none."""
-    kwargs = {_words(name, "_"): params[name] for name, _, _ in _SOLVER if params[name] is not None}
+    names = [name for name, _, _ in _FLOW_SOLVER if params.get(name) is not None]
+    kwargs = {_words(name, "_"): params[name] for name in names}
     return SolverOptions(**kwargs) if kwargs else None
 
 
@@ -421,8 +423,8 @@ def _grid(value):
     # written so that a NaN bound fails
     if not 0.0 < grid["min"] <= grid["max"] < np.inf:
         raise ValueError(f"expected finite bounds with 0 < min <= max, got {value!r}")
-    if grid["count"] < 1:
-        raise ValueError(f"expected a count of at least 1, got {value!r}")
+    if not 1 <= grid["count"] <= _MAX_GRID_POINTS:
+        raise ValueError(f"expected a count from 1 to {_MAX_GRID_POINTS:,}, got {value!r}")
     return grid
 
 
@@ -431,8 +433,11 @@ def _sampled(key):
     return ((key, _floats, None), (f"{key}Grid", _grid, None))
 
 
-# SolverOptions fields under their camelCase names; absent means its default.
-_SOLVER = tuple((name, float, None) for name in ("relTol", "absTol", "warmStartTime"))
+# SolverOptions fields under their camelCase names, each for the kinds whose
+# solve reads it; absent means its default.  Extinction runs control z purely
+# relatively and never read absTol.
+_FLOW_SOLVER = (("relTol", float, None), ("absTol", float, None))
+_EXTINCTION_SOLVER = _FLOW_SOLVER[:1]
 
 
 _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},))
@@ -443,13 +448,15 @@ _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},)
 # one its kind's aliases name.
 _KINDS = {
     "calibrate": _Kind(_run_calibrate, True, ()),
-    "cumulant": _Kind(_run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_SOLVER)),
+    "cumulant": _Kind(
+        _run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_FLOW_SOLVER)
+    ),
     "survival": _Kind(_run_survival, True, (
-        ("mu", _floats, REQUIRED), *_sampled("times"), *_SOLVER,
+        ("mu", _floats, REQUIRED), *_sampled("times"), *_EXTINCTION_SOLVER,
         ("ratioTolerance", float, None),
     )),
     "yaglom": _Kind(_run_yaglom, True, (
-        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_SOLVER,
+        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_FLOW_SOLVER,
         ("supTolerance", float, None),
     ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
@@ -458,10 +465,11 @@ _KINDS = {
     ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
-        ("paths", _int, 10000), *_SOLVER, ("zMax", float, None),
+        ("paths", _int, 10000), *_FLOW_SOLVER, ("zMax", float, None),
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
-        _run_rv_fit, True, (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", float, None))
+        _run_rv_fit, True,
+        (*_sampled("times"), *_EXTINCTION_SOLVER, ("slopeRelTolerance", float, None)),
     ),
     "delay-eq": _Kind(_run_delay_eq, False, (
         ("a", float, REQUIRED), ("thetaMax", float, 10.0), ("step", float, 0.01),

@@ -39,27 +39,32 @@ __all__ = [
 
 
 class CertificationError(SolverError):
-    """Warm-start certification failed: t0 too large for the requested accuracy."""
+    """Warm-start certification failed: no warm-start time the search tried
+    reaches the requested accuracy, or the warm start overflows a double."""
+
+
+# The most times solve_extinction divides its warm-start time by 10.
+_WARM_START_REDUCTIONS = 6
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the ODE engine and the extinction warm start.
+    """Tolerances of the ODE engine.
 
-    Every value must be finite; a value out of range raises ArgumentError
-    naming its field.
+    rel_tol applies to every solve.  abs_tol applies only to solves from a
+    finite field (solve_cumulant, the Yaglom and spine flows): extinction
+    runs control z purely relatively and never read it.  Every value must be
+    finite; a value out of range raises ArgumentError naming its field.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    warm_start_time: float = 1e-8
 
     def __post_init__(self):
         # Written so that NaN fails every rule.
         rules = (
             ("rel_tol", 0.0 < self.rel_tol < np.inf, "finite and positive"),
             ("abs_tol", 0.0 <= self.abs_tol < np.inf, "finite and nonnegative"),
-            ("warm_start_time", 0.0 < self.warm_start_time < np.inf, "finite and positive"),
         )
         for name, ok, rule in rules:
             if not ok:
@@ -102,9 +107,9 @@ class CumulantCurve:
         return self._dense.t_end
 
 
-def _check_times(times, minimum=0.0):
+def _check_times(times):
     """The grid every solve and every reading runs on: a nonempty, finite,
-    strictly increasing 1-d array starting at or above minimum."""
+    strictly increasing 1-d array."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.ndim != 1 or t.size == 0:
         raise ArgumentError("times", "times must be a nonempty 1-d grid")
@@ -112,8 +117,6 @@ def _check_times(times, minimum=0.0):
         raise ArgumentError("times", "times must be finite")
     if np.any(np.diff(t) <= 0):
         raise ArgumentError("times", "times must be strictly increasing")
-    if t[0] < minimum:
-        raise ArgumentError("times", f"times must start at or above {minimum}")
     return t
 
 
@@ -209,8 +212,9 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
 
 def _certify(model, t0, t_first, opts):
     """The warm-start bound at t_first and the reports of the coarse (t0) and
-    halved (t0/2) runs that measured it; CertificationError when the bound
-    exceeds 10 * rel_tol or cannot be transported."""
+    halved (t0/2) runs that measured it; CertificationError, naming t0 and
+    the bound, when the bound exceeds 10 * rel_tol or cannot be transported
+    (solve_extinction then tries a smaller t0)."""
     threshold = 10.0 * opts.rel_tol
 
     # Certification sub-runs integrate 30x tighter than the claimed tolerance
@@ -238,14 +242,14 @@ def _certify(model, t0, t_first, opts):
         decay_seen = d_late <= 0.5 * d_early or d_late <= noise_floor
         if not decay_seen:
             raise CertificationError(
-                f"warm-start discrepancy not decaying ({d_early:.3e} -> {d_late:.3e}); "
-                "decrease warm_start_time"
+                f"warm-start certification failed at t0={t0:g}: discrepancy not "
+                f"decaying ({d_early:.3e} -> {d_late:.3e})"
             )
         bound = d_late * (t_cert_end / t_first)
     if bound > threshold:
         raise CertificationError(
-            f"warm-start certification failed: projected relative change {bound:.3e} "
-            f"at t={t_first:g} exceeds {threshold:.1e}; decrease warm_start_time"
+            f"warm-start certification failed at t0={t0:g}: projected relative change "
+            f"{bound:.3e} at t={t_first:g} exceeds {threshold:.1e}"
         )
     return bound, (coarse.report, halved.report)
 
@@ -253,22 +257,26 @@ def _certify(model, t0, t_first, opts):
 def solve_extinction(model, times, opts=None):
     """Extinction cumulant on the grid, certified by warm-start halving.
 
-    Requires min(times) >= 10 * warm_start_time.  Certification: a second run
-    from t0/2 is compared against the t0 run on a geometric grid between
-    10*t0 and the first requested time; the warm-start discrepancy decays
-    like t0/t along the contracting flow, so the earliest comparison point
-    dominates all later ones.  A relative change above 10 * rel_tol raises
-    CertificationError.  The t0/2 run is returned.  A grid past the time where
-    eta(t)^-gamma0 overflows a double is refused before any solve.
+    The times must be positive.  The warm start at t0 = min(1e-8, times[0]/10)
+    is certified by a second run from t0/2, compared against the t0 run on a
+    geometric grid between 10*t0 and the first requested time; the
+    discrepancy decays like t0/t along the contracting flow, so the earliest
+    comparison point dominates all later ones.  A relative change above
+    10 * rel_tol fails, and t0/10 is tried, at most six times over.
+    CertificationError when the last try fails, or when the warm start at
+    t0/2 overflows a double (gamma0 near 1).  The t0/2 run of the try that
+    certified is returned: the curve's t_start is t0/2.  A grid past the
+    time where eta(t)^-gamma0 overflows a double is refused before any solve.
 
-    The certification and the returned solve are the two items dealt out by
+    Each try deals the certification and the returned solve out through
     _fork.map_forked, in that order, so a failed certification's error is
     raised before the returned solve's.  On 2 CPUs the returned solve, the
     last item, runs in this process, since its OdeSolution cannot be pickled.
     """
     opts = opts or SolverOptions()
-    t0 = opts.warm_start_time
-    times = _check_times(times, minimum=10.0 * t0)
+    times = _check_times(times)
+    if times[0] <= 0.0:
+        raise ArgumentError("times", f"times must be positive, got {times[0]:g}")
     # The z variable's right-hand side scales like eta(t)^-gamma0: where that
     # leaves double range the solver works on inf and NaN and never ends.
     with np.errstate(over="ignore", divide="ignore"):
@@ -277,9 +285,20 @@ def solve_extinction(model, times, opts=None):
                 "times", f"times must end where eta(t)^-gamma0 is a finite double, "
                 f"got {times[-1]:g}"
             )
-    certify = functools.partial(_certify, model, t0, float(times[0]), opts)
-    solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
-    results, error = map_forked(lambda task: task(), [certify, solve], worker_count(2))
+    t0 = min(1e-8, float(times[0]) / 10.0)
+    for _ in range(_WARM_START_REDUCTIONS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(_warm_start(model, t0 / 2.0))):
+                raise CertificationError(
+                    f"warm-start certification failed: the warm start at t0/2={t0 / 2.0:g} "
+                    f"overflows a double for gamma0={model.gamma0:g}"
+                )
+        certify = functools.partial(_certify, model, t0, float(times[0]), opts)
+        solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
+        results, error = map_forked(lambda task: task(), [certify, solve], worker_count(2))
+        if not isinstance(error, CertificationError):
+            break
+        t0 /= 10.0
     if error is not None:
         raise error
     (bound, reports), fine = results

@@ -101,6 +101,16 @@ def _density(values, d, name="mu"):
     return arr
 
 
+def _count(value, name, minimum):
+    """value as an int: a Python or numpy integer, not a bool, at least minimum."""
+    # a bool is an int to Python, but not a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ArgumentError(name, f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """d sites with strictly positive reference weights m."""

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._fork import map_forked, worker_count
 from ._mapped import mapped_zeros
-from .model import ArgumentError, _density
+from .model import ArgumentError, _count, _density
 
 __all__ = [
     "SimConfig",
@@ -83,14 +83,7 @@ class SimConfig:
                 raise ArgumentError(name, f"{name} must be finite and positive, got {value!r}")
         if self.step_size > self.horizon:
             raise ArgumentError("step_size", "step_size must not exceed the horizon")
-        # a bool is an int to Python, but not a count of replicates
-        if isinstance(self.replicates, bool) or not isinstance(self.replicates, (int, np.integer)):
-            raise ArgumentError(
-                "replicates", f"replicates must be an integer, got {self.replicates!r}"
-            )
-        if self.replicates < 1:
-            raise ArgumentError("replicates", "replicates must be at least 1")
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", _count(self.replicates, "replicates", 1))
         if not 0 <= int(self.seed) < 2**64:
             raise ArgumentError("seed", "seed must fit in 64 bits")
         object.__setattr__(self, "seed", int(self.seed))

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._mapped import mapped_zeros
 from .cumulant import SolverOptions, _check_horizon, _check_thetas, _cumulant_flow
-from .model import ArgumentError, _density
+from .model import _count, _density
 
 __all__ = [
     "SpineChain",
@@ -307,8 +307,7 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, opts=None):
     each a field over start sites.
     """
     _check_thetas(theta)
-    if n_paths < 2:
-        raise ArgumentError("n_paths", f"need at least two paths, got {n_paths!r}")
+    n_paths = _count(n_paths, "n_paths", 2)
     _check_horizon(T)
     f = _density(f, model.d, "f")
     opts = opts or SolverOptions(rel_tol=1e-8)
@@ -374,8 +373,7 @@ def ergodic_average_check(chain, F, T, n_paths, rng, x0=0):
     grouped into waves or flushes.
     """
     _check_horizon(T)
-    if n_paths < 2:
-        raise ValueError("need at least two paths")
+    n_paths = _count(n_paths, "n_paths", 2)
     x0 = _start_site(chain, x0)
 
     x64, w64 = np.polynomial.legendre.leggauss(64)

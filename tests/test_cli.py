@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from stablebranch import cli
+from stablebranch import cli, cumulant
 from stablebranch.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -28,6 +29,7 @@ from stablebranch.cli import (
 )
 from stablebranch._ivp import SolverError
 from stablebranch.analysis import mixture_rv_check
+from stablebranch.cumulant import CertificationError, SolverOptions
 from stablebranch.model import read_model, save_calibrated_model
 
 from conftest import count_forks, no_solver, use_cpus
@@ -188,10 +190,16 @@ class TestRun:
         spec = make_spec("cumulant", tmp_path / "missing.json", {}, tmp_path)
         assert run(spec) == EXIT_SCHEMA
 
-    def test_runtime_failure_exit_three(self, preset_dir, tmp_path):
+    def test_runtime_failure_exit_three(self, preset_dir, tmp_path, monkeypatch):
+        def never_certifies(model, t0, t_first, opts):
+            raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
+
+        # valid arguments whose warm start cannot be certified -> runtime failure;
+        # on one CPU each of the seven certifications fails before its returned solve
+        monkeypatch.setattr(cumulant, "_certify", never_certifies)
+        use_cpus(monkeypatch, 1)
         model_path = preset_dir / "two-site" / "two-site_model.json"
-        params = {"mu": [0.5, 0.5], "times": [1e-3, 1.0], "warmStartTime": 1e-4, "relTol": 1e-12}
-        # valid arguments whose warm start cannot be certified -> runtime failure
+        params = {"mu": [0.5, 0.5], "times": [1e-3, 1.0]}
         spec = make_spec("survival", model_path, params, tmp_path)
         assert run(spec) == EXIT_RUNTIME
         error = json.loads((tmp_path / "run_manifest.json").read_text())["error"]
@@ -473,6 +481,9 @@ class TestSchema:
             ("cumulant", {"f": [1.0], "times": [1.0], "relTol": "nan"}, "relTol"),
             ("cumulant", {"f": [1.0], "times": [1.0], "absTol": "inf"}, "absTol"),
             ("rv-fit", {"times": [1.0, 10.0], "warmStartTime": "inf"}, "warmStartTime"),
+            ("cumulant", {"f": [1.0], "times": [1.0], "warmStartTime": 1e-9}, "warmStartTime"),
+            ("survival", {"mu": [1.0], "times": [1.0], "absTol": 1e-6}, "absTol"),
+            ("rv-fit", {"times": [1.0, 10.0], "absTol": 1e-6}, "absTol"),
             ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 10.0, "max": 1.0, "count": 5}}, "timesGrid"),
@@ -511,7 +522,7 @@ class TestSchema:
             ("delay-eq", {"a": 1.5, "tol": -1.0}, "tol"),
             ("delay-eq", {"a": 1.5, "tol": "nan", "thetaMax": 1.0}, "tol"),
             ("spine-check", {"paths": 1}, "paths"),
-            ("survival", {"mu": [1.0], "times": [1e-9, 1.0]}, "times"),
+            ("survival", {"mu": [1.0], "times": [0.0, 1.0]}, "times"),
             ("rv-fit", {"times": [1e3, 1e3, 1e4, 1e5]}, "times"),
             ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0], "t": [1e-3]}, "rho"),
             ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": ["nan", 1e-3]}, "'t'"),
@@ -525,6 +536,7 @@ class TestSchema:
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
+             "cumulant-warm-start", "survival-abs-tol", "rv-fit-abs-tol",
              "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
              "step-nan", "horizon-inf", "paths-zero", "mu-nan", "mu-negative", "mu-zero",
              "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
@@ -534,7 +546,7 @@ class TestSchema:
              "rv-fit-times-inf", "rv-fit-times-nan", "yaglom-horizons-inf",
              "yaglom-horizon-nan", "yaglom-theta-nan", "spine-horizon-nan",
              "spine-theta-inf", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
-             "spine-paths-one", "survival-times-below-warm-start", "rv-fit-times-repeated",
+             "spine-paths-one", "survival-times-zero", "rv-fit-times-repeated",
              "mixture-rho-short", "mixture-t-nan", "yaglom-f-unnormalized",
              "yaglom-horizons-empty", "paths-fractional", "paths-boolean",
              "spine-paths-fractional", "grid-count-fractional", "grid-count-boolean"],
@@ -553,6 +565,32 @@ class TestSchema:
         # V_t 0 = 0: a zero field is a valid start for the cumulant, unlike a density
         model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
         assert run(make_spec("cumulant", model, {"f": [0.0], "times": [1.0]}, tmp_path)) == EXIT_OK
+
+    def test_survival_grid_may_start_below_warm_start(self, preset_dir, tmp_path):
+        # the warm-start time is worked out from the grid: t0 = 1e-10 here
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        params = {"mu": [1.0], "times": [1e-9, 1.0]}
+        assert run(make_spec("survival", model, params, tmp_path)) == EXIT_OK
+
+    @pytest.mark.parametrize("kind, params, named", [
+        ("survival", {"mu": [1.0]}, "timesGrid"),
+        ("rv-fit", {}, "timesGrid"),
+        ("yaglom", {"horizons": [1.0]}, "thetaGrid"),
+        ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0]}, "tGrid"),
+    ])
+    def test_grid_count_refused_before_allocation(self, kind, params, named, preset_dir,
+                                                  tmp_path, monkeypatch, capsys):
+        def no_geomspace(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        # 10^9 points, 8 GB: the count is refused before np.geomspace is asked for them
+        monkeypatch.setattr(np, "geomspace", no_geomspace)
+        model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
+        grid = {"min": 0.1, "max": 10.0, "count": 10**9}
+        spec = make_spec(kind, model if _KINDS[kind].needs_model else None,
+                         {**params, named: grid}, tmp_path)
+        assert run(spec) == EXIT_SCHEMA
+        assert f"parameter {named!r}" in capsys.readouterr().err
 
     def test_delay_eq_grid_refused_before_allocation(self, tmp_path, monkeypatch, capsys):
         def no_arange(*args, **kwargs):
@@ -582,7 +620,6 @@ class TestSchema:
         (["delay-eq", "--a", "1.5", "--tol", "nan", "--theta-max", "1"], "tol"),
         (["spine-check", "--paths", "1"], "paths"),
         (["spine-check", "--paths", "2.5"], "paths"),
-        (["survival", "--mu", "[0.5, 0.5]", "--times", "[1e-9, 1]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
         (["rv-fit", "--times", "[1e100, 1e101, 1e102]"], "times"),
@@ -596,8 +633,7 @@ class TestSchema:
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
-            "spine-paths-one", "spine-paths-fractional", "survival-times-below-warm-start",
-            "rv-fit-window",
+            "spine-paths-one", "spine-paths-fractional", "rv-fit-window",
             "rv-fit-times-repeated", "rv-fit-times-past-double-range", "mixture-rho-short",
             "mixture-t-nan", "delay-step-merges-grid", "yaglom-horizons-same-file",
             "yaglom-horizons-decreasing"])
@@ -612,6 +648,49 @@ class TestSchema:
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith(f"schema error: parameter {named!r}")
+
+
+# Each solver kind on tiny inputs over the two-site preset, for the settings
+# check; on the scalar model the extinction solve in z is exact at any tolerance.
+SOLVER_RUNS = {
+    "cumulant": {"f": [1.0, 0.5], "times": [0.5, 1.0]},
+    "survival": {"mu": [0.5, 0.5], "times": [100.0, 1000.0]},
+    "yaglom": {"theta": [1.0], "horizons": [1.0]},
+    "spine-check": {"paths": 2},
+    "rv-fit": {"times": [1.0, 10.0, 100.0]},
+}
+# The SolverOptions fields under their camelCase names, two valid values of
+# each, and every (kind, field) a kind accepts.
+SOLVER_FIELDS = {
+    re.sub("_([a-z])", lambda m: m[1].upper(), f.name) for f in dataclasses.fields(SolverOptions)
+}
+SOLVER_VALUES = {"relTol": (1e-4, 1e-10), "absTol": (1e-2, 1e-12)}
+SOLVER_SETTINGS = [
+    (kind, name) for kind, entry in _KINDS.items() for name, _, _ in entry.params
+    if name in SOLVER_FIELDS
+]
+
+
+class TestSolverSettings:
+    def test_settable_values(self):
+        # the flow kinds take relTol and absTol, the extinction kinds relTol only
+        assert SOLVER_FIELDS == set(SOLVER_VALUES)
+        assert {kind for kind, _ in SOLVER_SETTINGS} == set(SOLVER_RUNS)
+        assert len(SOLVER_SETTINGS) == 8
+
+    @pytest.mark.parametrize("kind, name", SOLVER_SETTINGS, ids=[f"{k}-{n}" for k, n in SOLVER_SETTINGS])
+    def test_every_setting_reaches_its_solve(self, kind, name, preset_dir, tmp_path):
+        # a setting that a kind accepts but its solve never reads would leave
+        # the artifacts the same for every value
+        model = preset_dir / "two-site" / "two-site_model.json"
+        artifacts = []
+        for i, value in enumerate(SOLVER_VALUES[name]):
+            outdir = tmp_path / str(i)
+            spec = make_spec(kind, model, {**SOLVER_RUNS[kind], name: value}, outdir, seed=1)
+            assert run(spec) in (EXIT_OK, EXIT_TOLERANCE)
+            artifacts.append(_artifacts(outdir))
+        assert artifacts[0].keys() == artifacts[1].keys()
+        assert artifacts[0] != artifacts[1]
 
 
 class TestGeneratedCommands:

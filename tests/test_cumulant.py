@@ -1,10 +1,15 @@
+import contextlib
+import functools
+import importlib
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from stablebranch import cumulant
+from stablebranch import cli, cumulant
 from stablebranch._ivp import SolverError
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
@@ -49,7 +54,6 @@ class TestSolverOptions:
         [
             ("rel_tol", np.nan), ("rel_tol", np.inf), ("rel_tol", 0.0),
             ("abs_tol", np.nan), ("abs_tol", np.inf), ("abs_tol", -1e-12),
-            ("warm_start_time", np.nan), ("warm_start_time", np.inf), ("warm_start_time", 0.0),
         ],
     )
     def test_rejects_value_and_names_field(self, field, value):
@@ -139,14 +143,45 @@ class TestSolveExtinction:
         assert np.abs(big / v1 - 1.0).max() < 2e-4
         assert np.all(big <= v1 * (1 + 1e-12))
 
-    def test_certification_raises_for_coarse_warm_start(self):
+    def test_coarse_warm_start_certifies_at_smaller_t0(self, monkeypatch):
+        # t0 = 1e-8 and 1e-9 fail (bounds 3.75e-8 and 3.75e-9 against 1e-9);
+        # the search certifies at t0 = 1e-10 and returns the run from t0/2
         model = coarse_warm_start_model()
-        with pytest.raises(CertificationError):
-            solve_extinction(model, [1e-7, 1e-6])  # early report with default t0
+        opts = SolverOptions()
+        fine = cumulant._extinction_solution(model, 5e-11, 1e-6, opts)
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            curve = solve_extinction(model, [1e-7, 1e-6], opts)
+            assert curve.t_start == 5e-11
+            assert curve.certification_bound <= 10 * opts.rel_tol
+            assert curve.values.tobytes() == fine(np.array([1e-7, 1e-6])).tobytes()
 
-    def test_min_time_precondition(self, scalar_model):
-        with pytest.raises(ValueError):
-            solve_extinction(scalar_model, [1e-8])
+    def test_min_time_precondition(self, scalar_model, monkeypatch):
+        # a grid may start at any positive time: t0 = times[0] / 10 below 1e-7
+        curve = solve_extinction(scalar_model, [1e-8])
+        assert curve.t_start == 5e-10
+        assert abs(curve.values[0, 0] / (0.5 * 1e-8) ** -2 - 1.0) <= 1e-8
+        no_solver(monkeypatch)
+        for times in ([0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ArgumentError, match="positive") as info:
+                solve_extinction(scalar_model, times)
+            assert info.value.name == "times"
+
+    def test_warm_start_overflow_near_gamma0_one(self, monkeypatch):
+        # (kappa (gamma-1) t)^(-1/(gamma-1)) at t = 5e-9 overflows for gamma = 1.01
+        no_solver(monkeypatch)
+        with pytest.raises(CertificationError, match="warm-start certification failed") as info:
+            solve_extinction(make_scalar(1.0, 1.01), [1.0, 2.0])
+        assert "gamma0=1.01" in str(info.value)
+
+    def test_exhausted_search_names_t0_and_bound(self, monkeypatch):
+        # with no reduction allowed the fast-motion model fails at t0 = 1e-8
+        monkeypatch.setattr(cumulant, "_WARM_START_REDUCTIONS", 0)
+        with pytest.raises(CertificationError) as info:
+            solve_extinction(coarse_warm_start_model(), [1e-7, 1e-6])
+        message = str(info.value)
+        assert message.startswith("warm-start certification failed at t0=1e-08: ")
+        assert "3.75" in message and "exceeds 1.0e-09" in message
 
 
 class TestMultiSiteAccuracy:
@@ -162,9 +197,9 @@ class TestMultiSiteAccuracy:
     ]
 
     @staticmethod
-    def reference(model, times):
+    def reference(model, times, t0):
+        """The plain-u solve from the warm start at t0, the returned run's start."""
         A, kappa, gamma = model.A, model.mechanism.kappa, model.mechanism.gamma
-        t0 = SolverOptions().warm_start_time / 2.0  # the start of the returned run
 
         def fun(t, u):
             return A @ u - kappa * np.clip(u, 0.0, None) ** gamma
@@ -184,7 +219,7 @@ class TestMultiSiteAccuracy:
         s, t = times[0], times[-1]
         base = float(curve.evaluate(s) @ (model.phi_star * model.m))
         assert conservation_residual(model, curve, s, t) / base <= 10 * rel_tol
-        ref = self.reference(model, times)
+        ref = self.reference(model, times, curve.t_start)
         assert np.abs(curve.values / ref - 1.0).max() <= 10 * rel_tol
 
     def test_default_quadrature_tolerance_at_long_horizons(self, two_site_model):
@@ -235,11 +270,34 @@ class TestSolverTelemetry:
 
 
 def coarse_warm_start_model():
-    """Fast motion against the default t0: the warm start fails certification early."""
+    """Fast motion: on [1e-7, 1e-6] the warm start fails certification at
+    t0 = 1e-8 and 1e-9 and passes at 1e-10."""
     space = StateSpace(d=2)
     motion = MotionGenerator(space=space, Q=[[-100.0, 100.0], [100.0, -100.0]])
     mech = BranchingMechanism(beta=[0.0, 0.0], kappa=[1.0, 1.0], gamma=[1.2, 1.8])
     return calibrate_critical(motion, mech)
+
+
+def never_certifies(monkeypatch):
+    """Make every certification fail, naming its t0; a forked worker inherits this."""
+
+    def failing(model, t0, t_first, opts):
+        raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
+
+    monkeypatch.setattr(cumulant, "_certify", failing)
+
+
+def count_deals(monkeypatch):
+    """Wrap cumulant.map_forked; the returned list gains one entry per deal."""
+    calls = []
+    deal = cumulant.map_forked
+
+    def counted(*args):
+        calls.append(None)
+        return deal(*args)
+
+    monkeypatch.setattr(cumulant, "map_forked", counted)
+    return calls
 
 
 class TestCertificationWorker:
@@ -277,36 +335,38 @@ class TestCertificationWorker:
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert len(curve.certification_reports) == 2
 
-    def test_same_certification_error_on_both_paths(self, monkeypatch):
-        model = coarse_warm_start_model()
+    def test_same_certification_error_on_both_paths(self, two_site_model, monkeypatch):
+        never_certifies(monkeypatch)
+        deals = count_deals(monkeypatch)
         messages = []
         for n in (1, 2):
             use_cpus(monkeypatch, n)
             with pytest.raises(CertificationError) as info:
-                solve_extinction(model, [1e-7, 1e-6])
+                solve_extinction(two_site_model, [1e-7, 1e-6])
             messages.append(str(info.value))
+            # t0 = 1e-8 and six reductions: seven deals, the last at about 1e-14
+            assert len(deals) == 7
+            deals.clear()
         assert messages[0] == messages[1]
-        assert "warm-start certification failed" in messages[0]
+        assert messages[0].startswith("warm-start certification failed at t0=1e-14")
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_certification_error_wins_when_both_fail(self, monkeypatch, n):
-        model = coarse_warm_start_model()
+    def test_certification_error_wins_when_both_fail(self, two_site_model, monkeypatch, n):
+        never_certifies(monkeypatch)
         parent = os.getpid()
         returned_runs = []
-        solution = cumulant._extinction_solution
 
-        def failing_returned_run(model, t0, t_max, opts, rtol=None):
-            if rtol is None:  # the returned run; the certification's runs set rtol
-                returned_runs.append(os.getpid())
-                raise SolverError("returned solve failed")
-            return solution(model, t0, t_max, opts, rtol)
+        def failing_returned_run(model, t0, t_max, opts):
+            returned_runs.append(os.getpid())
+            raise SolverError("returned solve failed")
 
         monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
         use_cpus(monkeypatch, n)
         with pytest.raises(CertificationError, match="warm-start certification failed"):
-            solve_extinction(model, [1e-7, 1e-6])
-        # on two CPUs the returned solve ran here and failed too; on one it never started
-        assert returned_runs == ([parent] if n == 2 else [])
+            solve_extinction(two_site_model, [1e-7, 1e-6])
+        # on two CPUs the returned solve of each of the seven deals ran here and
+        # failed too; on one it never started
+        assert returned_runs == ([parent] * 7 if n == 2 else [])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_returned_solve_error_after_passed_certification(self, two_site_model,
@@ -323,6 +383,72 @@ class TestCertificationWorker:
         with pytest.raises(SolverError, match="returned solve failed") as info:
             solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert not isinstance(info.value, CertificationError)
+
+
+class StopAtCertification(Exception):
+    pass
+
+
+class TestFirstTry:
+    """Every extinction grid of the presets and of the benchmark certifies at
+    t0 = 1e-8, the first try, so its returned solve starts at 5e-9 as it did
+    when t0 was a setting.
+
+    Each grid's certifications are found by running its spec or op with a
+    certification that records its arguments and stops the run.  The search's
+    t0 depends only on the model, times[0] and rel_tol, so each is then solved
+    on its first time alone.
+    """
+
+    @staticmethod
+    def certifications(runs):
+        """(model, t0, t_first, opts) of the first certification of each run."""
+        found = []
+
+        def recording(model, t0, t_first, opts):
+            found.append((model, t0, t_first, opts))
+            raise StopAtCertification
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cumulant, "_certify", recording)
+            use_cpus(patch, 1)  # the certification runs here, first
+            for run in runs:
+                with contextlib.suppress(StopAtCertification):
+                    run()
+        return found
+
+    @staticmethod
+    def assert_first_try(found):
+        assert found
+        for model, t0, t_first, opts in found:
+            assert t0 == 1e-8
+            assert solve_extinction(model, [t_first], opts).t_start == 5e-9
+
+    def test_preset_grids(self, tmp_path):
+        specs = [
+            path for name in cli._PRESET_MODELS
+            for path in cli.write_preset(name, str(tmp_path / name))[1:]
+            if json.loads(Path(path).read_text())["kind"] in ("survival", "rv-fit")
+        ]
+        assert len(specs) == 4
+        runs = [functools.partial(cli.run, cli.ExperimentSpec.from_file(p)) for p in specs]
+        found = self.certifications(runs)
+        assert len(found) == len(specs)
+        self.assert_first_try(found)
+
+    def test_benchmark_grids(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        ctx = workloads.setup(str(tmp_path))
+        ops = [op for size in ("run", "smoke") for op in workloads.build(size)["ode-asymptotics"]]
+        runs = [functools.partial(op.run, ctx, workloads.API) for op in ops]
+        for name, mu, T in workloads.LIVE_SHARE_INPUTS.values():
+            runs.append(functools.partial(workloads.live_share, ctx.models[name], mu, T))
+        found = self.certifications(runs)
+        # ext-two-t1, rvfit-two, rvfit-three and cli-scalar-survival at each
+        # size, and the three live shares
+        assert len(found) == 11
+        self.assert_first_try(found)
 
 
 def survival(model, mu, t, opts=None):

@@ -259,13 +259,19 @@ class TestFeynmanKac:
         with pytest.raises(ValueError, match=match):
             feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 100, rng)
 
-    @pytest.mark.parametrize("n_paths", [1], ids=["one-path"])
+    @pytest.mark.parametrize("n_paths", [1, 2.5, 3.0, True], ids=["one-path", "fraction", "float", "bool"])
     def test_bad_count_named_before_solving(self, two_site_model, monkeypatch, n_paths):
         no_solver(monkeypatch)
         with pytest.raises(ArgumentError) as info:
             feynman_kac_estimate(two_site_model, normalized_ones(two_site_model), 1.0, 2.0,
                                  n_paths, NoDraws())
         assert info.value.name == "n_paths"
+
+    def test_numpy_integer_paths(self, two_site_model):
+        f = normalized_ones(two_site_model)
+        runs = [feynman_kac_estimate(two_site_model, f, 1.0, 1.0, n, np.random.default_rng(5))
+                for n in (3, np.int64(3))]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
 def fk_digest(est, se):
@@ -334,8 +340,23 @@ class TestErgodicAverage:
     @pytest.mark.parametrize("n_paths", [1, 0])
     def test_too_few_paths_rejected(self, three_site_model, rng, n_paths):
         chain = spine_generator(three_site_model)
-        with pytest.raises(ValueError, match="two paths"):
+        with pytest.raises(ArgumentError, match="n_paths must be at least 2") as info:
             ergodic_average_check(chain, lambda y, u: np.ones_like(u), 10.0, n_paths, rng)
+        assert info.value.name == "n_paths"
+
+    @pytest.mark.parametrize("n_paths", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+    def test_non_integer_paths_rejected(self, three_site_model, n_paths):
+        chain = spine_generator(three_site_model)
+        with pytest.raises(ArgumentError, match="n_paths must be an integer") as info:
+            ergodic_average_check(chain, lambda y, u: np.ones_like(u), 10.0, n_paths, NoDraws())
+        assert info.value.name == "n_paths"
+
+    def test_numpy_integer_paths(self, three_site_model):
+        chain = spine_generator(three_site_model)
+        F = lambda y, u: (y == 0) * np.ones_like(u)
+        runs = [ergodic_average_check(chain, F, 10.0, n, np.random.default_rng(5))
+                for n in (3, np.int64(3))]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
         "F",
