@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulant import _check_times, _yaglom_batch, solve_extinction
+from .cumulant import CumulantCurve, _check_times, _yaglom_batch, solve_extinction
 from .limitlaw import g_closed
 from .model import ArgumentError, _as_vector, _density, eta
 
@@ -82,12 +82,14 @@ def rv_index_fit(times, values):
 
 @dataclass
 class KolmogorovTable:
-    """Normalized survival probability against its mass target per time."""
+    """Normalized survival probability against its mass target per time, with
+    the extinction curve it was read from."""
 
     times: np.ndarray
     normalized: np.ndarray  # survival / eta_t
     target: float  # <mu, phi>
     monotone: bool
+    curve: CumulantCurve
 
     @property
     def ratio(self):
@@ -110,7 +112,8 @@ def kolmogorov_table(model, mu, times, opts=None):
     dev = np.abs(normalized / target - 1.0)
     monotone = bool(np.all(np.diff(dev) <= 1e-12))
     return KolmogorovTable(
-        times=curve.times, normalized=normalized, target=target, monotone=monotone
+        times=curve.times, normalized=normalized, target=target, monotone=monotone,
+        curve=curve,
     )
 
 

@@ -31,7 +31,7 @@ import scipy
 from . import __version__
 from ._fork import map_forked, worker_count
 from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
-from .cumulant import SolverOptions, _check_horizon, solve_cumulant, weighted_extinction_norm
+from .cumulant import SolverOptions, _check_horizon, solve_cumulant, solve_extinction
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
 from .model import ArgumentError, _atomic_write_text, eta, read_model, save_calibrated_model
 from .simulate import SimConfig, simulate_paths
@@ -193,9 +193,19 @@ def _run_cumulant(spec, params, outdir, model, mhash):
         ("t", "site", "value"),
         rows,
     )
+    return EXIT_OK, [out], _solve_summary(curve)
+
+
+def _solve_summary(curve):
+    """The counts of the solve behind a curve; for an extinction curve also its
+    warm-start time t0 (twice the returned run's start) and the bound its
+    certification reached."""
     rep = curve.solver_report
     keys = ("engine", "variable", "accepted", "rejected", "nfev", "njev", "nlu")
-    return EXIT_OK, [out], {key: getattr(rep, key) for key in keys}
+    summary = {key: getattr(rep, key) for key in keys}
+    if curve.certification_bound is not None:
+        summary.update(t0=2.0 * curve.t_start, certification_bound=curve.certification_bound)
+    return summary
 
 
 def _run_survival(spec, params, outdir, model, mhash):
@@ -217,6 +227,7 @@ def _run_survival(spec, params, outdir, model, mhash):
         "target": table.target,
         "final_ratio": float(table.ratio[-1]),
         "monotone": table.monotone,
+        **_solve_summary(table.curve),
     }
     return _gate(abs(summary["final_ratio"] - 1.0), params["ratioTolerance"]), [out], summary
 
@@ -330,7 +341,8 @@ def _run_spine_check(spec, params, outdir, model, mhash):
 def _run_rv_fit(spec, params, outdir, model, mhash):
     """Regular-variation index of the weighted extinction norm."""
     times = _times_from(params)
-    values = weighted_extinction_norm(model, times, _solver_options(params))
+    curve = solve_extinction(model, times, _solver_options(params))
+    values = curve.values @ (model.phi_star * model.m)
     est = rv_index_fit(times, values)
     out = os.path.join(outdir, "rv_fit.csv")
     _write_csv(
@@ -340,7 +352,7 @@ def _run_rv_fit(spec, params, outdir, model, mhash):
         list(zip(times.tolist(), values.tolist())),
     )
     target = -1.0 / (model.gamma0 - 1.0)
-    summary = {"slope": est.slope, "stderr": est.stderr, "target": target}
+    summary = {"slope": est.slope, "stderr": est.stderr, "target": target, **_solve_summary(curve)}
     return _gate(abs(est.slope / target - 1.0), params["slopeRelTolerance"]), [out], summary
 
 

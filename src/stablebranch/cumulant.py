@@ -46,6 +46,11 @@ class CertificationError(SolverError):
 # The most times solve_extinction divides its warm-start time by 10.
 _WARM_START_REDUCTIONS = 6
 
+# Where indices are well separated the certified warm-start bound at the first
+# reported time t1 reads C a t0^2 / t1, with a the fastest exit rate and C
+# about 0.35; _warm_start_time aims it at rel_tol / 100 with 100 C.
+_WARM_START_CONSTANT = 35.0
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -210,12 +215,27 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
     )
 
 
+def _warm_start_time(model, t_first, rel_tol):
+    """The first warm-start time solve_extinction tries for a grid from t_first.
+
+    With a = max(1, max_x |A_xx|), t* = sqrt(rel_tol t_first / (35 a)) puts
+    the bound the certification measures near rel_tol / 100.  t0 is t* floored
+    to a power of ten, kept within [1e-8, t_first / 10]: from 1e-7 on it is
+    never earlier than 1e-8, and below 1e-7 it is t_first / 10.
+    """
+    a = max(1.0, float(np.max(np.abs(np.diag(model.A)))))
+    t_star = np.sqrt(rel_tol * t_first / (_WARM_START_CONSTANT * a))
+    return min(t_first / 10.0, max(1e-8, 10.0 ** float(np.floor(np.log10(t_star)))))
+
+
 def _certify(model, t0, t_first, opts):
     """The warm-start bound at t_first and the reports of the coarse (t0) and
     halved (t0/2) runs that measured it; CertificationError, naming t0 and
-    the bound, when the bound exceeds 10 * rel_tol or cannot be transported
-    (solve_extinction then tries a smaller t0)."""
-    threshold = 10.0 * opts.rel_tol
+    the bound, when the bound exceeds rel_tol or cannot be transported
+    (solve_extinction then tries a smaller t0).  The threshold is rel_tol
+    itself: t0 sits near the accuracy limit, and the warm start alone must
+    never use up more than the stated tolerance."""
+    threshold = opts.rel_tol
 
     # Certification sub-runs integrate 30x tighter than the claimed tolerance
     # so the measured change isolates the warm-start effect from integrator
@@ -257,12 +277,15 @@ def _certify(model, t0, t_first, opts):
 def solve_extinction(model, times, opts=None):
     """Extinction cumulant on the grid, certified by warm-start halving.
 
-    The times must be positive.  The warm start at t0 = min(1e-8, times[0]/10)
-    is certified by a second run from t0/2, compared against the t0 run on a
-    geometric grid between 10*t0 and the first requested time; the
-    discrepancy decays like t0/t along the contracting flow, so the earliest
-    comparison point dominates all later ones.  A relative change above
-    10 * rel_tol fails, and t0/10 is tried, at most six times over.
+    The times must be positive.  The first warm-start time t0 is
+    _warm_start_time(model, times[0], rel_tol): the power of ten at which the
+    measured warm-start error sits near rel_tol / 100, never earlier than
+    min(1e-8, times[0]/10).  The warm start at t0 is certified by a second
+    run from t0/2, compared against the t0 run on a geometric grid between
+    10*t0 and the first requested time; the discrepancy decays like t0/t
+    along the contracting flow, so the earliest comparison point dominates
+    all later ones.  A relative change above rel_tol fails, and t0/10 is
+    tried, at most six times over.
     CertificationError when the last try fails, or when the warm start at
     t0/2 overflows a double (gamma0 near 1).  The t0/2 run of the try that
     certified is returned: the curve's t_start is t0/2.  A grid past the
@@ -285,7 +308,7 @@ def solve_extinction(model, times, opts=None):
                 "times", f"times must end where eta(t)^-gamma0 is a finite double, "
                 f"got {times[-1]:g}"
             )
-    t0 = min(1e-8, float(times[0]) / 10.0)
+    t0 = _warm_start_time(model, float(times[0]), opts.rel_tol)
     for _ in range(_WARM_START_REDUCTIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(_warm_start(model, t0 / 2.0))):

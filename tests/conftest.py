@@ -55,6 +55,37 @@ def weighted_model():
 
 
 @pytest.fixture(scope="session")
+def close_index_model():
+    """Symmetric two-site chain with gamma = (1.5, 1.6): the indices nearly
+    tie, so the approach to the limits is slow (correction exponent 0.2)."""
+    space = StateSpace(d=2)
+    motion = MotionGenerator(space=space, Q=[[-1.0, 1.0], [1.0, -1.0]])
+    mech = BranchingMechanism(beta=[0.0, 0.0], kappa=[1.0, 1.0], gamma=[1.5, 1.6])
+    return calibrate_critical(motion, mech)
+
+
+def reflecting_diffusion(d):
+    """Reflecting diffusion on [0, 1] discretised on d cells: nearest-neighbour
+    rates D = 0.05 d^2, m = 1/d, kappa 1 and gamma(x) = 1.3 + 1.6 (x - 0.5)^2
+    at the cell centres.  The gap above gamma0 shrinks like d^-2."""
+    rate = 0.05 * d * d
+    Q = np.diag(np.full(d - 1, rate), 1) + np.diag(np.full(d - 1, rate), -1)
+    Q -= np.diag(Q.sum(axis=1))
+    x = (np.arange(d) + 0.5) / d
+    space = StateSpace(d=d, m=np.full(d, 1.0 / d))
+    mech = BranchingMechanism(
+        beta=np.zeros(d), kappa=np.ones(d), gamma=1.3 + 1.6 * (x - 0.5) ** 2
+    )
+    return calibrate_critical(MotionGenerator(space=space, Q=Q), mech)
+
+
+@pytest.fixture(scope="session")
+def diffusion_model():
+    """The reflecting diffusion on d = 10 cells; gamma0 1.304, next index 1.336."""
+    return reflecting_diffusion(10)
+
+
+@pytest.fixture(scope="session")
 def loose_opts():
     """Tolerance profile for long-horizon asymptotic runs."""
     return SolverOptions(rel_tol=1e-7)

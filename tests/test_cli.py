@@ -167,6 +167,29 @@ class TestRun:
             assert isinstance(summary[key], int) and summary[key] > 0
         assert "nfev" not in (tmp_path / "cumulant.csv").read_text()
 
+    def test_extinction_manifests_record_warm_start(self, preset_dir, tmp_path):
+        # survival and rv-fit record the warm-start time, its certified bound
+        # and the returned solve's counts; the tables stay as they were
+        model_path = preset_dir / "two-site" / "two-site_model.json"
+        model, _ = read_model(model_path)
+        times = np.geomspace(1e3, 1e5, 9)
+        runs = {
+            "survival": {"mu": [0.5, 0.5], "times": times.tolist(), "relTol": 1e-7},
+            "rv-fit": {"times": times.tolist(), "relTol": 1e-7},
+        }
+        for kind, params in runs.items():
+            assert run(make_spec(kind, model_path, params, tmp_path / kind)) == EXIT_OK
+            summary = strict_json(tmp_path / kind / "run_manifest.json")["summary"]
+            assert summary["t0"] == cumulant._warm_start_time(model, 1e3, 1e-7) == 1e-3
+            assert 0.0 < summary["certification_bound"] <= 1e-8
+            assert summary["variable"] == "z"
+            for key in ("accepted", "rejected", "nfev", "njev", "nlu"):
+                assert isinstance(summary[key], int) and summary[key] >= (key != "rejected")
+        norms = cumulant.weighted_extinction_norm(model, times, SolverOptions(rel_tol=1e-7))
+        lines = (tmp_path / "rv-fit" / "rv_fit.csv").read_text().splitlines()
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert [float(value) for _, value in rows[1:]] == norms.tolist()
+
     def test_mixture_check(self, tmp_path):
         params = {
             "alpha": [1.2, 1.8],

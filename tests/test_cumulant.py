@@ -144,7 +144,7 @@ class TestSolveExtinction:
         assert np.all(big <= v1 * (1 + 1e-12))
 
     def test_coarse_warm_start_certifies_at_smaller_t0(self, monkeypatch):
-        # t0 = 1e-8 and 1e-9 fail (bounds 3.75e-8 and 3.75e-9 against 1e-9);
+        # t0 = 1e-8 and 1e-9 fail (bounds 3.75e-8 and 3.75e-9 against 1e-10);
         # the search certifies at t0 = 1e-10 and returns the run from t0/2
         model = coarse_warm_start_model()
         opts = SolverOptions()
@@ -153,8 +153,22 @@ class TestSolveExtinction:
             use_cpus(monkeypatch, n)
             curve = solve_extinction(model, [1e-7, 1e-6], opts)
             assert curve.t_start == 5e-11
-            assert curve.certification_bound <= 10 * opts.rel_tol
+            assert curve.certification_bound <= opts.rel_tol
             assert curve.values.tobytes() == fine(np.array([1e-7, 1e-6])).tobytes()
+
+    def test_warm_start_time_rule(self, two_site_model):
+        # a power of ten near sqrt(rel_tol t_first / (35 a)), never earlier
+        # than min(1e-8, t_first / 10) and never later than t_first / 10
+        rule = functools.partial(cumulant._warm_start_time, two_site_model)
+        assert rule(1.0, 1e-8) == 1e-5 and rule(1e3, 1e-7) == 1e-3
+        assert rule(1e-7, 1e-6) == 1e-8 and rule(1e-8, 1e-10) == 1e-9
+        assert rule(1e-3, 1.0) == 1e-4
+        assert cumulant._warm_start_time(coarse_warm_start_model(), 1.0, 1e-8) == 1e-6
+        for t_first in np.geomspace(1e-12, 1e6, 37):
+            for rel_tol in (1e-12, 1e-8, 1e-4):
+                t0 = rule(float(t_first), rel_tol)
+                assert min(1e-8, t_first / 10.0) <= t0 <= t_first / 10.0
+                assert t0 == t_first / 10.0 or t0 == 10.0 ** round(np.log10(t0))
 
     def test_min_time_precondition(self, scalar_model, monkeypatch):
         # a grid may start at any positive time: t0 = times[0] / 10 below 1e-7
@@ -181,7 +195,7 @@ class TestSolveExtinction:
             solve_extinction(coarse_warm_start_model(), [1e-7, 1e-6])
         message = str(info.value)
         assert message.startswith("warm-start certification failed at t0=1e-08: ")
-        assert "3.75" in message and "exceeds 1.0e-09" in message
+        assert "3.75" in message and "exceeds 1.0e-10" in message
 
 
 class TestMultiSiteAccuracy:
@@ -254,7 +268,7 @@ class TestSolverTelemetry:
         assert rep.engine == "radau" and rep.variable == "z"
         assert rep.accepted > 0 and rep.rejected > 0
         assert rep.nfev > rep.accepted and rep.njev >= 1 and rep.nlu >= 2
-        assert 0.0 <= curve.certification_bound <= 10 * opts.rel_tol
+        assert 0.0 <= curve.certification_bound <= opts.rel_tol
         coarse, halved = curve.certification_reports
         for cert in (coarse, halved):
             assert cert.engine == "radau" and cert.variable == "z"
@@ -390,14 +404,15 @@ class StopAtCertification(Exception):
 
 
 class TestFirstTry:
-    """Every extinction grid of the presets and of the benchmark certifies at
-    t0 = 1e-8, the first try, so its returned solve starts at 5e-9 as it did
-    when t0 was a setting.
+    """Every extinction grid of the presets and of the benchmark certifies on
+    the first try, at t0 = _warm_start_time(model, times[0], rel_tol), with a
+    bound of at most rel_tol / 10: the rule's aim leaves room below the
+    certification's threshold of rel_tol.
 
     Each grid's certifications are found by running its spec or op with a
-    certification that records its arguments and stops the run.  The search's
-    t0 depends only on the model, times[0] and rel_tol, so each is then solved
-    on its first time alone.
+    certification that records its arguments and stops the run.  The
+    certification depends only on the model, t0, times[0] and rel_tol, so
+    each is then run again on its own.
     """
 
     @staticmethod
@@ -421,8 +436,9 @@ class TestFirstTry:
     def assert_first_try(found):
         assert found
         for model, t0, t_first, opts in found:
-            assert t0 == 1e-8
-            assert solve_extinction(model, [t_first], opts).t_start == 5e-9
+            assert t0 == cumulant._warm_start_time(model, t_first, opts.rel_tol)
+            bound, _ = cumulant._certify(model, t0, t_first, opts)
+            assert bound <= opts.rel_tol / 10
 
     def test_preset_grids(self, tmp_path):
         specs = [

@@ -65,8 +65,9 @@ CASES = [extinction_two_site, field_three_site, scalar, batch_two_site]
 
 
 @pytest.fixture(scope="module")
-def models(scalar_model, two_site_model, three_site_model):
-    return {"scalar": scalar_model, "two": two_site_model, "three": three_site_model}
+def models(scalar_model, two_site_model, three_site_model, close_index_model, diffusion_model):
+    return {"scalar": scalar_model, "two": two_site_model, "three": three_site_model,
+            "close": close_index_model, "diffusion": diffusion_model}
 
 
 class _NoGrowthAfterReject:
@@ -123,7 +124,7 @@ def scalar_tiny_rtol(models):
 
 
 def extinction_three_site(models):
-    # the returned solve of the three-site rv-fit: z from the warm start to 1e6
+    # a long three-site z run at rtol 1e-7, from the warm start at 5e-9 to 1e6
     model = models["three"]
     t0 = 5e-9
     return (*ode_args(model), _warm_start(model, t0), (t0, 1e6)), dict(rtol=1e-7, _bernoulli=True)
@@ -380,19 +381,51 @@ class TestStepRule:
         assert err <= rel_tol
 
 
+class TestExtinctionAccuracy:
+    """The error a caller of solve_extinction gets, its warm start included:
+    the returned curve against a 1e-11 run from 5e-9, relative, on 2,000
+    geometric points over [times[0], T].  On the close-index and diffusion
+    models the certified bound does not follow the t0^2 law that
+    _warm_start_time assumes."""
+
+    CASES = [
+        ("two", [1.0], 1e-8),
+        ("two", np.geomspace(1e3, 1e6, 25), 1e-7),
+        ("three", np.geomspace(1e3, 1e6, 25), 1e-7),
+        ("close", [1.0], 1e-8),
+        ("diffusion", [1.0], 1e-8),
+    ]
+
+    @pytest.mark.parametrize("name,times,rel_tol", CASES)
+    def test_solve_extinction_within_rel_tol(self, models, tight_extinction, name, times,
+                                             rel_tol):
+        model, T = models[name], times[-1]
+        if T == 1e6:  # the runs tight_extinction holds
+            reference = tight_extinction[name]
+        else:
+            reference = _extinction_solution(model, 5e-9, T, SolverOptions(rel_tol=1e-11))
+        curve = solve_extinction(model, times, SolverOptions(rel_tol=rel_tol))
+        grid = np.geomspace(times[0], T, 2000)
+        err = np.max(np.abs(curve.evaluate(grid) / reference(grid) - 1.0))
+        assert err <= rel_tol
+
+
 class TestOdeGoldenDigests:
     """ODE outputs pinned bit for bit; recorded with the engine's Radau, scipy's
     under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
     change to the engine's arithmetic, the step control or the warm start shows
     here.  The Yaglom surface's solve never accepts a step after a rejection,
-    so the rule left its digest as scipy's stock Radau recorded it.  They hold
-    on 2 BLAS threads: on one (`taskset -c 0` or OPENBLAS_NUM_THREADS=1)
-    OpenBLAS zgetrs returns other bits, and test_two_site_extinction fails."""
+    so the rule left its digest as scipy's stock Radau recorded it.  The three
+    extinction digests were recorded with t0 from _warm_start_time.  All four
+    hold on 2 BLAS threads and on one (`taskset -c 0` or
+    OPENBLAS_NUM_THREADS=1).  OpenBLAS zgetrs still returns other bits on one
+    thread; the two-site run from 5e-9 that showed it is no longer the one
+    test_two_site_extinction solves."""
 
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert digest(curve.values) == (
-            "ed3f1dcee450b5df4f81e9f2fddb1689f2f1d8f14bd5d02474459c4c78951291"
+            "e9daef23fc5bcfd700ba4a28130a6b65e9deec72b58899ca74c0c1542587bc3c"
         )
 
     def test_two_site_weighted_norm(self, two_site_model):
@@ -400,7 +433,7 @@ class TestOdeGoldenDigests:
             two_site_model, np.geomspace(1e3, 1e6, 25), SolverOptions(rel_tol=1e-7)
         )
         assert digest(values) == (
-            "14e09aa02f6613be7201504738ecbbbef4d608359bbdda4f0f14e1547f18c389"
+            "77d1e75463d4efcde735a725ee56427c95ca6464756d50479bdd79ace7136990"
         )
 
     def test_three_site_survival(self, three_site_model):
@@ -410,7 +443,18 @@ class TestOdeGoldenDigests:
             SolverOptions(rel_tol=1e-7),
         )
         assert digest(table.normalized) == (
-            "00f0b4db8efd40b6e881cc35c0cec57520a5818e7554559ab824426a24fa24f7"
+            "067a68cdb7032df17c95cfc0e326f6333e5e3d4703a82d7c5baa3695729de7c3"
+        )
+
+    def test_two_site_live_share_grid(self, two_site_model):
+        # the benchmark's live-share grid: a grid from 1e-7 keeps t0 = 1e-8,
+        # and its bits, from before t0 came from _warm_start_time
+        curve = solve_extinction(
+            two_site_model, np.geomspace(1e-7, 1.0, 2001), SolverOptions(rel_tol=1e-6)
+        )
+        assert curve.t_start == 5e-9
+        assert digest(curve.values) == (
+            "88cac098143dd022846bfdafd389a4a149dd7b59da14979775f400423318387f"
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):
