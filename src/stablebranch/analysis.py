@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ivp import SolverReport
 from .cumulant import CumulantCurve, _check_times, _yaglom_batch, solve_extinction
 from .limitlaw import g_closed
 from .model import ArgumentError, _as_vector, _density, eta
@@ -119,11 +120,13 @@ def kolmogorov_table(model, mu, times, opts=None):
 
 @dataclass
 class YaglomTable:
-    """Rescaled cumulant surface against the closed-form limit per theta."""
+    """Rescaled cumulant surface against the closed-form limit per theta, with
+    the report of the solve behind the surface."""
 
     theta: np.ndarray
     surface: np.ndarray  # g(T, theta, x), shape (n_theta, d)
     limit: np.ndarray  # G(theta)
+    solver_report: SolverReport
 
     @property
     def sup_error(self):
@@ -136,9 +139,11 @@ def yaglom_table(model, f, theta_grid, T, opts=None):
     Requires <f, phi_star>_m = 1.  All thetas are solved in one batched run.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    surface = _yaglom_batch(model, f, theta_grid, T, opts)
+    surface, report = _yaglom_batch(model, f, theta_grid, T, opts)
     limit = g_closed(model.gamma0, theta_grid)
-    return YaglomTable(theta=theta_grid, surface=surface, limit=np.atleast_1d(limit))
+    return YaglomTable(
+        theta=theta_grid, surface=surface, limit=np.atleast_1d(limit), solver_report=report
+    )
 
 
 @dataclass

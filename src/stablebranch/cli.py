@@ -142,9 +142,12 @@ def _unit_field(model):
 
 
 def _times_from(params, key="times"):
-    if params[key] is not None:
-        return np.asarray(params[key])
+    """The list `key` or the geometric grid `keyGrid`: exactly one must be given."""
     grid = params[f"{key}Grid"]
+    if params[key] is not None:
+        if grid is not None:
+            raise SchemaError(f"parameter {key!r} and parameter '{key}Grid' exclude each other")
+        return np.asarray(params[key])
     if grid is None:
         raise SchemaError(f"parameter {key!r} or {key}Grid required")
     return np.geomspace(grid["min"], grid["max"], grid["count"])
@@ -196,13 +199,17 @@ def _run_cumulant(spec, params, outdir, model, mhash):
     return EXIT_OK, [out], _solve_summary(curve)
 
 
+def _counts(report):
+    """A SolverReport's counts, under the keys every manifest uses."""
+    keys = ("engine", "variable", "accepted", "rejected", "nfev", "njev", "nlu")
+    return {key: getattr(report, key) for key in keys}
+
+
 def _solve_summary(curve):
     """The counts of the solve behind a curve; for an extinction curve also its
     warm-start time t0 (twice the returned run's start) and the bound its
     certification reached."""
-    rep = curve.solver_report
-    keys = ("engine", "variable", "accepted", "rejected", "nfev", "njev", "nlu")
-    summary = {key: getattr(rep, key) for key in keys}
+    summary = _counts(curve.solver_report)
     if curve.certification_bound is not None:
         summary.update(t0=2.0 * curve.t_start, certification_bound=curve.certification_bound)
     return summary
@@ -270,7 +277,11 @@ def _run_yaglom(spec, params, outdir, model, mhash):
         sup_by_T.append(float(table.sup_error.max()))
     if error is not None:
         raise error
-    summary = {"horizons": horizons, "sup_error": sup_by_T}
+    summary = {
+        "horizons": horizons,
+        "sup_error": sup_by_T,
+        "solves": [_counts(table.solver_report) for table in tables],
+    }
     # The error must fall with the horizon until it reaches the solver's
     # noise floor; below 10 rel_tol the order of the errors is noise.
     floor = 10.0 * (opts or SolverOptions()).rel_tol

@@ -9,21 +9,20 @@ with A the calibrated mean generator, integrated by the Radau IIA engine of
 `_ivp`.  The extinction cumulant v_t (the infinite-initial-condition limit) is
 started analytically: over a vanishing initial window the motion is negligible
 and each site evolves as the scalar stable branching flow, giving
-v(t0, x) = (kappa(x) (gamma(x)-1) t0)^(-1/(gamma(x)-1)).  The warm start is
-certified by halving t0 and bounding the induced change; the bound achieved is
-kept on the returned curve.  Extinction runs integrate the Bernoulli variable
-z = v^(1-gamma0), in which the tail v ~ c t^(-1/(gamma0-1)) is linear in t;
-runs from a finite field f stay in u, because f may vanish on some sites.
+v(t0, x) = (kappa(x) (gamma(x)-1) t0)^(-1/(gamma(x)-1)).  The returned run
+starts at t0/2, and a second run from t0, compared against it, certifies the
+warm start; the bound achieved is kept on the returned curve.  Extinction
+runs integrate the Bernoulli variable z = v^(1-gamma0), in which the tail
+v ~ c t^(-1/(gamma0-1)) is linear in t; runs from a finite field f stay in u,
+because f may vanish on some sites.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import map_forked, worker_count
 from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
 from .model import ArgumentError, _as_vector, _density, eta
 
@@ -84,8 +83,8 @@ class CumulantCurve:
     For the extinction curve of solve_extinction each site trace is
     nonincreasing in t, certification_bound is the relative warm-start change
     the certification achieved at the first reported time, and
-    certification_reports holds the solver reports of its coarse (t0) and
-    halved (t0/2) runs, in that order; both are None for other curves.
+    certification_report is the solver report of the run from t0 that it
+    compared against this curve; both are None for other curves.
     solver_report is the report of the solve behind values.
     """
 
@@ -93,7 +92,7 @@ class CumulantCurve:
     values: np.ndarray
     _dense: OdeSolution
     certification_bound: float | None = None
-    certification_reports: tuple[SolverReport, SolverReport] | None = None
+    certification_report: SolverReport | None = None
 
     def evaluate(self, t):
         """Dense-output values at arbitrary t inside the solved span."""
@@ -168,7 +167,7 @@ def _warm_start(model, t0):
     faster-blowing neighbours, so the scalar value is corrected by balance
     sweeps kappa w^gamma = (scalar)^gamma + inflow until self-consistent; the
     correction vanishes for homogeneous gamma and is certified downstream by
-    the t0-halving check.
+    _certify.
     """
     kappa = model.mechanism.kappa
     gamma = model.mechanism.gamma
@@ -200,7 +199,7 @@ def _cumulant_flow(model, F, T, opts, kappa=None):
     )
 
 
-def _extinction_solution(model, t0, t_max, opts, rtol=None):
+def _extinction_solution(model, t0, t_max, opts):
     # Values traverse many decades and stay strictly positive: integrate the
     # Bernoulli variable z = u^(1-gamma0), whose tail is linear in t, under
     # purely relative control.
@@ -210,7 +209,7 @@ def _extinction_solution(model, t0, t_max, opts, rtol=None):
         model.mechanism.gamma,
         _warm_start(model, t0),
         (t0, t_max),
-        rtol=rtol if rtol is not None else opts.rel_tol,
+        rtol=opts.rel_tol,
         _bernoulli=True,
     )
 
@@ -228,37 +227,31 @@ def _warm_start_time(model, t_first, rel_tol):
     return min(t_first / 10.0, max(1e-8, 10.0 ** float(np.floor(np.log10(t_star)))))
 
 
-def _certify(model, t0, t_first, opts):
-    """The warm-start bound at t_first and the reports of the coarse (t0) and
-    halved (t0/2) runs that measured it; CertificationError, naming t0 and
-    the bound, when the bound exceeds rel_tol or cannot be transported
-    (solve_extinction then tries a smaller t0).  The threshold is rel_tol
-    itself: t0 sits near the accuracy limit, and the warm start alone must
-    never use up more than the stated tolerance."""
-    threshold = opts.rel_tol
-
-    # Certification sub-runs integrate 30x tighter than the claimed tolerance
-    # so the measured change isolates the warm-start effect from integrator
-    # noise.  The halving discrepancy decays like t0/t along the contracting
-    # flow; when the first reported time lies beyond the measured window the
-    # bound is transported with the 1/t law, which must itself be visible in
-    # the measurement (or the signal must already sit at the noise floor).
-    cert_rtol = opts.rel_tol / 30.0
+def _certify(model, t0, t_first, returned, opts):
+    """The warm-start bound at t_first and the report of the run from t0 that
+    measured it against `returned`, the run from t0/2; CertificationError,
+    naming t0 and the bound, when the bound exceeds rel_tol or cannot be
+    transported (solve_extinction then tries a smaller t0).  The threshold is
+    rel_tol itself: t0 sits near the accuracy limit, and the warm start alone
+    must never use up more than the stated tolerance."""
+    # Both runs integrate at rel_tol, so the measured change holds the
+    # warm-start effect and both runs' own errors across the transient.  It
+    # decays like t0/t along the contracting flow; past the measured window
+    # the bound is transported with that law, which the measurement must show
+    # (or sit at the noise floor).
     t_cert_end = min(100.0 * t0, t_first)
-    coarse = _extinction_solution(model, t0, t_cert_end, opts, rtol=cert_rtol)
-    halved = _extinction_solution(model, t0 / 2.0, t_cert_end, opts, rtol=cert_rtol)
+    coarse = _extinction_solution(model, t0, t_cert_end, opts)
 
     def rel_diff(t):
-        va, vb = coarse(t), halved(t)
+        va, vb = coarse(t), returned(t)
         return float(np.max(np.abs(va - vb) / np.maximum(vb, 1e-300)))
 
     if t_first <= 100.0 * t0:
-        measured = max(rel_diff(t) for t in np.geomspace(10.0 * t0, t_cert_end, 5))
-        bound = measured
+        bound = max(rel_diff(t) for t in np.geomspace(10.0 * t0, t_cert_end, 5))
     else:
         d_early = rel_diff(10.0 * t0)
         d_late = rel_diff(t_cert_end)
-        noise_floor = 50.0 * cert_rtol
+        noise_floor = 50.0 * (opts.rel_tol / 30.0)
         decay_seen = d_late <= 0.5 * d_early or d_late <= noise_floor
         if not decay_seen:
             raise CertificationError(
@@ -266,35 +259,30 @@ def _certify(model, t0, t_first, opts):
                 f"decaying ({d_early:.3e} -> {d_late:.3e})"
             )
         bound = d_late * (t_cert_end / t_first)
-    if bound > threshold:
+    if bound > opts.rel_tol:
         raise CertificationError(
             f"warm-start certification failed at t0={t0:g}: projected relative change "
-            f"{bound:.3e} at t={t_first:g} exceeds {threshold:.1e}"
+            f"{bound:.3e} at t={t_first:g} exceeds {opts.rel_tol:.1e}"
         )
-    return bound, (coarse.report, halved.report)
+    return bound, coarse.report
 
 
 def solve_extinction(model, times, opts=None):
-    """Extinction cumulant on the grid, certified by warm-start halving.
+    """Extinction cumulant on the grid, from a certified warm start.
 
     The times must be positive.  The first warm-start time t0 is
     _warm_start_time(model, times[0], rel_tol): the power of ten at which the
     measured warm-start error sits near rel_tol / 100, never earlier than
-    min(1e-8, times[0]/10).  The warm start at t0 is certified by a second
-    run from t0/2, compared against the t0 run on a geometric grid between
-    10*t0 and the first requested time; the discrepancy decays like t0/t
-    along the contracting flow, so the earliest comparison point dominates
-    all later ones.  A relative change above rel_tol fails, and t0/10 is
-    tried, at most six times over.
+    min(1e-8, times[0]/10).  The returned run starts at t0/2.  A second run
+    from t0 is compared against it on a geometric grid between 10*t0 and the
+    first requested time; the discrepancy decays like t0/t along the
+    contracting flow, so the earliest comparison point dominates all later
+    ones.  A relative change above rel_tol fails, and t0/10 is tried, at most
+    six times over; each try makes both runs, in this process.
     CertificationError when the last try fails, or when the warm start at
-    t0/2 overflows a double (gamma0 near 1).  The t0/2 run of the try that
-    certified is returned: the curve's t_start is t0/2.  A grid past the
-    time where eta(t)^-gamma0 overflows a double is refused before any solve.
-
-    Each try deals the certification and the returned solve out through
-    _fork.map_forked, in that order, so a failed certification's error is
-    raised before the returned solve's.  On 2 CPUs the returned solve, the
-    last item, runs in this process, since its OdeSolution cannot be pickled.
+    t0/2 overflows a double (gamma0 near 1).  The curve's t_start is the t0/2
+    of the try that certified.  A grid past the time where eta(t)^-gamma0
+    overflows a double is refused before any solve.
     """
     opts = opts or SolverOptions()
     times = _check_times(times)
@@ -309,29 +297,28 @@ def solve_extinction(model, times, opts=None):
                 f"got {times[-1]:g}"
             )
     t0 = _warm_start_time(model, float(times[0]), opts.rel_tol)
-    for _ in range(_WARM_START_REDUCTIONS + 1):
+    for tries in range(_WARM_START_REDUCTIONS + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(_warm_start(model, t0 / 2.0))):
                 raise CertificationError(
                     f"warm-start certification failed: the warm start at t0/2={t0 / 2.0:g} "
                     f"overflows a double for gamma0={model.gamma0:g}"
                 )
-        certify = functools.partial(_certify, model, t0, float(times[0]), opts)
-        solve = functools.partial(_extinction_solution, model, t0 / 2.0, float(times[-1]), opts)
-        results, error = map_forked(lambda task: task(), [certify, solve], worker_count(2))
-        if not isinstance(error, CertificationError):
-            break
-        t0 /= 10.0
-    if error is not None:
-        raise error
-    (bound, reports), fine = results
-    return CumulantCurve(
-        times=times,
-        values=fine(times),
-        _dense=fine,
-        certification_bound=bound,
-        certification_reports=reports,
-    )
+        returned = _extinction_solution(model, t0 / 2.0, float(times[-1]), opts)
+        try:
+            bound, report = _certify(model, t0, float(times[0]), returned, opts)
+        except CertificationError:
+            if tries == _WARM_START_REDUCTIONS:
+                raise
+            t0 /= 10.0
+        else:
+            return CumulantCurve(
+                times=times,
+                values=returned(times),
+                _dense=returned,
+                certification_bound=bound,
+                certification_report=report,
+            )
 
 
 def weighted_extinction_norm(model, times, opts=None):
@@ -345,7 +332,8 @@ def weighted_extinction_norm(model, times, opts=None):
 
 
 def _yaglom_batch(model, f, thetas, T, opts):
-    """g(T, theta, x) for all thetas at once via the rescaled flow.
+    """g(T, theta, x) for all thetas at once via the rescaled flow, and the
+    report of that one solve.
 
     With w := u / (theta * eta_T) the evolution of u = V(theta eta_T f) maps to
     w' = A w - kappa (theta eta_T)^(gamma-1) w^gamma, w(0) = f, which keeps the
@@ -368,7 +356,7 @@ def _yaglom_batch(model, f, thetas, T, opts):
     u0 = np.broadcast_to(f, (thetas.size, model.d)).copy()
     sol = _cumulant_flow(model, u0, T, opts, kappa=kappa_eff)
     w_T = sol(float(T))
-    return thetas[:, None] * w_T / model.phi[None, :]
+    return thetas[:, None] * w_T / model.phi[None, :], sol.report
 
 
 def conservation_residual(model, curve, s, t, quad_tol=None):

@@ -101,10 +101,15 @@ def _density(values, d, name="mu"):
     return arr
 
 
+def _is_integer(value):
+    """Whether value is a Python or numpy integer that is not a bool."""
+    # a bool is an int to Python, but not a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _count(value, name, minimum):
     """value as an int: a Python or numpy integer, not a bool, at least minimum."""
-    # a bool is an int to Python, but not a count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ArgumentError(name, f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ArgumentError(name, f"{name} must be at least {minimum}, got {value!r}")

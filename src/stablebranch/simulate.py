@@ -84,9 +84,10 @@ class SimConfig:
         if self.step_size > self.horizon:
             raise ArgumentError("step_size", "step_size must not exceed the horizon")
         object.__setattr__(self, "replicates", _count(self.replicates, "replicates", 1))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ArgumentError("seed", "seed must fit in 64 bits")
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = _count(self.seed, "seed", 0)
+        if seed >= 2**64:
+            raise ArgumentError("seed", f"seed must fit in 64 bits, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     @property
     def step_sizes(self):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._mapped import mapped_zeros
 from .cumulant import SolverOptions, _check_horizon, _check_thetas, _cumulant_flow
-from .model import _count, _density
+from .model import ArgumentError, _count, _density, _is_integer
 
 __all__ = [
     "SpineChain",
@@ -134,11 +134,12 @@ def spine_generator(model):
 
 
 def _start_site(chain, x0):
-    """x0 as a site index; a negative index would wrap to another site."""
-    x0 = int(x0)
-    if not 0 <= x0 < chain.d:
-        raise ValueError(f"start site x0={x0} is outside [0, {chain.d})")
-    return x0
+    """x0 as a site index: a Python or numpy integer, not a bool, in [0, d);
+    ArgumentError naming x0 otherwise.  A negative index would wrap to another
+    site, and a fraction would be truncated."""
+    if not (_is_integer(x0) and 0 <= x0 < chain.d):
+        raise ArgumentError("x0", f"start site x0={x0!r} must be an integer in [0, {chain.d})")
+    return int(x0)
 
 
 def simulate_spine(chain, x0, T, rng):

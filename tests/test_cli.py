@@ -214,13 +214,12 @@ class TestRun:
         assert run(spec) == EXIT_SCHEMA
 
     def test_runtime_failure_exit_three(self, preset_dir, tmp_path, monkeypatch):
-        def never_certifies(model, t0, t_first, opts):
+        def never_certifies(model, t0, t_first, returned, opts):
             raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
 
-        # valid arguments whose warm start cannot be certified -> runtime failure;
-        # on one CPU each of the seven certifications fails before its returned solve
+        # valid arguments whose warm start cannot be certified -> runtime failure
+        # after seven tries
         monkeypatch.setattr(cumulant, "_certify", never_certifies)
-        use_cpus(monkeypatch, 1)
         model_path = preset_dir / "two-site" / "two-site_model.json"
         params = {"mu": [0.5, 0.5], "times": [1e-3, 1.0]}
         spec = make_spec("survival", model_path, params, tmp_path)
@@ -337,6 +336,23 @@ class TestYaglomWorkers:
         assert [Path(p).name for p in manifest2["artifacts"]] == [
             Path(p).name for p in manifest1["artifacts"]
         ]
+
+    def test_manifest_records_counts_per_horizon(self, preset_dir, tmp_path, monkeypatch):
+        # on two CPUs horizons 1 and 100 are solved in the forked worker; their
+        # counts reach the manifest as those of a solve in this process
+        summaries = [
+            self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch)[1]["summary"]
+            for n in (1, 2)
+        ]
+        assert summaries[1]["solves"] == summaries[0]["solves"]
+        model, _ = read_model(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
+        thetas = np.geomspace(0.1, 10.0, 21)
+        for T, counts in zip(self.PARAMS["horizons"], summaries[0]["solves"]):
+            report = cli.yaglom_table(model, np.ones(1), thetas, T).solver_report
+            assert counts == {key: getattr(report, key) for key in counts}
+            assert list(counts) == ["engine", "variable", "accepted", "rejected", "nfev",
+                                    "njev", "nlu"]
+            assert counts["variable"] == "u" and counts["accepted"] > 0
 
     def test_solver_error_in_forked_horizon(self, preset_dir, tmp_path, monkeypatch):
         # on two CPUs the forked worker solves horizons 1 and 100 and this
@@ -556,6 +572,12 @@ class TestSchema:
             ("spine-check", {"paths": 100.5}, "paths"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 2.5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": True}}, "timesGrid"),
+            ("survival", {"mu": [1.0], "times": [1.0, 2.0],
+                          "timesGrid": {"min": 1.0, "max": 1e4, "count": 25}}, "timesGrid"),
+            ("yaglom", {"theta": [1.0], "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
+                        "horizons": [1.0]}, "thetaGrid"),
+            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": [1e-3],
+                               "tGrid": {"min": 1e-6, "max": 1e-2, "count": 9}}, "tGrid"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
@@ -572,7 +594,8 @@ class TestSchema:
              "spine-paths-one", "survival-times-zero", "rv-fit-times-repeated",
              "mixture-rho-short", "mixture-t-nan", "yaglom-f-unnormalized",
              "yaglom-horizons-empty", "paths-fractional", "paths-boolean",
-             "spine-paths-fractional", "grid-count-fractional", "grid-count-boolean"],
+             "spine-paths-fractional", "grid-count-fractional", "grid-count-boolean",
+             "times-and-grid", "theta-and-grid", "t-and-grid"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
@@ -652,6 +675,12 @@ class TestSchema:
         (["delay-eq", "--a", "1.5", "--step", "1e-13", "--theta-max", "1e-11"], "step"),
         (["yaglom", "--horizons", "[100, 100.0001]", "--theta", "[1]"], "horizons"),
         (["yaglom", "--horizons", "[100, 1]", "--theta", "[1]"], "horizons"),
+        (["survival", "--mu", "[0.5, 0.5]", "--times", "[1, 2]",
+          "--times-grid", '{"min": 1, "max": 1e4, "count": 25}'], "times"),
+        (["yaglom", "--horizons", "[1]", "--theta", "[1]",
+          "--theta-grid", '{"min": 0.1, "max": 1, "count": 3}'], "theta"),
+        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[1e-3]",
+          "--t-grid", '{"min": 1e-6, "max": 1e-2, "count": 9}'], "t"),
     ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
@@ -659,7 +688,7 @@ class TestSchema:
             "spine-paths-one", "spine-paths-fractional", "rv-fit-window",
             "rv-fit-times-repeated", "rv-fit-times-past-double-range", "mixture-rho-short",
             "mixture-t-nan", "delay-step-merges-grid", "yaglom-horizons-same-file",
-            "yaglom-horizons-decreasing"])
+            "yaglom-horizons-decreasing", "times-and-grid", "theta-and-grid", "t-and-grid"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
                                     monkeypatch, request):
         # the fit window is read from the solved grid; every other case is
@@ -671,6 +700,8 @@ class TestSchema:
         assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith(f"schema error: parameter {named!r}")
+        if request.node.callspec.id.endswith("-and-grid"):
+            assert f"parameter '{named}Grid'" in err
 
 
 # Each solver kind on tiny inputs over the two-site preset, for the settings

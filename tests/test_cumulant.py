@@ -269,10 +269,9 @@ class TestSolverTelemetry:
         assert rep.accepted > 0 and rep.rejected > 0
         assert rep.nfev > rep.accepted and rep.njev >= 1 and rep.nlu >= 2
         assert 0.0 <= curve.certification_bound <= opts.rel_tol
-        coarse, halved = curve.certification_reports
-        for cert in (coarse, halved):
-            assert cert.engine == "radau" and cert.variable == "z"
-            assert cert.accepted > 0 and cert.nfev > cert.accepted
+        cert = curve.certification_report
+        assert cert.engine == "radau" and cert.variable == "z"
+        assert cert.accepted > 0 and cert.nfev > cert.accepted
 
     def test_cumulant_report(self, two_site_model):
         curve = solve_cumulant(two_site_model, np.array([0.8, 1.9]), [1.0])
@@ -280,7 +279,7 @@ class TestSolverTelemetry:
         assert rep.engine == "radau" and rep.variable == "u"
         assert rep.accepted > 0 and rep.nfev > rep.accepted
         assert curve.certification_bound is None
-        assert curve.certification_reports is None
+        assert curve.certification_report is None
 
 
 def coarse_warm_start_model():
@@ -293,30 +292,21 @@ def coarse_warm_start_model():
 
 
 def never_certifies(monkeypatch):
-    """Make every certification fail, naming its t0; a forked worker inherits this."""
+    """Make every certification fail, naming its t0; the returned list gains
+    the t0 of each certification tried."""
+    tried = []
 
-    def failing(model, t0, t_first, opts):
+    def failing(model, t0, t_first, returned, opts):
+        tried.append(t0)
         raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
 
     monkeypatch.setattr(cumulant, "_certify", failing)
-
-
-def count_deals(monkeypatch):
-    """Wrap cumulant.map_forked; the returned list gains one entry per deal."""
-    calls = []
-    deal = cumulant.map_forked
-
-    def counted(*args):
-        calls.append(None)
-        return deal(*args)
-
-    monkeypatch.setattr(cumulant, "map_forked", counted)
-    return calls
+    return tried
 
 
 class TestCertificationWorker:
-    """The certification runs in a forked worker beside the returned solve when
-    the mask has 2 or more CPUs, and in-process before it otherwise."""
+    """Each try runs the returned solve and then its certification, both in
+    this process, whatever the affinity mask holds."""
 
     @pytest.mark.parametrize(
         "name, times",
@@ -335,68 +325,88 @@ class TestCertificationWorker:
         for n in (1, 2):
             use_cpus(monkeypatch, n)
             curves.append(solve_extinction(model, times, opts))
-            assert len(forks) == n - 1  # no fork on one CPU, one worker on two
+        assert forks == []
         one, two = curves
         assert two.values.tobytes() == one.values.tobytes()
         assert two.certification_bound == one.certification_bound
         assert two.solver_report == one.solver_report
-        assert two.certification_reports == one.certification_reports
+        assert two.certification_report == one.certification_report
         assert two.evaluate(0.7 * times[-1]).tobytes() == one.evaluate(0.7 * times[-1]).tobytes()
 
     def test_serial_without_os_fork(self, two_site_model, monkeypatch):
         use_cpus(monkeypatch, 2)
-        monkeypatch.delattr(os, "fork")  # the forking path would raise AttributeError
+        monkeypatch.delattr(os, "fork")  # a forking path would raise AttributeError
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
-        assert len(curve.certification_reports) == 2
+        assert curve.certification_report.accepted > 0
 
     def test_same_certification_error_on_both_paths(self, two_site_model, monkeypatch):
-        never_certifies(monkeypatch)
-        deals = count_deals(monkeypatch)
+        tried = never_certifies(monkeypatch)
         messages = []
         for n in (1, 2):
             use_cpus(monkeypatch, n)
             with pytest.raises(CertificationError) as info:
                 solve_extinction(two_site_model, [1e-7, 1e-6])
             messages.append(str(info.value))
-            # t0 = 1e-8 and six reductions: seven deals, the last at about 1e-14
-            assert len(deals) == 7
-            deals.clear()
+            # t0 = 1e-8 and six reductions: seven tries, the last at about 1e-14
+            assert len(tried) == 7 and tried[0] == 1e-8
+            tried.clear()
         assert messages[0] == messages[1]
         assert messages[0].startswith("warm-start certification failed at t0=1e-14")
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_certification_error_wins_when_both_fail(self, two_site_model, monkeypatch, n):
-        never_certifies(monkeypatch)
-        parent = os.getpid()
-        returned_runs = []
-
-        def failing_returned_run(model, t0, t_max, opts):
-            returned_runs.append(os.getpid())
-            raise SolverError("returned solve failed")
-
-        monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
-        use_cpus(monkeypatch, n)
-        with pytest.raises(CertificationError, match="warm-start certification failed"):
-            solve_extinction(two_site_model, [1e-7, 1e-6])
-        # on two CPUs the returned solve of each of the seven deals ran here and
-        # failed too; on one it never started
-        assert returned_runs == ([parent] * 7 if n == 2 else [])
-
-    @pytest.mark.parametrize("n", [1, 2])
     def test_returned_solve_error_after_passed_certification(self, two_site_model,
                                                               monkeypatch, n):
+        # the returned solve runs first; its error is raised as it happens,
+        # and no certification is tried
+        tried = never_certifies(monkeypatch)
         solution = cumulant._extinction_solution
 
-        def failing_returned_run(model, t0, t_max, opts, rtol=None):
-            if rtol is None:
+        def failing_returned_run(model, t0, t_max, opts):
+            if t_max == 1.0:
                 raise SolverError("returned solve failed")
-            return solution(model, t0, t_max, opts, rtol)
+            return solution(model, t0, t_max, opts)
 
         monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
         use_cpus(monkeypatch, n)
         with pytest.raises(SolverError, match="returned solve failed") as info:
             solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert not isinstance(info.value, CertificationError)
+        assert tried == []
+
+    def test_failed_try_costs_one_returned_solve(self, monkeypatch):
+        # the fast-motion model fails at t0 = 1e-8 and 1e-9: three tries, each
+        # one returned solve and one run from t0
+        solution = cumulant._extinction_solution
+        runs = []
+
+        def recorded(model, t0, t_max, opts):
+            runs.append((t0, t_max))
+            return solution(model, t0, t_max, opts)
+
+        monkeypatch.setattr(cumulant, "_extinction_solution", recorded)
+        solve_extinction(coarse_warm_start_model(), [1e-7, 1e-6])
+        returned, certifying = runs[::2], runs[1::2]
+        assert len(returned) == len(certifying) == 3
+        assert [t0 for t0, _ in certifying] == pytest.approx([1e-8, 1e-9, 1e-10])
+        assert [t0 for t0, _ in returned] == [t0 / 2.0 for t0, _ in certifying]
+        assert [t_max for _, t_max in returned] == [1e-6] * 3
+        assert all(t_max <= 1e-7 for _, t_max in certifying)
+
+    def test_perturbed_returned_curve_fails(self, scalar_model):
+        # measured branch (t_first <= 100 t0): a returned curve off by
+        # 2 rel_tol is refused, the curve itself certifies
+        opts = SolverOptions(rel_tol=1e-8)
+        t0, t_first = 1e-9, 1e-8
+        assert cumulant._warm_start_time(scalar_model, t_first, opts.rel_tol) == t0
+        returned = cumulant._extinction_solution(scalar_model, t0 / 2.0, t_first, opts)
+        bound, report = cumulant._certify(scalar_model, t0, t_first, returned, opts)
+        assert bound <= opts.rel_tol / 10 and report.accepted > 0
+
+        def scaled(t):
+            return (1.0 + 2.0 * opts.rel_tol) * returned(t)
+
+        with pytest.raises(CertificationError, match="t0=1e-09: projected relative change"):
+            cumulant._certify(scalar_model, t0, t_first, scaled, opts)
 
 
 class StopAtCertification(Exception):
@@ -411,22 +421,21 @@ class TestFirstTry:
 
     Each grid's certifications are found by running its spec or op with a
     certification that records its arguments and stops the run.  The
-    certification depends only on the model, t0, times[0] and rel_tol, so
-    each is then run again on its own.
+    certification depends only on the model, t0, times[0], the returned run
+    and rel_tol, so each is then run again on its own.
     """
 
     @staticmethod
     def certifications(runs):
-        """(model, t0, t_first, opts) of the first certification of each run."""
+        """(model, t0, t_first, returned, opts) of the first certification of each run."""
         found = []
 
-        def recording(model, t0, t_first, opts):
-            found.append((model, t0, t_first, opts))
+        def recording(model, t0, t_first, returned, opts):
+            found.append((model, t0, t_first, returned, opts))
             raise StopAtCertification
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cumulant, "_certify", recording)
-            use_cpus(patch, 1)  # the certification runs here, first
             for run in runs:
                 with contextlib.suppress(StopAtCertification):
                     run()
@@ -435,9 +444,10 @@ class TestFirstTry:
     @staticmethod
     def assert_first_try(found):
         assert found
-        for model, t0, t_first, opts in found:
+        for model, t0, t_first, returned, opts in found:
             assert t0 == cumulant._warm_start_time(model, t_first, opts.rel_tol)
-            bound, _ = cumulant._certify(model, t0, t_first, opts)
+            assert returned.t_start == t0 / 2.0
+            bound, _ = cumulant._certify(model, t0, t_first, returned, opts)
             assert bound <= opts.rel_tol / 10
 
     def test_preset_grids(self, tmp_path):

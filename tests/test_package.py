@@ -125,3 +125,20 @@ def test_only_fork_module_forks():
             ):
                 readers.setdefault(os.path.basename(path), node.lineno)
     assert set(readers) == {"_fork.py"}, f"modules that read os process plumbing: {readers}"
+
+
+def test_map_forked_callers():
+    # the two routes that fork: simulate chunks and cli's yaglom horizons;
+    # the ODE routines run in the calling process
+    callers = set()
+    for path in _python_files():
+        if not path.startswith(SRC + os.sep) or os.path.basename(path) == "_fork.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "map_forked") or (
+                isinstance(node, ast.ImportFrom) and "map_forked" in {a.name for a in node.names}
+            ):
+                callers.add(os.path.basename(path))
+    assert callers == {"simulate.py", "cli.py"}

@@ -492,6 +492,19 @@ class TestPathStats:
         cfg = SimConfig(0.1, 0.1, np.int64(3))
         assert cfg.replicates == 3 and type(cfg.replicates) is int
 
+    @pytest.mark.parametrize("value", [2.5, True, 4.0, "8"], ids=["fraction", "bool", "float", "str"])
+    def test_config_rejects_non_integer_seed(self, value):
+        # 2.5 used to run seed 2, and True seed 1
+        with pytest.raises(ArgumentError, match="^seed must be an integer") as exc:
+            SimConfig(0.1, 0.1, 3, seed=value)
+        assert exc.value.name == "seed"
+        for seed in (np.uint64(2**64 - 1), np.int64(5)):
+            cfg = SimConfig(0.1, 0.1, 3, seed=seed)
+            assert cfg.seed == int(seed) and type(cfg.seed) is int
+        for seed in (-1, 2**64):
+            with pytest.raises(ArgumentError, match="^seed must"):
+                SimConfig(0.1, 0.1, 3, seed=seed)
+
     @pytest.mark.parametrize(
         "field, value",
         [("step_size", np.nan), ("step_size", np.inf), ("horizon", np.nan), ("horizon", np.inf)],

@@ -92,6 +92,19 @@ class TestSimulateSpine:
             with pytest.raises(ValueError, match="start site"):
                 simulate_spine(chain, x0, 10.0, rng)
 
+    @pytest.mark.parametrize("x0", [1.7, 1.0, True, "1"], ids=["fraction", "float", "bool", "str"])
+    def test_start_site_must_be_an_integer(self, three_site_model, x0):
+        # 1.7 used to start at site 1; both routes refuse it before any draw
+        chain = spine_generator(three_site_model)
+        F = lambda y, u: np.ones_like(u)
+        for start in (lambda: simulate_spine(chain, x0, 10.0, NoDraws()),
+                      lambda: ergodic_average_check(chain, F, 10.0, 20, NoDraws(), x0=x0)):
+            with pytest.raises(ArgumentError, match="^start site x0=") as info:
+                start()
+            assert info.value.name == "x0"
+        path = simulate_spine(chain, np.int64(2), 10.0, np.random.default_rng(1))
+        assert path.start == 2 and type(path.start) is int
+
 
 def segment_stream_digest(chain, starts, T, rng):
     """SHA-256 of every wave (sites, t0, t1, idx) and the final sites."""
