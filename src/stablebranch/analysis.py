@@ -15,7 +15,7 @@ import numpy as np
 from ._ivp import SolverReport
 from .cumulant import CumulantCurve, _check_times, _yaglom_batch, solve_extinction
 from .limitlaw import g_closed
-from .model import ArgumentError, _as_vector, _density, eta
+from .model import ArgumentError, _density, eta
 
 __all__ = [
     "RVEstimate",
@@ -24,11 +24,7 @@ __all__ = [
     "kolmogorov_table",
     "YaglomTable",
     "yaglom_table",
-    "MixtureTable",
-    "mixture_rv_check",
 ]
-
-ALPHA_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,34 +140,3 @@ def yaglom_table(model, f, theta_grid, T, opts=None):
     return YaglomTable(
         theta=theta_grid, surface=surface, limit=np.atleast_1d(limit), solver_report=report
     )
-
-
-@dataclass
-class MixtureTable:
-    """Power-mixture ratio against its minimal-index term on a small-t grid."""
-
-    t: np.ndarray
-    ratio: np.ndarray
-    alpha0: float
-    minimal_mass: float
-
-
-def mixture_rv_check(alpha, rho, t_grid):
-    """Tabulate sum_x rho_x t^alpha(x) / (rho{alpha = alpha0} t^alpha0).
-
-    rho is interpreted as the vector of atom masses.  The minimal index is
-    taken over sites carrying positive mass, with ties within ALPHA_TIE_TOL.
-    The ratio converges to 1 as t -> 0.
-    """
-    alpha = _as_vector(alpha, name="alpha")
-    rho = _density(rho, alpha.size, "rho")
-    t_grid = _as_vector(t_grid, name="t_grid")
-    if np.any(t_grid <= 0):
-        raise ArgumentError("t_grid", "t_grid must be strictly positive")
-    carried = rho > 0
-    alpha0 = float(alpha[carried].min())
-    tied = carried & (alpha <= alpha0 + ALPHA_TIE_TOL)
-    mass0 = float(rho[tied].sum())
-    num = (rho[None, :] * np.power(t_grid[:, None], alpha[None, :])).sum(axis=1)
-    ratio = num / (mass0 * np.power(t_grid, alpha0))
-    return MixtureTable(t=t_grid, ratio=ratio, alpha0=alpha0, minimal_mass=mass0)

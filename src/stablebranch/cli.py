@@ -30,7 +30,7 @@ import scipy
 
 from . import __version__
 from ._fork import map_forked, worker_count
-from .analysis import kolmogorov_table, mixture_rv_check, rv_index_fit, yaglom_table
+from .analysis import kolmogorov_table, rv_index_fit, yaglom_table
 from .cumulant import SolverOptions, _check_horizon, solve_cumulant, solve_extinction
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
 from .model import ArgumentError, _atomic_write_text, eta, read_model, save_calibrated_model
@@ -44,8 +44,8 @@ EXIT_TOLERANCE = 1
 EXIT_SCHEMA = 2
 EXIT_RUNTIME = 3
 
-# The most points a grid may have: a delay-eq theta grid, or a timesGrid,
-# thetaGrid or tGrid; each is refused before it is allocated.
+# The most points a grid may have: a delay-eq theta grid, or a timesGrid or
+# thetaGrid; each is refused before it is allocated.
 _MAX_GRID_POINTS = 10**6
 
 
@@ -397,24 +397,6 @@ def _run_delay_eq(spec, params, outdir, model, mhash):
     return _gate(summary["sup_error"], params["supTolerance"]), [out], summary
 
 
-def _run_mixture_check(spec, params, outdir, model, mhash):
-    """Regular variation of a stable mixture's Laplace exponent at small t."""
-    alpha = np.asarray(params["alpha"])
-    rho = np.asarray(params["rho"])
-    t_grid = _times_from(params, "t")
-    table = mixture_rv_check(alpha, rho, t_grid)
-    out = os.path.join(outdir, "mixture_check.csv")
-    _write_csv(
-        out,
-        [f"alpha0={table.alpha0}", f"minimal_mass={table.minimal_mass}"],
-        ("t", "ratio"),
-        list(zip(table.t.tolist(), table.ratio.tolist())),
-    )
-    i_min = int(np.argmin(table.t))
-    summary = {"alpha0": table.alpha0, "ratio_at_min_t": float(table.ratio[i_min])}
-    return _gate(abs(summary["ratio_at_min_t"] - 1.0), params["ratioTolerance"]), [out], summary
-
-
 # ---------------------------------------------------------------------------
 # The kind table
 # ---------------------------------------------------------------------------
@@ -498,10 +480,6 @@ _KINDS = {
         ("a", float, REQUIRED), ("thetaMax", float, 10.0), ("step", float, 0.01),
         ("tol", float, 1e-10), ("supTolerance", float, 1e-8),
     ), {"theta_grid": "step"}),
-    "mixture-check": _Kind(_run_mixture_check, False, (
-        ("alpha", _floats, REQUIRED), ("rho", _floats, REQUIRED), *_sampled("t"),
-        ("ratioTolerance", float, None),
-    ), {"t_grid": "t"}),
 }
 
 
@@ -683,7 +661,6 @@ _PRESET_SPECS = {
         ("calibrate", {}),
         ("survival", {"mu": [0.4, 0.3, 0.3], "timesGrid": {"min": 1e3, "max": 1e5, "count": 9}, "relTol": 1e-7, "ratioTolerance": 0.05}),
         ("rv-fit", {"timesGrid": {"min": 1e3, "max": 1e6, "count": 25}, "relTol": 1e-7, "slopeRelTolerance": 0.02}),
-        ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "tGrid": {"min": 1e-6, "max": 1e-2, "count": 9}, "ratioTolerance": 1e-3}),
     ],
 }
 

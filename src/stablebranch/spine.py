@@ -93,18 +93,6 @@ class SpinePath:
         if len(self.jump_times) and np.any(np.diff(self.jump_times) < 0):
             raise ValueError("jump times must be nondecreasing")
 
-    def site_at(self, t):
-        i = np.searchsorted(self.jump_times, t, side="right")
-        return self.start if i == 0 else int(self.states[i - 1])
-
-    def occupation_fractions(self, d):
-        """Fraction of [0, horizon] spent at each site."""
-        times = np.concatenate([[0.0], self.jump_times, [self.horizon]])
-        sites = np.concatenate([[self.start], self.states]).astype(int)
-        occ = np.zeros(d)
-        np.add.at(occ, sites, np.diff(times))
-        return occ / self.horizon
-
 
 def spine_generator(model):
     """h-transformed rate matrix Q_phi and stationary field phi*phi_star.

@@ -12,7 +12,6 @@ import pytest
 
 from stablebranch.analysis import (
     kolmogorov_table,
-    mixture_rv_check,
     rv_index_fit,
     yaglom_table,
 )
@@ -30,7 +29,7 @@ from stablebranch.limitlaw import (
     mean_diagnostic,
     solve_delay_equation,
 )
-from stablebranch.model import eta, semigroup_apply
+from stablebranch.model import BranchingMechanism, calibrate_critical, eta, semigroup_apply
 from stablebranch.simulate import SimConfig, simulate_paths
 from stablebranch.spine import (
     ergodic_average_check,
@@ -333,17 +332,37 @@ def test_ac11_conditional_mean_trend(scalar_model):
     )
 
 
-def test_ac12_mixture_lemma():
-    start = time.monotonic()
-    table = mixture_rv_check(
-        np.array([1.2, 1.8]), np.array([1.0, 1.0]), np.array([1e-6])
-    )
-    exact = 1.0 + 1e-6**0.6
-    dev = abs(float(table.ratio[0]) - exact)
-    elapsed = time.monotonic() - start
-    report(
-        "AC12",
-        dev <= 1e-9 and abs(exact - 1.000251) < 1e-6 and elapsed < 1.0,
-        f"ratio at t=1e-6 is {table.ratio[0]:.9f} vs 1 + t^0.6 = {exact:.9f} "
-        f"(dev {dev:.1e} <= 1e-9); {elapsed:.2f}s < 1s",
-    )
+def psi(model, lam):
+    """The effective mechanism <kappa (lam phi)^gamma, phi*>_m, over every site."""
+    mech = model.mechanism
+    return float(mech.kappa * (lam * model.phi) ** mech.gamma @ (model.phi_star * model.m))
+
+
+def test_ac12_front_constant(scalar_model, two_site_model, three_site_model):
+    # eta is built from C_X alone: Psi(lam) / (C_X lam^gamma0) - 1 must vanish
+    # as lam -> 0, like lam^(gamma1 - gamma0) with gamma1 the next index.  The
+    # near tie puts a second site within GAMMA_TIE_TOL of gamma0.
+    near_tie = calibrate_critical(three_site_model.motion, BranchingMechanism(
+        beta=[0.1, -0.05, 0.2], kappa=[1.0, 0.8, 1.2], gamma=[1.3, 1.3 + 1e-13, 1.7]
+    ))
+    lams = np.array([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    cases = [("scalar", scalar_model, None), ("two-site", two_site_model, 0.6),
+             ("three-site", three_site_model, 0.4), ("near-tie", near_tie, 0.4)]
+    passed, details = True, []
+    for name, model, gap in cases:
+        excess = np.array([psi(model, lam) for lam in lams])
+        excess /= model.c_x * lams**model.gamma0
+        excess -= 1.0
+        if gap is None:
+            ok = bool(np.all(excess == 0.0))
+            details.append(f"{name}: excess {np.abs(excess).max():.1e} == 0")
+        else:
+            with np.errstate(invalid="ignore"):
+                slopes = np.diff(np.log(excess)) / np.diff(np.log(lams))
+            ok = bool(np.all(np.abs(slopes - gap) <= 1e-6) and excess[-1] < 2e-5)
+            details.append(
+                f"{name}: excess {excess[0]:.1e} -> {excess[-1]:.1e} (< 2e-5), "
+                f"slopes {slopes.min():.7f}..{slopes.max():.7f} vs {gap}"
+            )
+        passed = passed and ok
+    report("AC12", passed, "; ".join(details))

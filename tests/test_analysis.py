@@ -3,7 +3,6 @@ import pytest
 
 from stablebranch.analysis import (
     kolmogorov_table,
-    mixture_rv_check,
     rv_index_fit,
     yaglom_table,
 )
@@ -117,49 +116,3 @@ class TestYaglomTable:
             for T in (1e2, 1e3)
         ]
         assert sups[1] < sups[0]
-
-
-class TestMixtureCheck:
-    def test_constant_alpha(self):
-        table = mixture_rv_check(np.array([1.4, 1.4]), np.array([1.0, 2.0]), np.array([0.1, 0.01]))
-        assert np.allclose(table.ratio, 1.0, atol=1e-14)
-
-    def test_two_term_closed_form(self):
-        table = mixture_rv_check(
-            np.array([1.2, 1.8]), np.array([1.0, 1.0]), np.array([1e-6])
-        )
-        # ratio = 1 + t^0.6 exactly
-        assert table.ratio[0] == pytest.approx(1.0 + 1e-6**0.6, rel=1e-12)
-        assert table.ratio[0] == pytest.approx(1.000251, abs=1e-6)
-
-    def test_monotone_toward_one(self):
-        t = np.geomspace(1e-8, 1e-2, 13)
-        table = mixture_rv_check(np.array([1.2, 1.8]), np.array([1.0, 1.0]), t)
-        assert np.all(np.diff(table.ratio) > 0)  # larger t -> larger excess
-        assert np.all(table.ratio >= 1.0)
-
-    def test_zero_mass_sites_ignored(self):
-        table = mixture_rv_check(
-            np.array([1.1, 1.5]), np.array([0.0, 2.0]), np.array([1e-4])
-        )
-        assert table.alpha0 == 1.5
-        assert table.ratio[0] == pytest.approx(1.0)
-
-    def test_rejects_trivial_rho(self):
-        with pytest.raises(ValueError):
-            mixture_rv_check(np.array([1.2]), np.array([0.0]), np.array([0.1]))
-
-    @pytest.mark.parametrize(
-        "alpha, rho, t, name",
-        [([1.2, 1.8], [1.0, 1.0], [np.nan, 1e-3], "t_grid"),
-         ([1.2, 1.8], [1.0, 1.0], [0.0, 1e-3], "t_grid"),
-         ([1.2, 1.8], [1.0], [1e-3], "rho"),
-         ([1.2, 1.8], [np.nan, 1.0], [1e-3], "rho"),
-         ([np.nan, 1.8], [1.0, 1.0], [1e-3], "alpha")],
-        ids=["t-nan", "t-zero", "rho-short", "rho-nan", "alpha-nan"],
-    )
-    def test_bad_argument_named(self, alpha, rho, t, name):
-        # a NaN t used to give a NaN ratio
-        with pytest.raises(ArgumentError) as info:
-            mixture_rv_check(alpha, rho, t)
-        assert info.value.name == name

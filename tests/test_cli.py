@@ -28,7 +28,6 @@ from stablebranch.cli import (
     write_preset,
 )
 from stablebranch._ivp import SolverError
-from stablebranch.analysis import mixture_rv_check
 from stablebranch.cumulant import CertificationError, SolverOptions
 from stablebranch.model import read_model, save_calibrated_model
 
@@ -90,7 +89,7 @@ class TestPresets:
                 digest.update(path.encode())
                 digest.update(Path(path).read_bytes())
         assert digest.hexdigest() == (
-            "3f4fabc598e0dd050e637d032409230a088a4d6212834bf7d0b12f542ff38c64"
+            "e2754b0781ff5c071ea50fbcc73e1ffb1f474c18c70b69ea60428b3a4a2818b1"
         )
 
     def test_two_site_calibrates_symmetric(self, preset_dir):
@@ -189,23 +188,6 @@ class TestRun:
         lines = (tmp_path / "rv-fit" / "rv_fit.csv").read_text().splitlines()
         rows = list(csv.reader(line for line in lines if not line.startswith("#")))
         assert [float(value) for _, value in rows[1:]] == norms.tolist()
-
-    def test_mixture_check(self, tmp_path):
-        params = {
-            "alpha": [1.2, 1.8],
-            "rho": [1.0, 1.0],
-            "tGrid": {"min": 1e-6, "max": 1e-2, "count": 5},
-            "ratioTolerance": 1e-3,
-        }
-        assert run(make_spec("mixture-check", None, params, tmp_path)) == EXIT_OK
-        table = mixture_rv_check([1.2, 1.8], [1.0, 1.0], np.geomspace(1e-6, 1e-2, 5))
-        lines = (tmp_path / "mixture_check.csv").read_text().splitlines()
-        assert lines[:3] == [
-            f"# alpha0={table.alpha0}", f"# minimal_mass={table.minimal_mass}", "t,ratio",
-        ]
-        # csv writes floats by repr, so every value reads back exactly
-        rows = [tuple(map(float, row)) for row in csv.reader(lines[3:])]
-        assert rows == list(zip(table.t.tolist(), table.ratio.tolist()))
 
     def test_schema_violations_exit_two(self, tmp_path):
         with pytest.raises(Exception):
@@ -396,9 +378,12 @@ class TestMain:
         assert main(["run", str(spec_path)]) == EXIT_OK
 
     def test_cli_unknown_kind_exits_schema(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"kind": "bogus", "outputDir": str(tmp_path)}))
-        assert main(["run", str(spec_path)]) == EXIT_SCHEMA
+        # a kind that was removed is as unknown as one that never was
+        for kind in ("bogus", "mixture-check"):
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({"kind": kind, "outputDir": str(tmp_path)}))
+            assert main(["run", str(spec_path)]) == EXIT_SCHEMA
+            assert f"unknown experiment kind {kind!r}" in capsys.readouterr().err
 
     def test_cli_preset_writes_files(self, tmp_path, capsys):
         assert main(["preset", "scalar-csbp", "--outdir", str(tmp_path)]) == EXIT_OK
@@ -563,8 +548,6 @@ class TestSchema:
             ("spine-check", {"paths": 1}, "paths"),
             ("survival", {"mu": [1.0], "times": [0.0, 1.0]}, "times"),
             ("rv-fit", {"times": [1e3, 1e3, 1e4, 1e5]}, "times"),
-            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0], "t": [1e-3]}, "rho"),
-            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": ["nan", 1e-3]}, "'t'"),
             ("yaglom", {"f": [2.0], "theta": [1.0], "horizons": [10.0]}, "f"),
             ("yaglom", {"theta": [1.0], "horizons": []}, "horizons"),
             ("simulate", {"paths": 2.5, "step": 0.1, "horizon": 0.1, "mu": [1.0]}, "paths"),
@@ -576,8 +559,6 @@ class TestSchema:
                           "timesGrid": {"min": 1.0, "max": 1e4, "count": 25}}, "timesGrid"),
             ("yaglom", {"theta": [1.0], "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
                         "horizons": [1.0]}, "thetaGrid"),
-            ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0], "t": [1e-3],
-                               "tGrid": {"min": 1e-6, "max": 1e-2, "count": 9}}, "tGrid"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
@@ -592,10 +573,9 @@ class TestSchema:
              "yaglom-horizon-nan", "yaglom-theta-nan", "spine-horizon-nan",
              "spine-theta-inf", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
              "spine-paths-one", "survival-times-zero", "rv-fit-times-repeated",
-             "mixture-rho-short", "mixture-t-nan", "yaglom-f-unnormalized",
-             "yaglom-horizons-empty", "paths-fractional", "paths-boolean",
-             "spine-paths-fractional", "grid-count-fractional", "grid-count-boolean",
-             "times-and-grid", "theta-and-grid", "t-and-grid"],
+             "yaglom-f-unnormalized", "yaglom-horizons-empty", "paths-fractional",
+             "paths-boolean", "spine-paths-fractional", "grid-count-fractional",
+             "grid-count-boolean", "times-and-grid", "theta-and-grid"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch
@@ -622,7 +602,6 @@ class TestSchema:
         ("survival", {"mu": [1.0]}, "timesGrid"),
         ("rv-fit", {}, "timesGrid"),
         ("yaglom", {"horizons": [1.0]}, "thetaGrid"),
-        ("mixture-check", {"alpha": [1.2, 1.8], "rho": [1.0, 1.0]}, "tGrid"),
     ])
     def test_grid_count_refused_before_allocation(self, kind, params, named, preset_dir,
                                                   tmp_path, monkeypatch, capsys):
@@ -669,9 +648,6 @@ class TestSchema:
         (["rv-fit", "--times", "[1e3, 1e4]"], "times"),
         (["rv-fit", "--times", "[1e3, 1e3, 1e4, 1e5]"], "times"),
         (["rv-fit", "--times", "[1e100, 1e101, 1e102]"], "times"),
-        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1]", "--t", "[1e-3]"], "rho"),
-        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[NaN, 1e-3]"],
-         "t"),
         (["delay-eq", "--a", "1.5", "--step", "1e-13", "--theta-max", "1e-11"], "step"),
         (["yaglom", "--horizons", "[100, 100.0001]", "--theta", "[1]"], "horizons"),
         (["yaglom", "--horizons", "[100, 1]", "--theta", "[1]"], "horizons"),
@@ -679,16 +655,14 @@ class TestSchema:
           "--times-grid", '{"min": 1, "max": 1e4, "count": 25}'], "times"),
         (["yaglom", "--horizons", "[1]", "--theta", "[1]",
           "--theta-grid", '{"min": 0.1, "max": 1, "count": 3}'], "theta"),
-        (["mixture-check", "--alpha", "[1.2, 1.8]", "--rho", "[1, 1]", "--t", "[1e-3]",
-          "--t-grid", '{"min": 1e-6, "max": 1e-2, "count": 9}'], "t"),
     ], ids=["mu-nan", "mu-negative", "f-nan", "f-negative", "delay-step-zero",
             "cumulant-times-inf", "survival-times-inf", "rv-fit-times-inf",
             "cumulant-times-nan", "yaglom-horizons-inf", "yaglom-horizon-nan",
             "yaglom-theta-nan", "delay-a-out-of-range", "delay-tol-negative", "delay-tol-nan",
             "spine-paths-one", "spine-paths-fractional", "rv-fit-window",
-            "rv-fit-times-repeated", "rv-fit-times-past-double-range", "mixture-rho-short",
-            "mixture-t-nan", "delay-step-merges-grid", "yaglom-horizons-same-file",
-            "yaglom-horizons-decreasing", "times-and-grid", "theta-and-grid", "t-and-grid"])
+            "rv-fit-times-repeated", "rv-fit-times-past-double-range",
+            "delay-step-merges-grid", "yaglom-horizons-same-file",
+            "yaglom-horizons-decreasing", "times-and-grid", "theta-and-grid"])
     def test_command_line_exits_two(self, argv, named, preset_dir, tmp_path, capsys,
                                     monkeypatch, request):
         # the fit window is read from the solved grid; every other case is
@@ -771,11 +745,6 @@ class TestGeneratedCommands:
          {"times": [1, 10, 100], "relTol": 1e-8}, None),
         ("delay-eq", None, ["--a", "1.5", "--theta-max", "1.0"],
          {"a": 1.5, "thetaMax": 1.0}, None),
-        ("mixture-check", None,
-         ["--alpha", "[1.2, 1.8]", "--rho", "[1.0, 1.0]",
-          "--t-grid", '{"min": 1e-6, "max": 1e-2, "count": 5}'],
-         {"alpha": [1.2, 1.8], "rho": [1.0, 1.0],
-          "tGrid": {"min": 1e-6, "max": 1e-2, "count": 5}}, None),
     ]
 
     def test_every_kind_has_a_case(self):
@@ -845,6 +814,11 @@ class TestGeneratedCommands:
             flags |= set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
         assert named <= flags, sorted(named - flags)
 
+    def test_readme_lists_every_kind(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.findall(r"`([a-z-]+)`", readme.split("\nSpec kinds:")[1].split(". ")[0])
+        assert sorted(listed) == sorted(_KINDS)
+
     def test_spine_check_matches_ode_on_scalar_model(self, preset_dir, tmp_path):
         # scalar paths are deterministic, so the gap is the r-quadrature's bias;
         # with se = 0 and a nonzero gap z is undefined, written null
@@ -872,6 +846,6 @@ class TestGeneratedCommands:
         argv = ["preset", "three-site-mixed", "--outdir", str(tmp_path), "--execute"]
         assert main(argv) == EXIT_OK
         written = sorted(tmp_path.rglob("*.json"))
-        assert len(written) == 10  # the model, four specs, four manifests, the calibrated model
+        assert len(written) == 8  # the model, three specs, three manifests, the calibrated model
         for path in written:
             strict_json(path)

@@ -156,6 +156,13 @@ class TestSolveExtinction:
             assert curve.certification_bound <= opts.rel_tol
             assert curve.values.tobytes() == fine(np.array([1e-7, 1e-6])).tobytes()
 
+    def test_reduced_t0_is_a_decimal_power(self, two_site_model):
+        # t0 = 1e-9 and 1e-10 fail and 1e-11 certifies: exactly 1e-11, which
+        # 1e-9 / 10 / 10 misses by one ulp
+        curve = solve_extinction(two_site_model, [1e-8, 1.0], SolverOptions(rel_tol=1e-10))
+        assert cumulant._warm_start_time(two_site_model, 1e-8, 1e-10) == 1e-9
+        assert 2.0 * curve.t_start == 1e-11
+
     def test_warm_start_time_rule(self, two_site_model):
         # a power of ten near sqrt(rel_tol t_first / (35 a)), never earlier
         # than min(1e-8, t_first / 10) and never later than t_first / 10
@@ -347,8 +354,8 @@ class TestCertificationWorker:
             with pytest.raises(CertificationError) as info:
                 solve_extinction(two_site_model, [1e-7, 1e-6])
             messages.append(str(info.value))
-            # t0 = 1e-8 and six reductions: seven tries, the last at about 1e-14
-            assert len(tried) == 7 and tried[0] == 1e-8
+            # t0 = 1e-8 and six reductions: seven tries, the last at 1e-14
+            assert tried == [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]
             tried.clear()
         assert messages[0] == messages[1]
         assert messages[0].startswith("warm-start certification failed at t0=1e-14")
@@ -387,7 +394,7 @@ class TestCertificationWorker:
         solve_extinction(coarse_warm_start_model(), [1e-7, 1e-6])
         returned, certifying = runs[::2], runs[1::2]
         assert len(returned) == len(certifying) == 3
-        assert [t0 for t0, _ in certifying] == pytest.approx([1e-8, 1e-9, 1e-10])
+        assert [t0 for t0, _ in certifying] == [1e-8, 1e-9, 1e-10]
         assert [t0 for t0, _ in returned] == [t0 / 2.0 for t0, _ in certifying]
         assert [t_max for _, t_max in returned] == [1e-6] * 3
         assert all(t_max <= 1e-7 for _, t_max in certifying)

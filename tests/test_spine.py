@@ -60,8 +60,9 @@ class TestSpineGenerator:
 class TestSimulateSpine:
     def test_scalar_path_constant(self, scalar_model, rng):
         path = simulate_spine(spine_generator(scalar_model), 0, 100.0, rng)
-        assert len(path.jump_times) == 0
-        assert path.site_at(50.0) == 0
+        # no jump: the path sits at its start up to the horizon
+        assert len(path.jump_times) == len(path.states) == 0
+        assert path.start == 0 and path.horizon == 100.0
 
     def test_fixed_seed_reproducible(self, three_site_model):
         chain = spine_generator(three_site_model)
@@ -73,17 +74,21 @@ class TestSimulateSpine:
     def test_occupation_matches_stationary(self, three_site_model, rng):
         chain = spine_generator(three_site_model)
         path = simulate_spine(chain, 0, 2e4, rng)
-        occ = path.occupation_fractions(3)
+        times = np.concatenate([[0.0], path.jump_times, [path.horizon]])
+        sites = np.concatenate([[path.start], path.states])
+        occ = np.bincount(sites, weights=np.diff(times), minlength=3) / path.horizon
         target = chain.stationary * chain.m
         assert np.abs(occ - target).max() <= 0.02
 
-    def test_site_at_respects_jumps(self, three_site_model, rng):
+    def test_jumps_leave_the_current_site(self, three_site_model, rng):
+        # the path sits at its start until the first jump time, and each jump
+        # moves it to another site, inside (0, T)
         chain = spine_generator(three_site_model)
         path = simulate_spine(chain, 2, 10.0, rng)
-        if len(path.jump_times):
-            t0 = path.jump_times[0]
-            assert path.site_at(t0 * 0.5) == 2
-            assert path.site_at(t0) == path.states[0]
+        assert path.start == 2 and len(path.jump_times) > 0
+        assert 0.0 < path.jump_times[0] and path.jump_times[-1] < 10.0
+        assert np.all(np.diff(path.jump_times) > 0)
+        assert np.all(np.diff(np.concatenate([[path.start], path.states])) != 0)
 
     def test_start_outside_sites_rejected(self, three_site_model, rng):
         # a negative x0 must not wrap to the last site
