@@ -1,11 +1,13 @@
 """Independent items shared between this process and forked workers.
 
-This is the one module that forks.  No option sets the number of workers: a
-caller asks worker_count for one per CPU in the process's affinity mask, so
-`taskset -c 0` runs everything in the calling process.  map_forked deals the
-items in turn, runs the last share here and every other share in a child,
-and returns what a serial run would: the results of the items before the
-first failing item, in item order, and that item's error.
+This is the one module that forks, and simulate_paths, which deals out its
+chunks of replicates, is its one caller; every ODE solve runs in the calling
+process.  No option sets the number of workers: the caller asks worker_count
+for one per CPU in the process's affinity mask, so `taskset -c 0` runs
+everything in the calling process.  map_forked deals the items in turn, runs
+the last share here and every other share in a child, and returns what a
+serial run would: the results of the items before the first failing item, in
+item order, and that item's error.
 """
 
 from __future__ import annotations

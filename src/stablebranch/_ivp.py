@@ -5,11 +5,11 @@ Wanner, *Solving ODEs II*, sections IV.5 and IV.8) with the analytic Jacobian
 
     J(u) = A - diag(kappa * gamma * u^(gamma-1)),
 
-dense for a single system and block-diagonal sparse for a batch.  L-stability
-covers both kinds of stiffness the flow has: the linear spectrum of A on long
-near-linear tails, and the nonlinear relaxation of sites with a large stable
-index slaved to the inflow of faster-blowing sites after an
-infinite-initial-condition warm start.
+dense for a single system, a stack of dense blocks for a small batch and
+block-diagonal sparse for a large one.  L-stability covers both kinds of
+stiffness the flow has: the linear spectrum of A on long near-linear tails,
+and the nonlinear relaxation of sites with a large stable index slaved to the
+inflow of faster-blowing sites after an infinite-initial-condition warm start.
 
 Extinction runs integrate in the Bernoulli variable z = u^(1-gamma0), with
 gamma0 = min(gamma) (private argument `_bernoulli`).  Along the tail
@@ -26,6 +26,11 @@ plain variable u is used wherever it may vanish.
 
 State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
+A batch may also carry a time scale per member (private argument `_scale`,
+(B,)): member b then integrates scale_b (A u - kappa u^gamma), whose value at
+t is the unscaled member's at scale_b t, so members of different horizons
+share one run.  The scale multiplies the member's right-hand side and its
+Jacobian block, and a scale of exactly 1.0 changes no bit.
 
 The stepper, `_RadauIIA`, is scipy 1.17.1's `Radau` ported expression for
 expression: its tableau, initial step, step-size control, simplified Newton
@@ -38,8 +43,8 @@ step that a Newton failure cut, and the next step failed again.  scipy's
 Newton cap is kept: a larger cap lets the error estimate set the step, and the
 error then exceeds rtol.
 
-Every solve is bit for bit scipy's Radau under that rule.  Three differences
-touch only the Python around the arithmetic:
+Every solve but a small batch's is bit for bit scipy's Radau under that rule.
+Three differences touch only the Python around the arithmetic:
 
 - Each Newton iteration evaluates its three stages in one right-hand-side
   call on a (3, B, d) stack.  A stacked matmul runs each stage through the
@@ -48,15 +53,26 @@ touch only the Python around the arithmetic:
 - A single system's dense Jacobian is factored with LAPACK getrf/getrs called
   directly: the routines scipy's lu_factor/lu_solve call, on the same arrays,
   without their wrapper layers, which cost more than the 2x2 or 3x3
-  factorisation itself.  A batch's sparse Jacobian keeps scipy's splu.
+  factorisation itself.  A batch whose blocks hold more than
+  _DENSE_BATCH_ENTRIES entries (B d^2) in all keeps scipy's splu on its
+  block-diagonal sparse Jacobian.
 - The step and its Newton iterations call none of numpy's wrappers written
-  in Python.  The RMS norm takes np.linalg.norm's square root of the dot
-  product of the flattened array, directly.  An array is proved finite by a
-  finite sum before any full scan.  The dense output multiplies x, x^2, x^3
-  in place instead of tiling and cumprod.  Step bounds take math.nextafter
-  and abs on Python floats, and each LU carries its getrs routine.  The
-  right-hand side of the z variable takes no max(u, 0), which leaves its
-  u = z^(1/p) unchanged.  Each value is what the replaced call gave.
+  in Python, a small batch's np.linalg.inv (below) apart.  The RMS norm
+  takes np.linalg.norm's square root of the dot product of the flattened
+  array, directly.  An array is proved finite by a finite sum before any
+  full scan.  The dense output multiplies x, x^2, x^3 in place instead of
+  tiling and cumprod.  Step bounds take math.nextafter and abs on Python
+  floats, and each LU carries its getrs routine.  The right-hand side of the
+  z variable takes no max(u, 0), which leaves its u = z^(1/p) unchanged.
+  Each value is what the replaced call gave.
+
+A smaller batch changes the arithmetic of its linear algebra, and only that:
+its Jacobian stays a (B, d, d) stack of dense blocks, each LU is the inverse
+of the real and of the complex stack (np.linalg.inv, after `_finite`'s
+check), and each solve is a batched matmul with it.  Up to d = 30 at 21 or
+63 members this costs less than splu's Python layers and fill-in on the
+reflecting diffusion's tridiagonal blocks; the values differ from scipy's by
+rounding only, with the same counts on the test batches.
 
 The report counts what scipy counts (nfev, njev, nlu, accepted steps), and
 also the step attempts the stepper abandoned (`rejected`), which scipy does
@@ -149,6 +165,11 @@ NEWTON_MAXITER = 6  # Maximum number of Newton iterations.
 MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
 MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 
+# The most entries (B d^2) a batch's Jacobian blocks may hold in all for them
+# to be factored as a dense stack; a larger batch is factored with splu.
+# Placed from a sweep of yaglom tables at 21 thetas (BENCH_yaglom_batch.json).
+_DENSE_BATCH_ENTRIES = 20_000
+
 
 class SolverError(RuntimeError):
     """The integrator failed: step-size underflow or non-finite states."""
@@ -218,6 +239,19 @@ def _getrs(lu_piv, b):
     return x
 
 
+def _inv_blocks(a):
+    """The inverse of each dense block of a (B, d, d) stack: a small batch's
+    LU, with `_getrf`'s ValueError on a non-finite matrix."""
+    _finite(a)
+    return np.linalg.inv(a)
+
+
+def _solve_blocks(inv, b):
+    """Solve with `_inv_blocks`' inverses for a flat right-hand side (B d,)."""
+    _finite(b)
+    return np.matmul(inv, b.reshape(inv.shape[0], -1, 1)).reshape(b.shape)
+
+
 def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """scipy's select_initial_step for an error estimator of order 3, forward
     in time (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  Calls fun
@@ -282,8 +316,9 @@ class _RadauIIA:
     fun(y) is the autonomous right-hand side at a state (n,) or at a stack of
     states (k, n); jac(y) is the Jacobian at a state, a dense array or a
     sparse csc matrix.  nfev counts states evaluated, which is scipy's count
-    of calls.  `ts`, `Qs` and `y_olds` collect the accepted step times and
-    each step's dense output.
+    of calls.  jac may also return a (B, d, d) stack of dense blocks, the
+    Jacobian of a batch of B independent systems.  `ts`, `Qs` and `y_olds`
+    collect the accepted step times and each step's dense output.
     """
 
     def __init__(self, fun, jac, t0, y0, t_bound, rtol, atol):
@@ -313,6 +348,9 @@ class _RadauIIA:
 
             self.factor, self.solve_lu = splu, SuperLU.solve
             self.I = scipy.sparse.eye(n, format='csc')
+        elif self.J.ndim == 3:
+            self.factor, self.solve_lu = _inv_blocks, _solve_blocks
+            self.I = np.identity(self.J.shape[-1])
         else:
             self.factor, self.solve_lu = _getrf, _getrs
             self.I = np.identity(n)
@@ -592,15 +630,23 @@ class OdeSolution:
 
 
 def _assemble(blocks):
-    """One system's dense Jacobian, or a batch's block-diagonal sparse one."""
-    return blocks[0] if len(blocks) == 1 else scipy.sparse.block_diag(blocks, format="csc")
+    """One system's dense Jacobian, a small batch's stack of dense blocks, or
+    a larger batch's block-diagonal sparse one."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if blocks.size <= _DENSE_BATCH_ENTRIES:
+        return blocks
+    return scipy.sparse.block_diag(blocks, format="csc")
 
 
-def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _bernoulli=False):
+def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _bernoulli=False,
+                        _scale=None):
     """Integrate u' = A u - kappa * max(u,0)^gamma over t_span with dense output.
 
     `_bernoulli=True` integrates z = u^(1-min(gamma)) under purely relative
-    control (atol is not used); u0 must then be strictly positive.
+    control (atol is not used); u0 must then be strictly positive.  `_scale`,
+    one positive factor per member of a batch, multiplies that member's
+    right-hand side.
     """
     A = np.asarray(A, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -617,15 +663,21 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
     A_T = A.T
     A_blocks = np.broadcast_to(A, (B, d, d))
     kappa_gamma, gamma_1 = kappa * gamma, gamma - 1.0
+    scale = None if _scale is None else np.asarray(_scale, dtype=float).reshape(B, 1)
 
     # F takes a state u, (B, d) or a stack of states (k, B, d), and v = max(u, 0).
     def F(u, v):
-        return u @ A_T - kappa * np.power(v, gamma)
+        out = u @ A_T - kappa * np.power(v, gamma)
+        if scale is not None:
+            out *= scale
+        return out
 
     # J takes v = max(u, 0) at a state u (B, d).
     def J(v):
         blocks = A_blocks.copy()
         blocks[:, diag, diag] -= kappa_gamma * np.power(v, gamma_1)
+        if scale is not None:
+            blocks *= scale[:, :, None]
         return blocks
 
     # fun and jac see the flat state (B d,); fun also a stack of them (k, B d).

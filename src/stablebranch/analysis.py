@@ -24,6 +24,7 @@ __all__ = [
     "kolmogorov_table",
     "YaglomTable",
     "yaglom_table",
+    "yaglom_tables",
 ]
 
 
@@ -129,14 +130,23 @@ class YaglomTable:
         return np.abs(self.surface - self.limit[:, None]).max(axis=1)
 
 
-def yaglom_table(model, f, theta_grid, T, opts=None):
-    """Join the rescaled cumulant surface with its limit over a theta grid.
+def yaglom_tables(model, f, theta_grid, horizons, opts=None):
+    """Join the rescaled cumulant surface with its limit at each horizon.
 
-    Requires <f, phi_star>_m = 1.  All thetas are solved in one batched run.
+    Requires <f, phi_star>_m = 1.  Every (horizon, theta) pair is one member
+    of one batched run, on time rescaled to the longest horizon, so the
+    tables, one per horizon in the order given, share its solver_report.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    surface, report = _yaglom_batch(model, f, theta_grid, T, opts)
-    limit = g_closed(model.gamma0, theta_grid)
-    return YaglomTable(
-        theta=theta_grid, surface=surface, limit=np.atleast_1d(limit), solver_report=report
-    )
+    surfaces, report = _yaglom_batch(model, f, theta_grid, horizons, opts)
+    limit = np.atleast_1d(g_closed(model.gamma0, theta_grid))
+    return [
+        YaglomTable(theta=theta_grid, surface=surface, limit=limit, solver_report=report)
+        for surface in surfaces
+    ]
+
+
+def yaglom_table(model, f, theta_grid, T, opts=None):
+    """The table of yaglom_tables at the one horizon T: all thetas in one
+    batched run."""
+    return yaglom_tables(model, f, theta_grid, [T], opts)[0]

@@ -17,6 +17,7 @@ import glob
 import io
 import json
 import math
+import numbers
 import os
 import platform
 import re
@@ -29,9 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._fork import map_forked, worker_count
-from .analysis import kolmogorov_table, rv_index_fit, yaglom_table
-from .cumulant import SolverOptions, _check_horizon, solve_cumulant, solve_extinction
+from .analysis import kolmogorov_table, rv_index_fit, yaglom_tables
+from .cumulant import SolverOptions, solve_cumulant, solve_extinction
 from .limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
 from .model import ArgumentError, _atomic_write_text, eta, read_model, save_calibrated_model
 from .simulate import SimConfig, simulate_paths
@@ -244,8 +244,6 @@ def _run_yaglom(spec, params, outdir, model, mhash):
     f = _field(params, "f", _unit_field(model))
     thetas = _times_from(params, "theta")
     horizons = params["horizons"]
-    for T in horizons:  # every horizon is checked before the first solve
-        _check_horizon(T)
     # the trend gate reads the horizons in order, and each has its own table
     if any(a >= b for a, b in zip(horizons, horizons[1:])):
         raise SchemaError(f"parameter 'horizons' must be strictly increasing, got {horizons}")
@@ -253,12 +251,8 @@ def _run_yaglom(spec, params, outdir, model, mhash):
     if len(set(names)) < len(names):
         raise SchemaError(f"parameter 'horizons': {horizons} repeat a table name in {names}")
     opts = _solver_options(params)
-
-    # Each horizon is an independent solve.  As in one process, the tables
-    # before the first failing horizon are written, then its error is raised.
-    tables, error = map_forked(
-        lambda T: yaglom_table(model, f, thetas, T, opts), horizons, worker_count(len(horizons))
-    )
+    # one solve for every horizon: if it fails, no table is written
+    tables = yaglom_tables(model, f, thetas, horizons, opts)
     sup_by_T = []
     artifacts = []
     for T, name, table in zip(horizons, names, tables):
@@ -275,12 +269,10 @@ def _run_yaglom(spec, params, outdir, model, mhash):
         )
         artifacts.append(out)
         sup_by_T.append(float(table.sup_error.max()))
-    if error is not None:
-        raise error
     summary = {
         "horizons": horizons,
         "sup_error": sup_by_T,
-        "solves": [_counts(table.solver_report) for table in tables],
+        "solve": _counts(tables[0].solver_report),
     }
     # The error must fall with the horizon until it reaches the solver's
     # noise floor; below 10 rel_tol the order of the errors is noise.
@@ -404,11 +396,24 @@ def _run_delay_eq(spec, params, outdir, model, mhash):
 REQUIRED = object()  # a parameter default: the spec must give a value
 
 
+def _is_number(value):
+    """A JSON number: a real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float(value):
+    """A number, or a decimal string (a command-line value); a boolean is
+    refused, not read as 0 or 1."""
+    if not (_is_number(value) or isinstance(value, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    """A nonempty list of numbers; a boolean or a string in it is refused."""
+    if not (isinstance(value, (list, tuple)) and value and all(map(_is_number, value))):
         raise ValueError(f"expected a nonempty list of numbers, got {value!r}")
-    return arr.tolist()
+    return [float(v) for v in value]
 
 
 def _int(value):
@@ -424,7 +429,7 @@ def _int(value):
 def _grid(value):
     if not isinstance(value, dict) or set(value) != {"min", "max", "count"}:
         raise ValueError(f"expected an object with keys min, max and count, got {value!r}")
-    grid = {"min": float(value["min"]), "max": float(value["max"]), "count": _int(value["count"])}
+    grid = {"min": _float(value["min"]), "max": _float(value["max"]), "count": _int(value["count"])}
     # written so that a NaN bound fails
     if not 0.0 < grid["min"] <= grid["max"] < np.inf:
         raise ValueError(f"expected finite bounds with 0 < min <= max, got {value!r}")
@@ -441,7 +446,7 @@ def _sampled(key):
 # SolverOptions fields under their camelCase names, each for the kinds whose
 # solve reads it; absent means its default.  Extinction runs control z purely
 # relatively and never read absTol.
-_FLOW_SOLVER = (("relTol", float, None), ("absTol", float, None))
+_FLOW_SOLVER = (("relTol", _float, None), ("absTol", _float, None))
 _EXTINCTION_SOLVER = _FLOW_SOLVER[:1]
 
 
@@ -458,27 +463,27 @@ _KINDS = {
     ),
     "survival": _Kind(_run_survival, True, (
         ("mu", _floats, REQUIRED), *_sampled("times"), *_EXTINCTION_SOLVER,
-        ("ratioTolerance", float, None),
+        ("ratioTolerance", _float, None),
     )),
     "yaglom": _Kind(_run_yaglom, True, (
         ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_FLOW_SOLVER,
-        ("supTolerance", float, None),
+        ("supTolerance", _float, None),
     ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
-        ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", float, REQUIRED),
-        ("horizon", float, REQUIRED), ("paths", _int, REQUIRED),
+        ("mu", _floats, REQUIRED), ("f", _floats, None), ("step", _float, REQUIRED),
+        ("horizon", _float, REQUIRED), ("paths", _int, REQUIRED),
     ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
-        ("f", _floats, None), ("theta", float, 1.0), ("horizon", float, 2.0),
-        ("paths", _int, 10000), *_FLOW_SOLVER, ("zMax", float, None),
+        ("f", _floats, None), ("theta", _float, 1.0), ("horizon", _float, 2.0),
+        ("paths", _int, 10000), *_FLOW_SOLVER, ("zMax", _float, None),
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True,
-        (*_sampled("times"), *_EXTINCTION_SOLVER, ("slopeRelTolerance", float, None)),
+        (*_sampled("times"), *_EXTINCTION_SOLVER, ("slopeRelTolerance", _float, None)),
     ),
     "delay-eq": _Kind(_run_delay_eq, False, (
-        ("a", float, REQUIRED), ("thetaMax", float, 10.0), ("step", float, 0.01),
-        ("tol", float, 1e-10), ("supTolerance", float, 1e-8),
+        ("a", _float, REQUIRED), ("thetaMax", _float, 10.0), ("step", _float, 0.01),
+        ("tol", _float, 1e-10), ("supTolerance", _float, 1e-8),
     ), {"theta_grid": "step"}),
 }
 

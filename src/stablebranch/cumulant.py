@@ -192,9 +192,10 @@ def _warm_start(model, t0):
     return w
 
 
-def _cumulant_flow(model, F, T, opts, kappa=None):
+def _cumulant_flow(model, F, T, opts, kappa=None, scale=None):
     """Dense solution of the u-flow over [0, T] from F, one field (d,) or a
-    batch (B, d); kappa defaults to the model's (see _yaglom_batch)."""
+    batch (B, d); kappa defaults to the model's, and a batch may scale each
+    member's time (see _yaglom_batch)."""
     return solve_branching_ode(
         model.A,
         model.mechanism.kappa if kappa is None else kappa,
@@ -203,6 +204,7 @@ def _cumulant_flow(model, F, T, opts, kappa=None):
         (0.0, float(T)),
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
+        _scale=scale,
     )
 
 
@@ -340,32 +342,41 @@ def weighted_extinction_norm(model, times, opts=None):
     return solve_extinction(model, times, opts).values @ (model.phi_star * model.m)
 
 
-def _yaglom_batch(model, f, thetas, T, opts):
-    """g(T, theta, x) for all thetas at once via the rescaled flow, and the
-    report of that one solve.
+def _yaglom_batch(model, f, thetas, horizons, opts):
+    """g(T, theta, x) for every horizon T and every theta, shape
+    (len(horizons), len(thetas), d), from one solve, and the report of it.
 
     With w := u / (theta * eta_T) the evolution of u = V(theta eta_T f) maps to
     w' = A w - kappa (theta eta_T)^(gamma-1) w^gamma, w(0) = f, which keeps the
-    state O(1) even when eta_T underflows the absolute tolerance.
+    state O(1) even when eta_T underflows the absolute tolerance.  Each
+    (T, theta) pair is one member of a batch run on s in [0, T_max], the
+    longest horizon: its flow is multiplied by T / T_max, so its value at
+    s = T_max is w(T).  The longest horizon's scale is exactly 1.
     """
     opts = opts or SolverOptions()
     thetas = _check_thetas(thetas)
-    T = _check_horizon(T)
+    horizons = [_check_horizon(T) for T in np.atleast_1d(np.asarray(horizons, dtype=float))]
+    if not horizons:
+        raise ArgumentError("horizon", "horizons must not be empty")
     f = _density(f, model.d, "f")
     norm = model.inner_m(f, model.phi_star)
     if abs(norm - 1.0) > 1e-10:
         raise ArgumentError(
             "f", f"<f, phi_star>_m = {norm!r} must equal 1 (rescale f before calling)"
         )
-    eta_T = eta(model, T)
     gamma = model.mechanism.gamma
-    kappa_eff = model.mechanism.kappa[None, :] * np.power(
-        thetas[:, None] * eta_T, gamma[None, :] - 1.0
-    )
-    u0 = np.broadcast_to(f, (thetas.size, model.d)).copy()
-    sol = _cumulant_flow(model, u0, T, opts, kappa=kappa_eff)
-    w_T = sol(float(T))
-    return thetas[:, None] * w_T / model.phi[None, :], sol.report
+    kappa_eff = np.concatenate([
+        model.mechanism.kappa[None, :] * np.power(
+            thetas[:, None] * eta(model, T), gamma[None, :] - 1.0
+        )
+        for T in horizons
+    ])
+    t_max = max(horizons)
+    scale = np.repeat([T / t_max for T in horizons], thetas.size)
+    u0 = np.broadcast_to(f, kappa_eff.shape).copy()
+    sol = _cumulant_flow(model, u0, t_max, opts, kappa=kappa_eff, scale=scale)
+    w = sol(t_max).reshape(len(horizons), thetas.size, model.d)
+    return thetas[:, None] * w / model.phi[None, :], sol.report
 
 
 def conservation_residual(model, curve, s, t, quad_tol=None):

@@ -79,6 +79,37 @@ def reflecting_diffusion(d):
     return calibrate_critical(MotionGenerator(space=space, Q=Q), mech)
 
 
+def one_index_model(Q, beta, gamma, K, m=None):
+    """A model with one stable index gamma at every site and kappa = K phi^(1-gamma).
+
+    Calibration does not read kappa: the first, at kappa = 1, gives phi; the
+    second sets kappa.  Then A phi = 0 and kappa phi^gamma = K phi, so from
+    u(0) = c0 phi the flow is u = c(t) phi with c' = -K c^gamma, and C_X = K.
+    In closed form, eta(t) = (K (gamma-1) t)^(-1/(gamma-1)), and the Yaglom
+    surface from f = phi equals g_closed(gamma, theta) at every horizon.
+    """
+    d = len(beta)
+    space = StateSpace(d=d) if m is None else StateSpace(d=d, m=m)
+    motion = MotionGenerator(space=space, Q=Q)
+    gammas = np.full(d, float(gamma))
+    unit = calibrate_critical(motion, BranchingMechanism(beta=beta, kappa=np.ones(d), gamma=gammas))
+    kappa = K * unit.phi ** (1.0 - gamma)
+    return calibrate_critical(motion, BranchingMechanism(beta=beta, kappa=kappa, gamma=gammas))
+
+
+@pytest.fixture(scope="session")
+def one_index_models():
+    """The one-index family on two sites (gamma 1.2) and on three (gamma 1.3,
+    non-uniform m)."""
+    return {
+        "two": one_index_model([[-1.0, 1.0], [0.5, -0.5]], [0.0, 0.3], 1.2, 0.7),
+        "three": one_index_model(
+            [[-1.2, 0.8, 0.4], [0.5, -0.9, 0.4], [0.3, 0.6, -0.9]], [0.1, -0.05, 0.2], 1.3,
+            1.4, m=[1.0, 0.5, 2.0],
+        ),
+    }
+
+
 @pytest.fixture(scope="session")
 def diffusion_model():
     """The reflecting diffusion on d = 10 cells; gamma0 1.304, next index 1.336."""

@@ -5,11 +5,12 @@ from stablebranch.analysis import (
     kolmogorov_table,
     rv_index_fit,
     yaglom_table,
+    yaglom_tables,
 )
 from stablebranch.cumulant import SolverOptions, solve_extinction
 from stablebranch.model import ArgumentError, eta
 
-from conftest import normalized_ones
+from conftest import no_solver, normalized_ones
 
 
 class TestRVFit:
@@ -116,3 +117,54 @@ class TestYaglomTable:
             for T in (1e2, 1e3)
         ]
         assert sups[1] < sups[0]
+
+
+class TestYaglomTables:
+    """Every horizon in one batched solve, on time rescaled to the longest."""
+
+    THETAS = np.geomspace(0.1, 10.0, 21)
+
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("name", ["two", "three"])
+    def test_one_index_surface_is_the_limit_at_every_horizon(self, one_index_models, name,
+                                                             rel_tol):
+        # from f = phi the surface equals g_closed at every T, not only in the
+        # limit; read 0.027 and 0.0077 rel_tol at most
+        model = one_index_models[name]
+        tables = yaglom_tables(model, model.phi, self.THETAS, [1.0, 10.0, 100.0],
+                               SolverOptions(rel_tol=rel_tol))
+        assert len(tables) == 3
+        for table in tables:
+            assert table.solver_report is tables[0].solver_report
+            assert np.max(np.abs(table.surface / table.limit[:, None] - 1.0)) <= 0.1 * rel_tol
+
+    def test_scalar_exact_at_every_horizon(self, scalar_model):
+        f = normalized_ones(scalar_model)
+        thetas = np.concatenate([[0.0], self.THETAS])
+        tables = yaglom_tables(scalar_model, f, thetas, [1.0, 10.0, 100.0])
+        for table in tables:
+            assert table.sup_error.max() <= 10.0 * SolverOptions().rel_tol
+            assert table.sup_error[0] == 0.0  # theta = 0 row
+
+    @pytest.mark.parametrize("name, horizons, rel_tol", [
+        ("scalar", [1.0, 10.0, 100.0], 1e-10),
+        ("two", [1e2, 1e3, 1e4], 1e-7),
+        ("three", [1e2, 1e3, 1e4], 1e-7),
+    ])
+    def test_within_rel_tol_of_one_solve_per_horizon(self, scalar_model, two_site_model,
+                                                     three_site_model, name, horizons, rel_tol):
+        model = {"scalar": scalar_model, "two": two_site_model, "three": three_site_model}[name]
+        f, opts = normalized_ones(model), SolverOptions(rel_tol=rel_tol)
+        tables = yaglom_tables(model, f, self.THETAS, horizons, opts)
+        singles = [yaglom_table(model, f, self.THETAS, T, opts) for T in horizons]
+        for table, single in zip(tables, singles):
+            assert np.max(np.abs(table.surface / single.surface - 1.0)) <= rel_tol
+        # the one run takes fewer steps than the three
+        assert tables[0].solver_report.accepted < sum(t.solver_report.accepted for t in singles)
+
+    @pytest.mark.parametrize("horizons", [[], [1.0, np.inf], [np.nan], [10.0, 0.0]])
+    def test_bad_horizons_refused_before_any_solve(self, two_site_model, horizons, monkeypatch):
+        no_solver(monkeypatch)
+        with pytest.raises(ArgumentError) as err:
+            yaglom_tables(two_site_model, normalized_ones(two_site_model), [1.0], horizons)
+        assert err.value.name == "horizon"

@@ -291,7 +291,8 @@ class TestRun:
 
 
 class TestYaglomWorkers:
-    """The yaglom kind solves its horizons in forked workers, one per CPU."""
+    """The yaglom kind runs no workers: every horizon is one member group of
+    one batched solve in this process."""
 
     PARAMS = {"thetaGrid": {"min": 0.1, "max": 10.0, "count": 21},
               "horizons": [1.0, 10.0, 100.0], "supTolerance": 1e-8}
@@ -306,10 +307,8 @@ class TestYaglomWorkers:
 
     def test_same_files_on_one_and_two_cpus(self, preset_dir, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
-        runs = []
-        for n in (1, 2):
-            runs.append(self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch))
-            assert len(forks) == n - 1  # no fork on one CPU, one worker on two
+        runs = [self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch) for n in (1, 2)]
+        assert forks == []
         (code1, manifest1, tables1), (code2, manifest2, tables2) = runs
         assert code1 == code2 == EXIT_OK
         assert list(tables1) == ["yaglom_T1.csv", "yaglom_T10.csv", "yaglom_T100.csv"]
@@ -319,41 +318,28 @@ class TestYaglomWorkers:
             Path(p).name for p in manifest1["artifacts"]
         ]
 
-    def test_manifest_records_counts_per_horizon(self, preset_dir, tmp_path, monkeypatch):
-        # on two CPUs horizons 1 and 100 are solved in the forked worker; their
-        # counts reach the manifest as those of a solve in this process
-        summaries = [
-            self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch)[1]["summary"]
-            for n in (1, 2)
-        ]
-        assert summaries[1]["solves"] == summaries[0]["solves"]
+    def test_manifest_records_the_one_solve(self, preset_dir, tmp_path, monkeypatch):
+        summary = self.run_on(2, preset_dir, tmp_path, monkeypatch)[1]["summary"]
+        assert "solves" not in summary
         model, _ = read_model(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
         thetas = np.geomspace(0.1, 10.0, 21)
-        for T, counts in zip(self.PARAMS["horizons"], summaries[0]["solves"]):
-            report = cli.yaglom_table(model, np.ones(1), thetas, T).solver_report
-            assert counts == {key: getattr(report, key) for key in counts}
-            assert list(counts) == ["engine", "variable", "accepted", "rejected", "nfev",
-                                    "njev", "nlu"]
-            assert counts["variable"] == "u" and counts["accepted"] > 0
+        tables = cli.yaglom_tables(model, np.ones(1), thetas, self.PARAMS["horizons"])
+        report = tables[0].solver_report
+        counts = summary["solve"]
+        assert counts == {key: getattr(report, key) for key in counts}
+        assert list(counts) == ["engine", "variable", "accepted", "rejected", "nfev", "njev",
+                                "nlu"]
+        assert counts["variable"] == "u" and counts["accepted"] > 0
 
-    def test_solver_error_in_forked_horizon(self, preset_dir, tmp_path, monkeypatch):
-        # on two CPUs the forked worker solves horizons 1 and 100 and this
-        # process horizon 10; its error is raised after horizon 1's table is
-        # written, as in one process
-        table = cli.yaglom_table
+    def test_solver_error_writes_no_table(self, preset_dir, tmp_path, monkeypatch):
+        def failing(model, f, thetas, horizons, opts):
+            raise SolverError("Radau failed at t=5")
 
-        def failing_at_ten(model, f, thetas, T, opts):
-            if T == 10.0:
-                raise SolverError("Radau failed at t=5")
-            return table(model, f, thetas, T, opts)
-
-        monkeypatch.setattr(cli, "yaglom_table", failing_at_ten)
-        runs = [self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch) for n in (1, 2)]
-        for code, manifest, tables in runs:
-            assert code == EXIT_RUNTIME
-            assert manifest["error"] == "SolverError: Radau failed at t=5"
-            assert list(tables) == ["yaglom_T1.csv"]
-        assert runs[0][2] == runs[1][2]
+        monkeypatch.setattr(cli, "yaglom_tables", failing)
+        code, manifest, tables = self.run_on(2, preset_dir, tmp_path, monkeypatch)
+        assert code == EXIT_RUNTIME
+        assert manifest["error"] == "SolverError: Radau failed at t=5"
+        assert manifest["artifacts"] == [] and tables == {}
 
 
 class TestMain:
@@ -559,6 +545,13 @@ class TestSchema:
                           "timesGrid": {"min": 1.0, "max": 1e4, "count": 25}}, "timesGrid"),
             ("yaglom", {"theta": [1.0], "thetaGrid": {"min": 0.1, "max": 1.0, "count": 3},
                         "horizons": [1.0]}, "thetaGrid"),
+            ("cumulant", {"f": [1.0], "times": [1.0], "relTol": True}, "relTol"),
+            ("simulate", {"paths": 10, "step": True, "horizon": 0.1, "mu": [1.0]}, "step"),
+            ("yaglom", {"theta": [1.0], "horizons": [True]}, "horizons"),
+            ("yaglom", {"theta": [1.0], "horizons": ["1"]}, "horizons"),
+            ("survival", {"mu": [True], "times": [1.0]}, "mu"),
+            ("rv-fit", {"timesGrid": {"min": True, "max": 10.0, "count": 5}}, "timesGrid"),
+            ("delay-eq", {"a": False}, "a"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
@@ -575,7 +568,9 @@ class TestSchema:
              "spine-paths-one", "survival-times-zero", "rv-fit-times-repeated",
              "yaglom-f-unnormalized", "yaglom-horizons-empty", "paths-fractional",
              "paths-boolean", "spine-paths-fractional", "grid-count-fractional",
-             "grid-count-boolean", "times-and-grid", "theta-and-grid"],
+             "grid-count-boolean", "times-and-grid", "theta-and-grid", "rel-tol-boolean",
+             "step-boolean", "horizons-boolean", "horizons-string", "mu-boolean",
+             "grid-min-boolean", "delay-a-boolean"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch

@@ -550,8 +550,8 @@ class TestYaglomSurface:
         assert np.all(surface(two_site_model, f, 0.0, 10.0) == 0.0)
 
     def test_batch_matches_single_solves(self, two_site_model, loose_opts):
-        # the batch runs on a block-diagonal sparse Jacobian, one theta alone
-        # on a dense one
+        # the batch runs on a stack of dense Jacobian blocks, one theta alone
+        # on one dense Jacobian
         f = normalized_ones(two_site_model)
         thetas = np.array([0.2, 1.0, 4.0])
         batch = yaglom_table(two_site_model, f, thetas, 100.0, loose_opts).surface

@@ -130,6 +130,25 @@ def extinction_three_site(models):
     return (*ode_args(model), _warm_start(model, t0), (t0, 1e6)), dict(rtol=1e-7, _bernoulli=True)
 
 
+def yaglom_two_site(models):
+    # the two-site yaglom run's rescaled flow at T = 1e4: 21 thetas at 1e-7
+    model = models["two"]
+    T, thetas = 1e4, np.geomspace(0.1, 10.0, 21)
+    gamma = model.mechanism.gamma
+    kappa = model.mechanism.kappa * np.power(thetas[:, None] * eta(model, T), gamma - 1.0)
+    u0 = np.broadcast_to(normalized_ones(model), (thetas.size, 2))
+    return (model.A, kappa, gamma, u0, (0.0, T)), dict(rtol=1e-7)
+
+
+def large_batch(models):
+    # the ten-cell diffusion with one member more than the dense rule admits
+    model = models["diffusion"]
+    B = _ivp._DENSE_BATCH_ENTRIES // model.d**2 + 1
+    kappa = model.mechanism.kappa * np.geomspace(0.1, 10.0, B)[:, None]
+    u0 = np.broadcast_to(normalized_ones(model), (B, model.d))
+    return (model.A, kappa, model.mechanism.gamma, u0, (0.0, 1.0)), dict(rtol=1e-6)
+
+
 def batch_scalar_yaglom(models):
     # the scalar yaglom run's rescaled flow: 21 thetas of a d = 1 model in one
     # batch at the default rtol
@@ -144,11 +163,12 @@ def batch_scalar_yaglom(models):
 class TestDirectLapack:
     """The stepper is scipy's Radau ported with its arithmetic unchanged: LAPACK
     getrf/getrs called directly, the three stages in one right-hand-side call,
-    and RADAU5's no-growth rule.  Every solve is bit for bit scipy's stock
-    Radau under that rule."""
+    and RADAU5's no-growth rule.  Every solve but a small batch's is bit for
+    bit scipy's stock Radau under that rule."""
 
-    @pytest.mark.parametrize("case", CASES + [zero_length, scalar_large_start, scalar_tiny_rtol,
-                                              extinction_three_site, batch_scalar_yaglom],
+    @pytest.mark.parametrize("case", [extinction_two_site, field_three_site, scalar, zero_length,
+                                      scalar_large_start, scalar_tiny_rtol,
+                                      extinction_three_site],
                              ids=lambda c: c.__name__)
     @pytest.mark.filterwarnings("ignore:.*rtol.*too small")
     def test_same_solution_and_counts_as_stock_radau(self, case, models, monkeypatch):
@@ -206,6 +226,7 @@ class TestDirectLapack:
             sol(np.linspace(sol.t_start, sol.t_end, 9))
 
     def test_batch_still_factors_with_splu(self, models, monkeypatch):
+        # a batch above the dense rule, and one at it
         calls = []
         real_splu = scipy.sparse.linalg.splu
 
@@ -214,10 +235,62 @@ class TestDirectLapack:
             return real_splu(a)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
-        args, kwargs = batch_two_site(models)
+        args, kwargs = large_batch(models)
+        n = args[3].size
+        assert n * models["diffusion"].d > _ivp._DENSE_BATCH_ENTRIES
         sol = solve_branching_ode(*args, **kwargs)
         assert len(calls) == sol.report.nlu > 0
-        assert calls[0] == (8, 8)
+        assert calls[0] == (n, n)
+        limit = np.zeros((_ivp._DENSE_BATCH_ENTRIES // 4, 2, 2))
+        assert _ivp._assemble(limit) is limit
+        assert scipy.sparse.issparse(_ivp._assemble(np.zeros((limit.shape[0] + 1, 2, 2))))
+
+    @pytest.mark.parametrize("case", [batch_two_site, batch_scalar_yaglom, yaglom_two_site],
+                             ids=lambda c: c.__name__)
+    def test_dense_blocks_match_stock_radau_with_splu(self, case, models, monkeypatch):
+        # the solve never calls splu; scipy's Radau, which bound its own splu
+        # on import, on the same right-hand side with the blocks'
+        # block-diagonal sparse Jacobian: the counts agree, and the steps and
+        # values up to rounding (the error estimate's rounding moves a step
+        # time by up to 6.3e-8 of the span, batch_scalar_yaglom)
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu was called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        args, kwargs = case(models)
+        system = capture_system(monkeypatch)
+        sol = solve_branching_ode(*args, **kwargs)
+        jac = system["jac"]
+        assert jac(system["y0"]).ndim == 3
+        system["jac"] = lambda y: scipy.sparse.block_diag(jac(y), format="csc")
+        ref = scipy_reference(system)
+        rep = sol.report
+        assert (rep.accepted, rep.nfev, rep.njev, rep.nlu) == (
+            ref.t.size - 1, ref.nfev, ref.njev, ref.nlu
+        )
+        assert np.max(np.abs(sol.step_times - ref.t)) <= 1e-6 * sol.t_end
+        grid = np.linspace(sol.t_start, sol.t_end, 97)
+        ref_values = ref.sol(grid)
+        assert np.max(np.abs(sol._values(grid) / ref_values - 1.0)) <= 1e-13
+
+    def test_scales_of_one_are_the_unscaled_batch(self, models):
+        args, kwargs = batch_two_site(models)
+        plain = solve_branching_ode(*args, **kwargs)
+        scaled = solve_branching_ode(*args, **kwargs, _scale=np.ones(4))
+        assert bits(scaled.step_times) == bits(plain.step_times)
+        grid = np.linspace(0.0, plain.t_end, 97)
+        assert bits(scaled._values(grid)) == bits(plain._values(grid))
+        assert scaled.report == plain.report
+
+    def test_scaled_member_is_the_member_at_its_own_horizon(self, models):
+        # member b on [0, T] with scale s_b is the unscaled member on [0, s_b T]
+        args, kwargs = batch_two_site(models)
+        A, kappa, gamma, u0, _ = args
+        scale = np.array([0.01, 0.1, 0.5, 1.0])
+        sol = solve_branching_ode(A, kappa, gamma, u0, (0.0, 20.0), _scale=scale, **kwargs)
+        for b in range(4):
+            alone = solve_branching_ode(A, kappa[b], gamma, u0[b], (0.0, 20.0 * scale[b]), **kwargs)
+            assert np.max(np.abs(sol(20.0)[b] / alone(20.0 * scale[b]) - 1.0)) <= 1e-7
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_routines_match_scipy_wrappers(self, dtype, rng):
@@ -414,9 +487,9 @@ class TestOdeGoldenDigests:
     """ODE outputs pinned bit for bit; recorded with the engine's Radau, scipy's
     under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
     change to the engine's arithmetic, the step control or the warm start shows
-    here.  The Yaglom surface's solve never accepts a step after a rejection,
-    so the rule left its digest as scipy's stock Radau recorded it.  The three
-    extinction digests were recorded with t0 from _warm_start_time.  All four
+    here.  The Yaglom surface's digest was re-recorded when small batches went
+    to dense blocks; its values moved by at most 7.8e-16 relative.  The three
+    extinction digests were recorded with t0 from _warm_start_time.  All five
     hold on 2 BLAS threads and on one (`taskset -c 0` or
     OPENBLAS_NUM_THREADS=1).  OpenBLAS zgetrs still returns other bits on one
     thread; the two-site run from 5e-9 that showed it is no longer the one
@@ -458,11 +531,11 @@ class TestOdeGoldenDigests:
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):
-        # 21 thetas in one batch: the sparse splu path
+        # 21 thetas in one batch: the dense-block path
         table = yaglom_table(
             two_site_model, normalized_ones(two_site_model), np.geomspace(0.1, 10.0, 21),
             1e3, SolverOptions(rel_tol=1e-7),
         )
         assert digest(table.surface) == (
-            "5d8f53a704a94bde95c1d85ea61ca95aa1ea0fb3ed296d12acee0fba41db3b18"
+            "72cd0f819d657f6d193f2f58393386f88e1d7f27eb8586f5cb6ade2fc54648de"
         )

@@ -128,8 +128,8 @@ def test_only_fork_module_forks():
 
 
 def test_map_forked_callers():
-    # the two routes that fork: simulate chunks and cli's yaglom horizons;
-    # the ODE routines run in the calling process
+    # the one route that forks: simulate chunks; the ODE routines, the yaglom
+    # kind's one solve for every horizon included, run in the calling process
     callers = set()
     for path in _python_files():
         if not path.startswith(SRC + os.sep) or os.path.basename(path) == "_fork.py":
@@ -141,4 +141,4 @@ def test_map_forked_callers():
                 isinstance(node, ast.ImportFrom) and "map_forked" in {a.name for a in node.names}
             ):
                 callers.add(os.path.basename(path))
-    assert callers == {"simulate.py", "cli.py"}
+    assert callers == {"simulate.py"}
