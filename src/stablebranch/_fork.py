@@ -1,13 +1,9 @@
 """Independent items shared between this process and forked workers.
 
 This is the one module that forks, and simulate_paths, which deals out its
-chunks of replicates, is its one caller; every ODE solve runs in the calling
-process.  No option sets the number of workers: the caller asks worker_count
-for one per CPU in the process's affinity mask, so `taskset -c 0` runs
-everything in the calling process.  map_forked deals the items in turn, runs
-the last share here and every other share in a child, and returns what a
-serial run would: the results of the items before the first failing item, in
-item order, and that item's error.
+chunks of replicates, is its one caller.  No option sets the number of
+workers: worker_count gives one per CPU in the process's affinity mask, so
+`taskset -c 0` runs everything in the calling process.
 """
 
 from __future__ import annotations
@@ -33,21 +29,21 @@ def _run(fn, share):
     try:
         for item in share:
             results.append(fn(item))
-    except Exception as exc:  # noqa: BLE001 - the caller raises it, in item order
+    except Exception as exc:  # noqa: BLE001 - map_forked raises it, in item order
         return results, exc
     return results, None
 
 
 def map_forked(fn, items, workers):
-    """(results, error): fn over items as a serial run gives it, on `workers` processes.
+    """fn over items on `workers` processes: the results in item order, as a
+    serial run gives them, or the error of the earliest failing item.
 
-    Share i is items[i::workers], and every share stops at its first error.
-    A child inherits fn and the items and sends back its results and error
-    pickled over a pipe; one that sends nothing fails its first item with
-    ChildProcessError.  This process's own error is held until the children
-    have been read, and error is None when no item failed.  Every child is
-    reaped before this returns or raises; one whose result was not read
-    (this process was interrupted) is killed.
+    Share i is items[i::workers]; the last share runs here and every other
+    in a child, and every share stops at its first error.  A child inherits
+    fn and the items and sends back its results and error pickled over a
+    pipe; one that sends nothing fails its first item with ChildProcessError.
+    The error is raised once every child has been reaped; a child whose
+    result was not read (this process was interrupted) is killed.
     """
     shares = [items[i::workers] for i in range(workers)]
     children = {}  # pid -> read end of its pipe, unread, in share order
@@ -91,6 +87,6 @@ def map_forked(fn, items, workers):
     for k in range(len(items)):
         done, error = outcomes[k % workers]
         if k // workers == len(done):
-            return results, error
+            raise error
         results.append(done[k // workers])
-    return results, None
+    return results

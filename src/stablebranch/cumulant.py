@@ -148,15 +148,17 @@ def _check_thetas(thetas):
 def solve_cumulant(model, f, times, opts=None):
     """Evolve the log-Laplace functional from initial field f over the grid.
 
-    f must be finite and nonnegative.  The returned curve satisfies the weighted
-    conservation identity (see conservation_residual) to quadrature accuracy
-    and is dominated by the linear mean flow.
+    f and the times must be finite and nonnegative (V_0 f = f).  The returned
+    curve satisfies the weighted conservation identity (see conservation_residual)
+    to quadrature accuracy and is dominated by the linear mean flow.
     """
     opts = opts or SolverOptions()
     f = _as_vector(f, model.d, "f")
     if np.any(f < 0):
         raise ArgumentError("f", "initial field must be nonnegative")
     times = _check_times(times)
+    if times[0] < 0.0:
+        raise ArgumentError("times", f"times must be nonnegative, got {times[0]:g}")
     sol = _cumulant_flow(model, f, float(times[-1]), opts)
     return CumulantCurve(
         times=times,
@@ -165,6 +167,7 @@ def solve_cumulant(model, f, times, opts=None):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _warm_start(model, t0):
     """Short-time profile of the infinite-initial-condition solution at t0.
 
@@ -175,6 +178,7 @@ def _warm_start(model, t0):
     each value.  They leave out the diagonal outflow A_xx w_x, so they move
     even a one-index start, whose scalar value is exact, off by about
     0.2 max|A_xx| t0 relative; _certify bounds the error left at times[0].
+    CertificationError naming gamma0 when a value overflows a double.
     """
     kappa = model.mechanism.kappa
     gamma = model.mechanism.gamma
@@ -189,6 +193,11 @@ def _warm_start(model, t0):
             w = w_new
             break
         w = w_new
+    if not np.all(np.isfinite(w)):
+        raise CertificationError(
+            f"warm-start certification failed: the warm start at t={t0:g} "
+            f"overflows a double for gamma0={model.gamma0:g}"
+        )
     return w
 
 
@@ -288,8 +297,7 @@ def solve_extinction(model, times, opts=None):
     contracting flow, so the earliest comparison point dominates all later
     ones.  A relative change above rel_tol fails, and try k <= 6 starts at the
     decimal value of the first t0 times 10^-k: exactly 1e-11 two tries after
-    1e-9, where 1e-9 / 10 / 10 is off by an ulp.  Each try makes both runs, in
-    this process.
+    1e-9, where 1e-9 / 10 / 10 is off by an ulp.
     CertificationError when the last try fails, or when the warm start at
     t0/2 overflows a double (gamma0 near 1).  The curve's t_start is the t0/2
     of the try that certified.  A grid past the time where eta(t)^-gamma0
@@ -310,12 +318,6 @@ def solve_extinction(model, times, opts=None):
     first = Decimal(repr(_warm_start_time(model, float(times[0]), opts.rel_tol)))
     for tries in range(_WARM_START_REDUCTIONS + 1):
         t0 = float(first.scaleb(-tries))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(_warm_start(model, t0 / 2.0))):
-                raise CertificationError(
-                    f"warm-start certification failed: the warm start at t0/2={t0 / 2.0:g} "
-                    f"overflows a double for gamma0={model.gamma0:g}"
-                )
         returned = _extinction_solution(model, t0 / 2.0, float(times[-1]), opts)
         try:
             bound, report = _certify(model, t0, float(times[0]), returned, opts)

@@ -124,9 +124,7 @@ class StateSpace:
     m: np.ndarray = None
 
     def __post_init__(self):
-        if int(self.d) < 1:
-            raise ValueError("state space needs at least one site")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _count(self.d, "d", 1))
         m = np.ones(self.d) if self.m is None else _as_vector(self.m, self.d, "m")
         if np.any(m <= 0):
             raise ValueError("reference weights m must be strictly positive")
@@ -497,8 +495,6 @@ def read_model(path):
     if missing:
         raise ValueError(f"model file missing keys: {missing}")
     d = data["d"]
-    if not isinstance(d, int):
-        raise ValueError(f"d must be an integer, got {d!r}")
     # asarray keeps a null m an error instead of StateSpace's unit default.
     motion = MotionGenerator(space=StateSpace(d=d, m=np.asarray(data["m"], float)), Q=data["Q"])
     mech = BranchingMechanism(beta=data["beta"], kappa=data["kappa"], gamma=data["gamma"])

@@ -373,11 +373,12 @@ def simulate_paths(model, mu, config, f=None):
 
     The replicates are split into equal chunks of at most _CHUNK_REPLICATES
     (2,048), as few as allow a multiple of the worker count, and the chunks
-    are dealt out by _fork.map_forked.  The workers are one per CPU in the
-    process's affinity mask, but at most one per _SPLIT_FLOOR (100,000)
-    scheduled site-steps, replicates x steps x sites: a run of fewer than
-    200,000 never forks.  Each replicate draws from its own stream, so the
-    result is bit for bit the same for any number of workers.
+    are dealt out by _fork.map_forked, the package's one forking route.  The
+    workers are one per CPU in the process's affinity mask, but at most one per
+    _SPLIT_FLOOR (100,000) scheduled site-steps, replicates x steps x sites: a
+    run of fewer than 200,000 never forks.  Each replicate draws from its own
+    stream, so the result, or the earliest failing chunk's error, is the same
+    for any number of workers, bit for bit.
     """
     mu = _density(mu, model.d)
     f = np.ones(model.d) if f is None else _density(f, model.d, "f")
@@ -394,9 +395,7 @@ def simulate_paths(model, mu, config, f=None):
         _simulate_chunk, _StepKernel(model), _ReplicateStreams(config.seed), mu, hs, draws,
         f * model.m,
     )
-    parts, error = map_forked(run, list(zip(bounds, bounds[1:])), workers)
-    if error is not None:
-        raise error
+    parts = map_forked(run, list(zip(bounds, bounds[1:])), workers)
     values, finals, live_by_block, cluster_site_steps, live_site_steps = zip(*parts)
     site_steps = sum(live_site_steps)
     functional_values = np.concatenate(values)

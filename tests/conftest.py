@@ -137,19 +137,6 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def count_forks(monkeypatch):
-    """Wrap os.fork; the returned list gains one entry per call made in this process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def no_solver(monkeypatch):
     """Make every ODE solve fail at once: an input that a check should refuse
     then fails fast, never hangs in the solver, when the check is missing."""

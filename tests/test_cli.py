@@ -31,7 +31,7 @@ from stablebranch._ivp import SolverError
 from stablebranch.cumulant import CertificationError, SolverOptions
 from stablebranch.model import read_model, save_calibrated_model
 
-from conftest import count_forks, no_solver, use_cpus
+from conftest import no_solver
 
 
 def _refuse(constant):
@@ -167,11 +167,13 @@ class TestRun:
         assert "nfev" not in (tmp_path / "cumulant.csv").read_text()
 
     def test_extinction_manifests_record_warm_start(self, preset_dir, tmp_path):
-        # survival and rv-fit record the warm-start time, its certified bound
-        # and the returned solve's counts; the tables stay as they were
+        # survival and rv-fit record the warm-start time, its certified bound,
+        # the returned solve's counts and, under certification, the counts of
+        # the run from t0; the tables stay as they were
         model_path = preset_dir / "two-site" / "two-site_model.json"
         model, _ = read_model(model_path)
         times = np.geomspace(1e3, 1e5, 9)
+        curve = cumulant.solve_extinction(model, times, SolverOptions(rel_tol=1e-7))
         runs = {
             "survival": {"mu": [0.5, 0.5], "times": times.tolist(), "relTol": 1e-7},
             "rv-fit": {"times": times.tolist(), "relTol": 1e-7},
@@ -184,6 +186,14 @@ class TestRun:
             assert summary["variable"] == "z"
             for key in ("accepted", "rejected", "nfev", "njev", "nlu"):
                 assert isinstance(summary[key], int) and summary[key] >= (key != "rejected")
+            certification = summary["certification"]
+            assert list(certification) == [
+                "engine", "variable", "accepted", "rejected", "nfev", "njev", "nlu"
+            ]
+            report = curve.certification_report
+            assert certification == {key: getattr(report, key) for key in certification}
+            assert certification["variable"] == "z"
+            assert 0 < certification["nfev"] < summary["nfev"]
         norms = cumulant.weighted_extinction_norm(model, times, SolverOptions(rel_tol=1e-7))
         lines = (tmp_path / "rv-fit" / "rv_fit.csv").read_text().splitlines()
         rows = list(csv.reader(line for line in lines if not line.startswith("#")))
@@ -290,41 +300,30 @@ class TestRun:
         assert manifest["summary"]["slope"] == pytest.approx(-5.0, rel=0.02)
 
 
-class TestYaglomWorkers:
-    """The yaglom kind runs no workers: every horizon is one member group of
-    one batched solve in this process."""
+class TestYaglomKind:
+    """The yaglom kind runs every horizon as one member group of one batched
+    solve in this process."""
 
     PARAMS = {"thetaGrid": {"min": 0.1, "max": 10.0, "count": 21},
               "horizons": [1.0, 10.0, 100.0], "supTolerance": 1e-8}
 
-    def run_on(self, n, preset_dir, outdir, monkeypatch):
-        use_cpus(monkeypatch, n)
+    def run_kind(self, preset_dir, outdir):
         model = preset_dir / "scalar-csbp" / "scalar-csbp_model.json"
         code = run(make_spec("yaglom", model, self.PARAMS, outdir))
         manifest = json.loads((outdir / "run_manifest.json").read_text())
         tables = {p.name: p.read_bytes() for p in sorted(outdir.glob("yaglom_T*.csv"))}
         return code, manifest, tables
 
-    def test_same_files_on_one_and_two_cpus(self, preset_dir, tmp_path, monkeypatch):
-        forks = count_forks(monkeypatch)
-        runs = [self.run_on(n, preset_dir, tmp_path / f"cpus{n}", monkeypatch) for n in (1, 2)]
-        assert forks == []
-        (code1, manifest1, tables1), (code2, manifest2, tables2) = runs
-        assert code1 == code2 == EXIT_OK
-        assert list(tables1) == ["yaglom_T1.csv", "yaglom_T10.csv", "yaglom_T100.csv"]
-        assert tables2 == tables1
-        assert manifest2["summary"] == manifest1["summary"]
-        assert [Path(p).name for p in manifest2["artifacts"]] == [
-            Path(p).name for p in manifest1["artifacts"]
-        ]
-
-    def test_manifest_records_the_one_solve(self, preset_dir, tmp_path, monkeypatch):
-        summary = self.run_on(2, preset_dir, tmp_path, monkeypatch)[1]["summary"]
+    def test_manifest_records_the_one_solve(self, preset_dir, tmp_path):
+        code, manifest, tables = self.run_kind(preset_dir, tmp_path)
+        assert code == EXIT_OK
+        assert list(tables) == ["yaglom_T1.csv", "yaglom_T10.csv", "yaglom_T100.csv"]
+        summary = manifest["summary"]
         assert "solves" not in summary
         model, _ = read_model(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
         thetas = np.geomspace(0.1, 10.0, 21)
-        tables = cli.yaglom_tables(model, np.ones(1), thetas, self.PARAMS["horizons"])
-        report = tables[0].solver_report
+        library = cli.yaglom_tables(model, np.ones(1), thetas, self.PARAMS["horizons"])
+        report = library[0].solver_report
         counts = summary["solve"]
         assert counts == {key: getattr(report, key) for key in counts}
         assert list(counts) == ["engine", "variable", "accepted", "rejected", "nfev", "njev",
@@ -336,7 +335,7 @@ class TestYaglomWorkers:
             raise SolverError("Radau failed at t=5")
 
         monkeypatch.setattr(cli, "yaglom_tables", failing)
-        code, manifest, tables = self.run_on(2, preset_dir, tmp_path, monkeypatch)
+        code, manifest, tables = self.run_kind(preset_dir, tmp_path)
         assert code == EXIT_RUNTIME
         assert manifest["error"] == "SolverError: Radau failed at t=5"
         assert manifest["artifacts"] == [] and tables == {}
@@ -403,8 +402,8 @@ class TestSchema:
     @pytest.mark.parametrize("case", [
         "missing-spec", "malformed-spec", "missing-mu-file", "missing-model", "malformed-model",
         "calibrated-no-phi", "calibrated-no-phiStar", "calibrated-no-C_X", "calibrated-no-gamma0",
-        "gamma-out-of-range", "fractional-d", "integer-model-path", "kind-not-string",
-        "outdir-not-string", "outdir-empty",
+        "gamma-out-of-range", "fractional-d", "boolean-d", "integer-model-path",
+        "kind-not-string", "outdir-not-string", "outdir-empty",
     ])
     def test_unreadable_input_exits_two(self, case, preset_dir, tmp_path, capsys):
         model = str(preset_dir / "scalar-csbp" / "scalar-csbp_model.json")
@@ -421,9 +420,10 @@ class TestSchema:
         elif case == "gamma-out-of-range":
             data = json.loads((preset_dir / "two-site" / "two-site_model.json").read_text())
             bad_model.write_text(json.dumps({**data, "gamma": [1.2, 2.5]}))
-        elif case == "fractional-d":
+        elif case in ("fractional-d", "boolean-d"):
+            # a boolean d is no count: true must not read as one site
             data = json.loads((preset_dir / "two-site" / "two-site_model.json").read_text())
-            bad_model.write_text(json.dumps({**data, "d": 2.5}))
+            bad_model.write_text(json.dumps({**data, "d": 2.5 if case == "fractional-d" else True}))
         elif case == "integer-model-path":
             # open() would take the path 0 for the file descriptor of stdin
             (tmp_path / "fd.json").write_text(json.dumps(
@@ -456,6 +456,8 @@ class TestSchema:
         assert len(err) == 1 and err[0].startswith("schema error: ")
         if argv[0] == "calibrate":
             assert err[0].startswith(f"schema error: model file {str(bad_model)!r}: ")
+        if case.endswith("-d"):
+            assert ": d must be an integer, got " in err[0]
         if case == "integer-model-path":
             assert err[0].startswith("schema error: model file 0: ")
         if case.startswith("outdir-"):
@@ -552,6 +554,7 @@ class TestSchema:
             ("survival", {"mu": [True], "times": [1.0]}, "mu"),
             ("rv-fit", {"timesGrid": {"min": True, "max": 10.0, "count": 5}}, "timesGrid"),
             ("delay-eq", {"a": False}, "a"),
+            ("cumulant", {"f": [1.0], "times": [-1.0, 1.0]}, "times"),
         ],
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
@@ -570,7 +573,7 @@ class TestSchema:
              "paths-boolean", "spine-paths-fractional", "grid-count-fractional",
              "grid-count-boolean", "times-and-grid", "theta-and-grid", "rel-tol-boolean",
              "step-boolean", "horizons-boolean", "horizons-string", "mu-boolean",
-             "grid-min-boolean", "delay-a-boolean"],
+             "grid-min-boolean", "delay-a-boolean", "cumulant-times-negative"],
     )
     def test_schema_errors_exit_two_and_name_parameter(
         self, kind, params, named, preset_dir, tmp_path, capsys, monkeypatch

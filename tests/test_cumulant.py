@@ -2,7 +2,7 @@ import contextlib
 import functools
 import importlib
 import json
-import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from stablebranch.model import (
     semigroup_apply,
 )
 
-from conftest import count_forks, no_solver, normalized_ones, use_cpus
+from conftest import no_solver, normalized_ones
 
 
 def scalar_closed_form(c, kappa, gamma, t):
@@ -78,6 +78,15 @@ class TestSolveCumulant:
         curve = solve_cumulant(model, np.array([c]), times, opts)
         exact = scalar_closed_form(c, kappa, gamma, times)
         assert np.abs(curve.values[:, 0] / exact - 1.0).max() <= 1e-9
+
+    def test_negative_time_refused(self, two_site_model, monkeypatch):
+        # V_0 f = f: a grid may start at 0, never before it
+        f = np.array([0.8, 1.9])
+        assert solve_cumulant(two_site_model, f, [0.0]).values.tolist() == [f.tolist()]
+        no_solver(monkeypatch)
+        with pytest.raises(ArgumentError, match="nonnegative, got -1") as info:
+            solve_cumulant(two_site_model, f, [-1.0, 1.0])
+        assert info.value.name == "times"
 
     def test_zero_fixed_point(self, two_site_model):
         curve = solve_cumulant(two_site_model, np.zeros(2), [0.5, 1.0, 5.0])
@@ -143,18 +152,16 @@ class TestSolveExtinction:
         assert np.abs(big / v1 - 1.0).max() < 2e-4
         assert np.all(big <= v1 * (1 + 1e-12))
 
-    def test_coarse_warm_start_certifies_at_smaller_t0(self, monkeypatch):
+    def test_coarse_warm_start_certifies_at_smaller_t0(self):
         # t0 = 1e-8 and 1e-9 fail (bounds 3.75e-8 and 3.75e-9 against 1e-10);
         # the search certifies at t0 = 1e-10 and returns the run from t0/2
         model = coarse_warm_start_model()
         opts = SolverOptions()
         fine = cumulant._extinction_solution(model, 5e-11, 1e-6, opts)
-        for n in (1, 2):
-            use_cpus(monkeypatch, n)
-            curve = solve_extinction(model, [1e-7, 1e-6], opts)
-            assert curve.t_start == 5e-11
-            assert curve.certification_bound <= opts.rel_tol
-            assert curve.values.tobytes() == fine(np.array([1e-7, 1e-6])).tobytes()
+        curve = solve_extinction(model, [1e-7, 1e-6], opts)
+        assert curve.t_start == 5e-11
+        assert curve.certification_bound <= opts.rel_tol
+        assert curve.values.tobytes() == fine(np.array([1e-7, 1e-6])).tobytes()
 
     def test_reduced_t0_is_a_decimal_power(self, two_site_model):
         # t0 = 1e-9 and 1e-10 fail and 1e-11 certifies: exactly 1e-11, which
@@ -203,6 +210,37 @@ class TestSolveExtinction:
         message = str(info.value)
         assert message.startswith("warm-start certification failed at t0=1e-08: ")
         assert "3.75" in message and "exceeds 1.0e-10" in message
+
+
+class TestOneIndexClosedForms:
+    """On the one-index family u = c(t) phi, so the extinction curve and the
+    cumulant from theta phi are closed forms at every site (ROADMAP item 2).
+    Largest errors read: extinction 2.1e-4 and 0.18 rel_tol (two sites, at
+    1e-7 and 1e-10), 5.9e-4 and 0.65 (three); cumulant 0.11 and 0.11 (two),
+    0.12 and 0.11 (three)."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("name", ["two", "three"])
+    def test_extinction(self, one_index_models, name, rel_tol):
+        model = one_index_models[name]
+        g1, K = model.gamma0 - 1.0, model.c_x
+        times = np.geomspace(1.0, 1e6, 61)
+        curve = solve_extinction(model, times, SolverOptions(rel_tol=rel_tol))
+        exact = np.multiply.outer((K * g1 * times) ** (-1.0 / g1), model.phi)
+        assert np.abs(curve.values / exact - 1.0).max() <= rel_tol
+
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-10])
+    @pytest.mark.parametrize("name", ["two", "three"])
+    def test_cumulant_from_theta_phi(self, one_index_models, name, rel_tol):
+        # theta phi > 0 at every site, so pure relative control is safe
+        model = one_index_models[name]
+        g1, K = model.gamma0 - 1.0, model.c_x
+        times = np.geomspace(1e-2, 1e3, 31)
+        opts = SolverOptions(rel_tol=rel_tol, abs_tol=0.0)
+        for theta in (0.1, 1.0, 10.0):
+            curve = solve_cumulant(model, theta * model.phi, times, opts)
+            c = (theta**-g1 + K * g1 * times) ** (-1.0 / g1)
+            assert np.abs(curve.values / np.multiply.outer(c, model.phi) - 1.0).max() <= rel_tol
 
 
 class TestMultiSiteAccuracy:
@@ -311,60 +349,22 @@ def never_certifies(monkeypatch):
     return tried
 
 
-class TestCertificationWorker:
-    """Each try runs the returned solve and then its certification, both in
-    this process, whatever the affinity mask holds."""
+class TestCertificationSearch:
+    """Each try runs the returned solve and then its certification."""
 
-    @pytest.mark.parametrize(
-        "name, times",
-        [
-            ("two_site_model", [1e-6, 1e-3, 1.0]),  # t_first <= 100 t0: measured bound
-            ("two_site_model", [0.5, 1.0]),  # transported bound
-            ("three_site_model", [0.1, 1.0, 10.0]),
-        ],
-        ids=["measured", "transported", "three-site"],
-    )
-    def test_same_curve_on_one_and_two_cpus(self, request, monkeypatch, name, times):
-        model = request.getfixturevalue(name)
-        opts = SolverOptions(rel_tol=1e-8)
-        forks = count_forks(monkeypatch)
-        curves = []
-        for n in (1, 2):
-            use_cpus(monkeypatch, n)
-            curves.append(solve_extinction(model, times, opts))
-        assert forks == []
-        one, two = curves
-        assert two.values.tobytes() == one.values.tobytes()
-        assert two.certification_bound == one.certification_bound
-        assert two.solver_report == one.solver_report
-        assert two.certification_report == one.certification_report
-        assert two.evaluate(0.7 * times[-1]).tobytes() == one.evaluate(0.7 * times[-1]).tobytes()
-
-    def test_serial_without_os_fork(self, two_site_model, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        monkeypatch.delattr(os, "fork")  # a forking path would raise AttributeError
-        curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
-        assert curve.certification_report.accepted > 0
-
-    def test_same_certification_error_on_both_paths(self, two_site_model, monkeypatch):
+    def test_seven_tries_then_the_last_error(self, two_site_model, monkeypatch):
         tried = never_certifies(monkeypatch)
-        messages = []
-        for n in (1, 2):
-            use_cpus(monkeypatch, n)
-            with pytest.raises(CertificationError) as info:
-                solve_extinction(two_site_model, [1e-7, 1e-6])
-            messages.append(str(info.value))
-            # t0 = 1e-8 and six reductions: seven tries, the last at 1e-14
-            assert tried == [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]
-            tried.clear()
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("warm-start certification failed at t0=1e-14")
+        with pytest.raises(CertificationError) as info:
+            solve_extinction(two_site_model, [1e-7, 1e-6])
+        # t0 = 1e-8 and six reductions: seven tries, the last at 1e-14
+        assert tried == [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]
+        assert str(info.value).startswith("warm-start certification failed at t0=1e-14")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_returned_solve_error_after_passed_certification(self, two_site_model,
                                                               monkeypatch, n):
-        # the returned solve runs first; its error is raised as it happens,
-        # and no certification is tried
+        # the returned solve runs first, to the last of the n requested times;
+        # its error is raised as it happens, and no certification is tried
         tried = never_certifies(monkeypatch)
         solution = cumulant._extinction_solution
 
@@ -374,9 +374,9 @@ class TestCertificationWorker:
             return solution(model, t0, t_max, opts)
 
         monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
-        use_cpus(monkeypatch, n)
         with pytest.raises(SolverError, match="returned solve failed") as info:
-            solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
+            solve_extinction(two_site_model, np.linspace(1.0 / n, 1.0, n),
+                             SolverOptions(rel_tol=1e-8))
         assert not isinstance(info.value, CertificationError)
         assert tried == []
 
@@ -414,6 +414,30 @@ class TestCertificationWorker:
 
         with pytest.raises(CertificationError, match="t0=1e-09: projected relative change"):
             cumulant._certify(scalar_model, t0, t_first, scaled, opts)
+
+    def test_growing_discrepancy_fails(self, scalar_model):
+        # transported branch (t_first > 100 t0): a returned curve whose offset
+        # grows from 1e-5 at 10 t0 to 1e-4 at 100 t0 is refused, as it does
+        # not decay like t0/t; the curve itself certifies
+        opts = SolverOptions(rel_tol=1e-8)
+        t0, t_first = 1e-9, 1e-6
+        returned = cumulant._extinction_solution(scalar_model, t0 / 2.0, t_first, opts)
+        bound, _ = cumulant._certify(scalar_model, t0, t_first, returned, opts)
+        assert bound <= opts.rel_tol
+
+        def growing(t):
+            return (1.0 + 1e-6 * t / t0) * returned(t)
+
+        with pytest.raises(CertificationError) as info:
+            cumulant._certify(scalar_model, t0, t_first, growing, opts)
+        found = re.fullmatch(
+            r"warm-start certification failed at t0=1e-09: discrepancy not decaying "
+            r"\((\S+) -> (\S+)\)",
+            str(info.value),
+        )
+        assert found, str(info.value)
+        early, late = map(float, found.groups())
+        assert early == pytest.approx(1e-5, rel=1e-3) and late == pytest.approx(1e-4, rel=1e-3)
 
 
 class StopAtCertification(Exception):

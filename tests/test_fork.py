@@ -1,4 +1,4 @@
-"""map_forked gives the results and the error of a serial run on any number of workers."""
+"""map_forked gives the results, or raises the error, of a serial run on any number of workers."""
 
 import os
 import time
@@ -21,8 +21,7 @@ class TestMapForked:
     def test_results_in_item_order(self, workers):
         # 7 items deal unevenly over 2 and 3 workers; the last share runs here
         items = list(range(7))
-        results, error = map_forked(ran_where, items, workers)
-        assert error is None
+        results = map_forked(ran_where, items, workers)
         assert [item for item, _ in results] == items
         here = [item for item, in_parent in results if in_parent]
         assert here == items[workers - 1 :: workers]
@@ -47,9 +46,9 @@ class TestMapForked:
             return item
 
         items = list(range(6))
-        results, error = map_forked(fn, items, workers)
-        assert results == items[:first]
-        assert isinstance(error, ValueError) and str(error) == f"item {first} failed"
+        with pytest.raises(ValueError) as info:
+            map_forked(fn, items, workers)
+        assert str(info.value) == f"item {first} failed"
         # this process's share stops at its own first error
         own = items[workers - 1 :: workers]
         stop = next((i for i, item in enumerate(own) if item in failing), len(own))
@@ -70,10 +69,9 @@ class TestMapForked:
             return item
 
         monkeypatch.setattr(os, "fork", recorded)
-        results, error = map_forked(fn, [0, 1, 2, 3], 2)
-        assert results == []
-        assert isinstance(error, ChildProcessError)
-        assert str(error) == f"forked worker {pids[0]} sent no result"
+        with pytest.raises(ChildProcessError) as info:
+            map_forked(fn, [0, 1, 2, 3], 2)
+        assert str(info.value) == f"forked worker {pids[0]} sent no result"
 
     def test_one_worker_never_forks(self, monkeypatch):
         def no_fork():
@@ -85,9 +83,9 @@ class TestMapForked:
             return item
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert map_forked(ran_where, [0, 1], 1) == ([(0, True), (1, True)], None)
-        results, error = map_forked(fn, [0, 1, 2, 3], 1)
-        assert results == [0, 1] and str(error) == "item 2 failed"
+        assert map_forked(ran_where, [0, 1], 1) == [(0, True), (1, True)]
+        with pytest.raises(ValueError, match="^item 2 failed$"):
+            map_forked(fn, [0, 1, 2, 3], 1)
 
     def test_interrupt_here_kills_children(self):
         def fn(item):

@@ -2,6 +2,9 @@
 ODE outputs pinned bit for bit."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -491,9 +494,33 @@ class TestOdeGoldenDigests:
     to dense blocks; its values moved by at most 7.8e-16 relative.  The three
     extinction digests were recorded with t0 from _warm_start_time.  All five
     hold on 2 BLAS threads and on one (`taskset -c 0` or
-    OPENBLAS_NUM_THREADS=1).  OpenBLAS zgetrs still returns other bits on one
-    thread; the two-site run from 5e-9 that showed it is no longer the one
-    test_two_site_extinction solves."""
+    OPENBLAS_NUM_THREADS=1), and test_digests_do_not_depend_on_blas_threads
+    checks three of them both ways.  OpenBLAS zgetrs still returns other bits
+    on one thread; the two-site run from 5e-9 that showed it is no longer the
+    one test_two_site_extinction solves."""
+
+    def test_digests_do_not_depend_on_blas_threads(self):
+        # OpenBLAS reads its thread count when it loads, so each setting runs
+        # three of the digest tests in a fresh process: one thread, and the
+        # library's default (one per CPU)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(_ivp.__file__))
+        cases = [
+            f"tests/test_ivp.py::TestOdeGoldenDigests::{case}"
+            for case in ("test_two_site_extinction", "test_three_site_survival",
+                         "test_two_site_yaglom_surface")
+        ]
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
+                capture_output=True, text=True, timeout=300, env=env, cwd=root,
+            )
+            assert proc.returncode == 0, (threads, proc.stdout[-2000:])
+            assert "3 passed" in proc.stdout, (threads, proc.stdout[-2000:])
 
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))

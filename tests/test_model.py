@@ -89,6 +89,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             StateSpace(d=2, m=[1.0, 0.0])
 
+    @pytest.mark.parametrize("d", [2.5, True, "3", 0, None])
+    def test_state_space_count_not_truncated(self, d):
+        # a count is an integer, never a truncated 2.5, True or "3"
+        with pytest.raises(ArgumentError, match="^d must be") as info:
+            StateSpace(d=d)
+        assert info.value.name == "d"
+
+    def test_state_space_takes_numpy_integer(self):
+        space = StateSpace(d=np.int64(3))
+        assert type(space.d) is int and space.d == 3 and space.m.tolist() == [1.0] * 3
+
     def test_argument_error_names_argument_and_pickles(self):
         with pytest.raises(ArgumentError) as info:
             StateSpace(d=2, m=[1.0, np.nan])

@@ -102,10 +102,9 @@ def test_every_public_name_has_a_caller():
     assert not set(TEST_REFERENCES) & referenced
 
 
-def test_only_fork_module_forks():
-    # a parallel route maps over _fork.map_forked instead of growing its own
-    # fork, pipe and reaping
-    plumbing = {"fork", "pipe", "waitpid"}
+def _package_readers(names):
+    """{module file: first line} of every package module that reads one of
+    `names` as an attribute (os.fork) or imports it (from os import fork)."""
     readers = {}
     for path in _python_files():
         if not path.startswith(SRC + os.sep):
@@ -113,18 +112,25 @@ def test_only_fork_module_forks():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "os"
-                and node.attr in plumbing
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "os"
-                and plumbing & {alias.name for alias in node.names}
+            if (isinstance(node, ast.Attribute) and node.attr in names) or (
+                isinstance(node, ast.ImportFrom) and names & {alias.name for alias in node.names}
             ):
                 readers.setdefault(os.path.basename(path), node.lineno)
+    return readers
+
+
+def test_only_fork_module_forks():
+    # a parallel route maps over _fork.map_forked instead of growing its own
+    # fork, pipe and reaping
+    readers = _package_readers({"fork", "pipe", "waitpid"})
     assert set(readers) == {"_fork.py"}, f"modules that read os process plumbing: {readers}"
+
+
+def test_only_fork_and_cli_read_the_affinity_mask():
+    # the worker count of simulate_paths and the manifest's `cpus` are the
+    # only readers of the CPUs: no ODE route's result can depend on them
+    readers = _package_readers({"sched_getaffinity", "cpu_count", "process_cpu_count"})
+    assert set(readers) == {"_fork.py", "cli.py"}, f"modules that read the CPUs: {readers}"
 
 
 def test_map_forked_callers():
