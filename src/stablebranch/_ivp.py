@@ -22,7 +22,8 @@ is limited by accuracy only where the solution actually bends.  There
 with F(u) = A u - kappa u^gamma.  A relative error e in z is a relative error
 e / (gamma0-1) in u, so z is controlled purely relatively with
 rtol_z = (gamma0-1) * rtol.  The state must be strictly positive there; the
-plain variable u is used wherever it may vanish.
+plain variable u is used wherever it may vanish.  Between its step ends a z
+run is read as log u against log t (OdeSolution._log_log).
 
 State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
@@ -53,9 +54,9 @@ Three differences touch only the Python around the arithmetic:
 - A single system's dense Jacobian is factored with LAPACK getrf/getrs called
   directly: the routines scipy's lu_factor/lu_solve call, on the same arrays,
   without their wrapper layers, which cost more than the 2x2 or 3x3
-  factorisation itself.  A batch whose blocks hold more than
-  _DENSE_BATCH_ENTRIES entries (B d^2) in all keeps scipy's splu on its
-  block-diagonal sparse Jacobian.
+  factorisation itself.  A batch whose blocks have more than
+  _DENSE_BLOCK_SITES sites keeps scipy's splu on its block-diagonal sparse
+  Jacobian.
 - The step and its Newton iterations call none of numpy's wrappers written
   in Python, a small batch's np.linalg.inv (below) apart.  The RMS norm
   takes np.linalg.norm's square root of the dot product of the flattened
@@ -165,10 +166,10 @@ NEWTON_MAXITER = 6  # Maximum number of Newton iterations.
 MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
 MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 
-# The most entries (B d^2) a batch's Jacobian blocks may hold in all for them
-# to be factored as a dense stack; a larger batch is factored with splu.
-# Placed from a sweep of yaglom tables at 21 thetas (BENCH_yaglom_batch.json).
-_DENSE_BATCH_ENTRIES = 20_000
+# The most sites a batch's blocks may have to be factored as a dense stack, at
+# any batch size, else splu: in BENCH_yaglom_batch.json's dense_rule_sweep
+# dense was the faster up to d = 30 and splu from d = 40, at 21 and 63 members.
+_DENSE_BLOCK_SITES = 30
 
 
 class SolverError(RuntimeError):
@@ -569,12 +570,16 @@ class _RadauIIA:
         self.y_olds.append(y)
 
 
+_NODES = np.array([0.0, *C])  # where a step's dense output meets y and the stages
+
+
 class OdeSolution:
     """Dense solution over [t_start, t_end]; callable on scalars or arrays.
 
     Returns (d,) per time for a single system and (B, d) for a batch, clipped
     to be nonnegative.  step_times holds the solver's step boundaries, from
-    t_start to t_end: the dense output is one polynomial per step.
+    t_start to t_end: the dense output is one function per step, scipy's
+    cubic collocation polynomial, or for a z run from t_start > 0 `_log_log`.
     """
 
     def __init__(self, stepper, shape, squeeze, to_u, report):
@@ -583,6 +588,8 @@ class OdeSolution:
         self.t_end = float(self.step_times[-1])
         self._Qs = stepper.Qs
         self._y_olds = stepper.y_olds
+        if report.variable == "z" and stepper.Qs:
+            self._Q_stack, self._y_old_stack = np.array(stepper.Qs), np.array(stepper.y_olds)
         self._shape = shape
         self._squeeze = squeeze
         self._to_u = to_u
@@ -612,6 +619,31 @@ class OdeSolution:
                                     self._y_olds[s], t_sorted[start:end]))
         return np.hstack(ys)[:, reverse]
 
+    def _log_log(self, t):
+        """u of a z run at the 1-d times t, (len(t), n): on each step the cubic
+        in log t through log u at the step's start and its three stages, which
+        every power law u = c t^-a is.  In z the cubic is exact only at the
+        tail's a = 1/(gamma0 - 1); a site with a larger index decays faster
+        early on, and there it read up to 3.2 rel_tol between the stages
+        (three-site fixture at 1e-8), where the step ends read 0.47."""
+        ts = self.step_times
+        k = np.searchsorted(ts, t, side="left") - 1
+        np.clip(k, 0, ts.size - 2, out=k)
+        Q, z_old, t_old = self._Q_stack[k], self._y_old_stack[k], ts[k]
+        r = (ts[k + 1] - t_old) / t_old
+        z = z_old[:, :, None] + (Q[:, :, 0:1] + (Q[:, :, 1:2] + Q[:, :, 2:3] * _NODES) * _NODES) * _NODES
+        log_u = np.log(self._to_u(z))  # (m, n, 4)
+        # positions in log t: the step's from 0 to 1, its nodes and each t
+        log_r = np.log1p(r)
+        nodes = np.log1p(r[:, None] * _NODES) / log_r[:, None]
+        x = np.log1p((t - t_old) / t_old) / log_r
+        weights = np.ones(nodes.shape)  # Lagrange's basis at x
+        for i in range(4):
+            for j in range(4):
+                if j != i:
+                    weights[:, i] *= (x - nodes[:, j]) / (nodes[:, i] - nodes[:, j])
+        return np.exp(np.sum(weights[:, None, :] * log_u, axis=2))
+
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         lo = self.t_start - 1e-9 * max(1.0, abs(self.t_start))
@@ -620,8 +652,12 @@ class OdeSolution:
             raise ValueError(
                 f"dense evaluation outside [{self.t_start}, {self.t_end}]"
             )
-        y = self._values(np.clip(t_arr, self.t_start, self.t_end))  # (n, size)
-        out = np.clip(self._to_u(y.T), 0.0, None).reshape((t_arr.size,) + self._shape)
+        t_arr = np.clip(t_arr, self.t_start, self.t_end)
+        if self.report.variable == "z" and 0.0 < self.t_start < self.t_end:
+            u = self._log_log(t_arr)
+        else:
+            u = np.clip(self._to_u(self._values(t_arr).T), 0.0, None)  # (size, n)
+        out = u.reshape((t_arr.size,) + self._shape)
         if self._squeeze:
             out = out[:, 0, :]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -634,7 +670,7 @@ def _assemble(blocks):
     a larger batch's block-diagonal sparse one."""
     if len(blocks) == 1:
         return blocks[0]
-    if blocks.size <= _DENSE_BATCH_ENTRIES:
+    if blocks.shape[1] <= _DENSE_BLOCK_SITES:
         return blocks
     return scipy.sparse.block_diag(blocks, format="csc")
 

@@ -55,8 +55,10 @@ def rv_index_fit(times, values):
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ArgumentError("values", "times and values must be matching 1-d arrays")
-    if np.any(times <= 0) or np.any(values <= 0):
-        raise ValueError("log-log fit needs strictly positive inputs")
+    if np.any(times <= 0):
+        raise ArgumentError("times", "log-log fit needs positive times")
+    if not np.all((values > 0.0) & (values < np.inf)):  # NaN fails both
+        raise ArgumentError("values", "values must be finite and positive")
     window = (times[-1] / 100.0, times[-1])
     sel = times >= window[0]
     if sel.sum() < 3:

@@ -207,12 +207,10 @@ def _counts(report):
 
 def _solve_summary(curve):
     """The counts of the solve behind a curve; for an extinction curve also its
-    warm-start time t0 (twice the returned run's start), its certified bound
-    and, under certification, the counts of the run from t0 that measured it."""
+    warm-start time t0 (twice the returned run's start) and its certified bound."""
     summary = _counts(curve.solver_report)
     if curve.certification_bound is not None:
-        summary.update(t0=2.0 * curve.t_start, certification_bound=curve.certification_bound,
-                       certification=_counts(curve.certification_report))
+        summary.update(t0=2.0 * curve.t_start, certification_bound=curve.certification_bound)
     return summary
 
 

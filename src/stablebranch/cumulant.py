@@ -7,14 +7,11 @@ V_t f is equivalent to the site-wise ODE
 
 with A the calibrated mean generator, integrated by the Radau IIA engine of
 `_ivp`.  The extinction cumulant v_t (the infinite-initial-condition limit) is
-started analytically: over a vanishing initial window the motion is negligible
-and each site evolves as the scalar stable branching flow, giving
-v(t0, x) = (kappa(x) (gamma(x)-1) t0)^(-1/(gamma(x)-1)).  The returned run
-starts at t0/2, and a second run from t0, compared against it, certifies the
-warm start; the bound achieved is kept on the returned curve.  Extinction
-runs integrate the Bernoulli variable z = v^(1-gamma0), in which the tail
-v ~ c t^(-1/(gamma0-1)) is linear in t; runs from a finite field f stay in u,
-because f may vanish on some sites.
+started from the flow's quasi-steady balance at t0/2 (_warm_start); time
+shifts of that one run bound the change a start at t0 would make (_certify).
+Extinction runs integrate the Bernoulli variable z = v^(1-gamma0), in which
+the tail v ~ c t^(-1/(gamma0-1)) is linear in t; runs from a finite field f
+stay in u, because f may vanish on some sites.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from ._ivp import OdeSolution, SolverError, SolverReport, solve_branching_ode
+from ._ivp import OdeSolution, SolverError, solve_branching_ode
 from .model import ArgumentError, _as_vector, _density, eta
 
 __all__ = [
@@ -46,9 +43,9 @@ class CertificationError(SolverError):
 # The most times solve_extinction divides its warm-start time by 10.
 _WARM_START_REDUCTIONS = 6
 
-# Where indices are well separated the certified warm-start bound at the first
-# reported time t1 reads C a t0^2 / t1, with a the fastest exit rate and C
-# about 0.35; _warm_start_time aims it at rel_tol / 100 with 100 C.
+# Placed when the certified bound at the first reported time t1 read
+# C a t0^2 / t1 on well-separated indices (a the fastest exit rate, C about
+# 0.35), to aim it at rel_tol / 100; the balance start's bound is lower.
 _WARM_START_CONSTANT = 35.0
 
 
@@ -82,18 +79,15 @@ class CumulantCurve:
 
     values[i, x] is the solution at times[i], site x; nonnegative throughout.
     For the extinction curve of solve_extinction each site trace is
-    nonincreasing in t, certification_bound is the relative warm-start change
-    the certification achieved at the first reported time, and
-    certification_report is the solver report of the run from t0 that it
-    compared against this curve; both are None for other curves.
-    solver_report is the report of the solve behind values.
+    nonincreasing in t, and certification_bound bounds the relative change a
+    start at t0 = 2 t_start would make at the first reported time; it is None
+    for other curves.  solver_report is the report of the solve behind values.
     """
 
     times: np.ndarray
     values: np.ndarray
     _dense: OdeSolution
     certification_bound: float | None = None
-    certification_report: SolverReport | None = None
 
     def evaluate(self, t):
         """Dense-output values at arbitrary t inside the solved span.
@@ -167,35 +161,44 @@ def solve_cumulant(model, f, times, opts=None):
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _warm_start(model, t0):
-    """Short-time profile of the infinite-initial-condition solution at t0.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _warm_start(model, t):
+    """Quasi-steady starts of the extinction curve at t and 2t, shape (2, d).
 
-    Base value per site: the scalar stable flow (kappa (gamma-1) t0)^(-1/(gamma-1)).
-    Sites whose index exceeds the minimum are slaved to the inflow from
-    faster-blowing neighbours: up to d + 1 balance sweeps
-    kappa w^gamma = kappa scalar^gamma + max(sum_{y != x} A_xy w_y, 0) raise
-    each value.  They leave out the diagonal outflow A_xx w_x, so they move
-    even a one-index start, whose scalar value is exact, off by about
-    0.2 max|A_xx| t0 relative; _certify bounds the error left at times[0].
-    CertificationError naming gamma0 when a value overflows a double.
+    Each solves the flow's own balance for a local power law w_x ~ t^(-c_x),
+    kappa_x w_x^gamma_x = (A w)_x + (c_x/t) w_x: given the other sites, the
+    unique positive root of a convex equation.  Each sweep takes one Newton
+    step at every site, at t and 2t, in log w, where the equation rises with
+    slope in [gamma_x - 1, gamma_x]; c_x starts at 1/(gamma_x - 1) and then is
+    log2(w(t)/w(2t)), the mean exponent over the octave that _certify spans.
+    F(w) = -(c/t) w < 0, so a run from either start is nonincreasing; with one
+    gamma and kappa = K phi^(1-gamma) the start is exact.  CertificationError
+    naming gamma0 when a value overflows.
     """
     kappa = model.mechanism.kappa
     gamma = model.mechanism.gamma
+    diag = np.diag(model.A)
+    off = model.A - np.diag(diag)
     g1 = gamma - 1.0
-    scalar = (kappa * g1 * t0) ** (-1.0 / g1)
-    off = model.A - np.diag(np.diag(model.A))
-    w = scalar.copy()
-    scalar_pow = kappa * scalar**gamma
-    for _ in range(model.d + 1):
-        w_new = ((scalar_pow + np.clip(off @ w, 0.0, None)) / kappa) ** (1.0 / gamma)
-        if np.allclose(w_new, w, rtol=1e-12):
-            w = w_new
+    ts = t * np.array([[1.0], [2.0]])
+    log_kappa = np.log(kappa)
+    c = 1.0 / g1
+    y = -np.log(kappa * g1 * ts) / g1  # the scalar flow, exact for A = 0
+    for _ in range(50):
+        a = diag + c / ts
+        lhs = np.logaddexp(log_kappa + gamma * y, np.log(np.maximum(-a, 0.0)) + y)
+        log_a = np.log(np.maximum(a, 0.0))
+        rhs = np.logaddexp(log_a + y, np.log(np.exp(y) @ off.T))
+        slope = 1.0 + g1 * np.exp(log_kappa + gamma * y - lhs) - np.exp(log_a + y - rhs)
+        step = (lhs - rhs) / slope
+        y = y - step
+        c = (y[0] - y[1]) / np.log(2.0)
+        if not np.max(np.abs(step)) > 1e-13 * max(1.0, np.max(np.abs(y))):
             break
-        w = w_new
+    w = np.exp(y)
     if not np.all(np.isfinite(w)):
         raise CertificationError(
-            f"warm-start certification failed: the warm start at t={t0:g} "
+            f"warm-start certification failed: the warm start at t={t:g} "
             f"overflows a double for gamma0={model.gamma0:g}"
         )
     return w
@@ -225,7 +228,7 @@ def _extinction_solution(model, t0, t_max, opts):
         model.A,
         model.mechanism.kappa,
         model.mechanism.gamma,
-        _warm_start(model, t0),
+        _warm_start(model, t0)[0],
         (t0, t_max),
         rtol=opts.rel_tol,
         _bernoulli=True,
@@ -246,43 +249,40 @@ def _warm_start_time(model, t_first, rel_tol):
 
 
 def _certify(model, t0, t_first, returned, opts):
-    """The warm-start bound at t_first and the report of the run from t0 that
-    measured it against `returned`, the run from t0/2; CertificationError,
-    naming t0 and the bound, when the bound exceeds rel_tol or cannot be
-    transported (solve_extinction then tries a smaller t0).  The threshold is
-    rel_tol itself: t0 sits near the accuracy limit, and the warm start alone
-    must never use up more than the stated tolerance."""
-    # Both runs integrate at rel_tol, so the measured change holds the
-    # warm-start effect and both runs' own errors across the transient.  It
-    # decays like t0/t along the contracting flow; past the measured window
-    # the bound is transported with that law, which the measurement must show
-    # (or sit at the noise floor).
-    t_cert_end = min(100.0 * t0, t_first)
-    coarse = _extinction_solution(model, t0, t_cert_end, opts)
+    """The warm-start bound at t_first, read off `returned`, the run from the
+    start at t0/2, by comparison; CertificationError naming t0 and the bound
+    when it exceeds rel_tol (solve_extinction then tries a smaller t0).
 
-    def rel_diff(t):
-        va, vb = coarse(t), returned(t)
-        return float(np.max(np.abs(va - vb) / np.maximum(vb, 1e-300)))
-
-    if t_first <= 100.0 * t0:
-        bound = max(rel_diff(t) for t in np.geomspace(10.0 * t0, t_cert_end, 5))
-    else:
-        d_early = rel_diff(10.0 * t0)
-        d_late = rel_diff(t_cert_end)
-        noise_floor = 50.0 * (opts.rel_tol / 30.0)
-        decay_seen = d_late <= 0.5 * d_early or d_late <= noise_floor
-        if not decay_seen:
-            raise CertificationError(
-                f"warm-start certification failed at t0={t0:g}: discrepancy not "
-                f"decaying ({d_early:.3e} -> {d_late:.3e})"
-            )
-        bound = d_late * (t_cert_end / t_first)
-    if bound > opts.rel_tol:
+    The flow is cooperative and autonomous, so time shifts of a run bracket
+    the run from any start they bracket (Kamke).  With w the balance's start
+    at t0, the shifts s+, s- <= t0/2 with R(t0 + s+) <= w <= R(t0 - s-) at
+    every site are the largest lags (R(t0) - w) / -R'(t0), R' a central
+    difference of R, each 1% and 1e-12 t0 longer so that rounding cannot undo
+    them (t0/2 if longer), and checked on R.  A run from w lies in
+    [R(t + s+), R(t - s-)]; the bound is their largest relative distance from
+    R at t_first.  It covers the warm start, not R's own error.
+    """
+    w = _warm_start(model, t0 / 2.0)[1]
+    h = 1e-4 * t0
+    early, r0, late = returned(t0 + np.array([-h, 0.0, h]))
+    lag = (r0 - w) * (2.0 * h) / (early - late)
+    ahead, behind = 1.01 * np.maximum([np.max(lag), -np.min(lag)], 0.0) + 1e-12 * t0
+    if not max(ahead, behind) <= t0 / 2.0:  # written so that NaN fails
+        ahead = behind = t0 / 2.0
+    r = returned(t0 + np.array([ahead, -behind]))
+    if not (np.all(r[0] <= w) and np.all(r[1] >= w)):  # NaN fails
+        raise CertificationError(
+            f"warm-start certification failed at t0={t0:g}: the run from t0/2 does not "
+            f"bracket the start at t0"
+        )
+    before, at, after = returned(t_first + np.array([-behind, 0.0, ahead]))
+    bound = float(max(np.max(before / at - 1.0), np.max(1.0 - after / at)))
+    if not bound <= opts.rel_tol:
         raise CertificationError(
             f"warm-start certification failed at t0={t0:g}: projected relative change "
             f"{bound:.3e} at t={t_first:g} exceeds {opts.rel_tol:.1e}"
         )
-    return bound, coarse.report
+    return bound
 
 
 def solve_extinction(model, times, opts=None):
@@ -291,17 +291,14 @@ def solve_extinction(model, times, opts=None):
     The times must be positive.  The first warm-start time t0 is
     _warm_start_time(model, times[0], rel_tol): the power of ten at which the
     measured warm-start error sits near rel_tol / 100, never earlier than
-    min(1e-8, times[0]/10).  The returned run starts at t0/2.  A second run
-    from t0 is compared against it on a geometric grid between 10*t0 and the
-    first requested time; the discrepancy decays like t0/t along the
-    contracting flow, so the earliest comparison point dominates all later
-    ones.  A relative change above rel_tol fails, and try k <= 6 starts at the
-    decimal value of the first t0 times 10^-k: exactly 1e-11 two tries after
-    1e-9, where 1e-9 / 10 / 10 is off by an ulp.
-    CertificationError when the last try fails, or when the warm start at
-    t0/2 overflows a double (gamma0 near 1).  The curve's t_start is the t0/2
-    of the try that certified.  A grid past the time where eta(t)^-gamma0
-    overflows a double is refused before any solve.
+    min(1e-8, times[0]/10).  Each try is one run, from the start at t0/2 to
+    the last time or to times[0] + t0/2, the later, and _certify reads off it
+    how much a start at t0 would change it at times[0].  Above rel_tol, try
+    k <= 6 starts at the decimal value of the first t0 times 10^-k (1e-9 /
+    10 / 10 misses 1e-11 by an ulp).  CertificationError when the last try
+    fails, or when the warm start overflows a double (gamma0 near 1).  The
+    curve's t_start is the t0/2 of the try that certified.  A grid past the
+    time where eta(t)^-gamma0 overflows a double is refused before any solve.
     """
     opts = opts or SolverOptions()
     times = _check_times(times)
@@ -318,9 +315,10 @@ def solve_extinction(model, times, opts=None):
     first = Decimal(repr(_warm_start_time(model, float(times[0]), opts.rel_tol)))
     for tries in range(_WARM_START_REDUCTIONS + 1):
         t0 = float(first.scaleb(-tries))
-        returned = _extinction_solution(model, t0 / 2.0, float(times[-1]), opts)
+        t_max = max(float(times[-1]), float(times[0]) + t0 / 2.0)
+        returned = _extinction_solution(model, t0 / 2.0, t_max, opts)
         try:
-            bound, report = _certify(model, t0, float(times[0]), returned, opts)
+            bound = _certify(model, t0, float(times[0]), returned, opts)
         except CertificationError:
             if tries == _WARM_START_REDUCTIONS:
                 raise
@@ -330,7 +328,6 @@ def solve_extinction(model, times, opts=None):
                 values=returned(times),
                 _dense=returned,
                 certification_bound=bound,
-                certification_report=report,
             )
 
 
@@ -386,8 +383,8 @@ def conservation_residual(model, curve, s, t, quad_tol=None):
 
     | <V_t, phi*>_m + integral_s^t <kappa V_r^gamma, phi*>_m dr - <V_s, phi*>_m |
     should vanish to the solver's accuracy for every solved curve.  The
-    dense output is one polynomial per solver step, so the integral takes a
-    Gauss-Legendre rule on each step inside [s, t]: 4 nodes per step,
+    dense output is one smooth function per solver step, so the integral
+    takes a Gauss-Legendre rule on each step inside [s, t]: 4 nodes per step,
     doubled until two successive rules agree within quad_tol (default
     1e-12 |<V_s, phi*>_m|); RuntimeError if 32 nodes per step do not.
     """

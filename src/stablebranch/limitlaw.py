@@ -77,11 +77,14 @@ def laplace(law, u):
 
 
 def g_closed(gamma0, theta):
-    """(1 + theta^-(gamma0-1))^(-1/(gamma0-1)) with value 0 at theta = 0."""
+    """(1 + theta^-(gamma0-1))^(-1/(gamma0-1)), 0 at theta = 0; theta finite, >= 0."""
     if not 1.0 < gamma0 < 2.0:
         raise ValueError("gamma0 must lie in (1, 2)")
-    val = _stable_complement(gamma0 - 1.0, theta)
-    return float(val) if np.isscalar(theta) or np.asarray(theta).ndim == 0 else val
+    theta_arr = np.asarray(theta, dtype=float)
+    if not np.all((theta_arr >= 0.0) & (theta_arr < np.inf)):  # NaN fails both
+        raise ArgumentError("theta", "theta must be finite and nonnegative")
+    val = _stable_complement(gamma0 - 1.0, theta_arr)
+    return float(val) if np.isscalar(theta) or theta_arr.ndim == 0 else val
 
 
 @dataclass(frozen=True)

@@ -406,20 +406,20 @@ def _front_constant(mech, eigen, m):
 def eta(model, t):
     """Survival normalization (c_x (gamma0 - 1) t) ** (-1 / (gamma0 - 1)).
 
-    Accepts scalar or array t; every entry must be strictly positive.
+    Accepts scalar or array t, each finite and positive.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise ValueError("eta requires t > 0")
+    if not np.all((t_arr > 0.0) & (t_arr < np.inf)):  # NaN fails both
+        raise ArgumentError("t", f"t must be finite and positive, got {t!r}")
     g1 = model.gamma0 - 1.0
     out = (model.c_x * g1 * t_arr) ** (-1.0 / g1)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def semigroup_apply(model, t, f):
-    """Apply the mean semigroup: exp(t A) f."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
+    """Apply the mean semigroup: exp(t A) f, for a finite t >= 0."""
+    if not 0.0 <= t < np.inf:  # written so that NaN fails
+        raise ArgumentError("t", f"t must be finite and nonnegative, got {t!r}")
     f = _as_vector(f, model.d, "f")
     if t == 0:
         return f.copy()

@@ -27,7 +27,7 @@ from stablebranch.cumulant import (
 )
 from stablebranch.model import eta
 
-from conftest import normalized_ones
+from conftest import normalized_ones, reflecting_diffusion
 
 
 def digest(a):
@@ -46,7 +46,7 @@ def ode_args(model):
 def extinction_two_site(models):
     model = models["two"]
     t0 = 1e-8
-    return (*ode_args(model), _warm_start(model, t0), (t0, 1.0)), dict(rtol=1e-8, _bernoulli=True)
+    return (*ode_args(model), _warm_start(model, t0)[0], (t0, 1.0)), dict(rtol=1e-8, _bernoulli=True)
 
 
 def field_three_site(models):
@@ -130,7 +130,7 @@ def extinction_three_site(models):
     # a long three-site z run at rtol 1e-7, from the warm start at 5e-9 to 1e6
     model = models["three"]
     t0 = 5e-9
-    return (*ode_args(model), _warm_start(model, t0), (t0, 1e6)), dict(rtol=1e-7, _bernoulli=True)
+    return (*ode_args(model), _warm_start(model, t0)[0], (t0, 1e6)), dict(rtol=1e-7, _bernoulli=True)
 
 
 def yaglom_two_site(models):
@@ -144,9 +144,9 @@ def yaglom_two_site(models):
 
 
 def large_batch(models):
-    # the ten-cell diffusion with one member more than the dense rule admits
-    model = models["diffusion"]
-    B = _ivp._DENSE_BATCH_ENTRIES // model.d**2 + 1
+    # a diffusion with one cell more than the dense rule admits, 3 members
+    model = reflecting_diffusion(_ivp._DENSE_BLOCK_SITES + 1)
+    B = 3
     kappa = model.mechanism.kappa * np.geomspace(0.1, 10.0, B)[:, None]
     u0 = np.broadcast_to(normalized_ones(model), (B, model.d))
     return (model.A, kappa, model.mechanism.gamma, u0, (0.0, 1.0)), dict(rtol=1e-6)
@@ -229,7 +229,7 @@ class TestDirectLapack:
             sol(np.linspace(sol.t_start, sol.t_end, 9))
 
     def test_batch_still_factors_with_splu(self, models, monkeypatch):
-        # a batch above the dense rule, and one at it
+        # a batch of blocks above the dense rule, and any batch at it
         calls = []
         real_splu = scipy.sparse.linalg.splu
 
@@ -240,13 +240,14 @@ class TestDirectLapack:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
         args, kwargs = large_batch(models)
         n = args[3].size
-        assert n * models["diffusion"].d > _ivp._DENSE_BATCH_ENTRIES
         sol = solve_branching_ode(*args, **kwargs)
         assert len(calls) == sol.report.nlu > 0
         assert calls[0] == (n, n)
-        limit = np.zeros((_ivp._DENSE_BATCH_ENTRIES // 4, 2, 2))
-        assert _ivp._assemble(limit) is limit
-        assert scipy.sparse.issparse(_ivp._assemble(np.zeros((limit.shape[0] + 1, 2, 2))))
+        d = _ivp._DENSE_BLOCK_SITES
+        for B in (2, 63, 1000):
+            limit = np.zeros((B, d, d))
+            assert _ivp._assemble(limit) is limit
+        assert scipy.sparse.issparse(_ivp._assemble(np.zeros((2, d + 1, d + 1))))
 
     @pytest.mark.parametrize("case", [batch_two_site, batch_scalar_yaglom, yaglom_two_site],
                              ids=lambda c: c.__name__)
@@ -485,19 +486,31 @@ class TestExtinctionAccuracy:
         err = np.max(np.abs(curve.evaluate(grid) / reference(grid) - 1.0))
         assert err <= rel_tol
 
+    @pytest.mark.parametrize("rel_tol", [1e-7, 1e-8])
+    @pytest.mark.parametrize("name", ["two", "three"])
+    def test_between_the_stages(self, models, tight_extinction, name, rel_tol):
+        # the returned run at 9 points inside each of its steps from 1e-7 to
+        # 1e6; scipy's cubic in z read up to 3.2 rel_tol there on three sites
+        sol = _extinction_solution(models[name], 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
+        ends = sol.step_times[sol.step_times >= 1e-7]
+        grid = (ends[:-1, None] + np.diff(ends)[:, None] * np.linspace(0.1, 0.9, 9)).ravel()
+        err = np.max(np.abs(sol(grid) / tight_extinction[name](grid) - 1.0))
+        assert err <= rel_tol
+
 
 class TestOdeGoldenDigests:
     """ODE outputs pinned bit for bit; recorded with the engine's Radau, scipy's
     under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
     change to the engine's arithmetic, the step control or the warm start shows
     here.  The Yaglom surface's digest was re-recorded when small batches went
-    to dense blocks; its values moved by at most 7.8e-16 relative.  The three
-    extinction digests were recorded with t0 from _warm_start_time.  All five
-    hold on 2 BLAS threads and on one (`taskset -c 0` or
-    OPENBLAS_NUM_THREADS=1), and test_digests_do_not_depend_on_blas_threads
-    checks three of them both ways.  OpenBLAS zgetrs still returns other bits
-    on one thread; the two-site run from 5e-9 that showed it is no longer the
-    one test_two_site_extinction solves."""
+    to dense blocks; its values moved by at most 7.8e-16 relative.  The four
+    extinction digests were re-recorded when the warm start became the flow's
+    quasi-steady balance, the run from t0 went and z runs took the log-log
+    dense output.  test_digests_do_not_depend_on_blas_threads checks three of
+    them on 2 BLAS threads and on one (`taskset -c 0` or
+    OPENBLAS_NUM_THREADS=1).  OpenBLAS zgetrs returns other bits on one
+    thread, and the weighted-norm run meets them: its digest holds on the
+    default threads only."""
 
     def test_digests_do_not_depend_on_blas_threads(self):
         # OpenBLAS reads its thread count when it loads, so each setting runs
@@ -525,7 +538,7 @@ class TestOdeGoldenDigests:
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))
         assert digest(curve.values) == (
-            "e9daef23fc5bcfd700ba4a28130a6b65e9deec72b58899ca74c0c1542587bc3c"
+            "3fab8c0ea3992b23f028ce975b8874c77322fb26818b33fd8f8f99cd09d72c0d"
         )
 
     def test_two_site_weighted_norm(self, two_site_model):
@@ -533,7 +546,7 @@ class TestOdeGoldenDigests:
             two_site_model, np.geomspace(1e3, 1e6, 25), SolverOptions(rel_tol=1e-7)
         )
         assert digest(values) == (
-            "77d1e75463d4efcde735a725ee56427c95ca6464756d50479bdd79ace7136990"
+            "107a889dfa59e4aa2ec3876fc79b7dcbc5fcc96f2d6f8e5a5ef618f52066b36a"
         )
 
     def test_three_site_survival(self, three_site_model):
@@ -543,7 +556,7 @@ class TestOdeGoldenDigests:
             SolverOptions(rel_tol=1e-7),
         )
         assert digest(table.normalized) == (
-            "067a68cdb7032df17c95cfc0e326f6333e5e3d4703a82d7c5baa3695729de7c3"
+            "fd26817627140928bbb562de75ed2598bce3209f4c86b7b84c8b6dfe1232170b"
         )
 
     def test_two_site_live_share_grid(self, two_site_model):
@@ -554,7 +567,7 @@ class TestOdeGoldenDigests:
         )
         assert curve.t_start == 5e-9
         assert digest(curve.values) == (
-            "88cac098143dd022846bfdafd389a4a149dd7b59da14979775f400423318387f"
+            "6cc265eda6eb3cf5f8e50a03c21f5d9af91506aca6242e758e1cb011105b9c5c"
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):

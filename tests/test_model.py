@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 
 import stablebranch.model as model_mod
+from stablebranch.analysis import rv_index_fit
+from stablebranch.limitlaw import g_closed
 from stablebranch.model import (
     ArgumentError,
     BranchingMechanism,
@@ -226,6 +228,29 @@ class TestEta:
     def test_rejects_nonpositive(self, scalar_model):
         with pytest.raises(ValueError):
             eta(scalar_model, 0.0)
+
+
+class TestReadersRefuse:
+    """Public readers refuse NaN and out-of-range values with an ArgumentError
+    naming the value; each of these rows returned 0.0, NaN or a NaN slope, or
+    raised a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda model: g_closed(1.5, np.nan), "theta"),
+            (lambda model: g_closed(1.5, [0.5, np.inf]), "theta"),
+            (lambda model: eta(model, np.nan), "t"),
+            (lambda model: eta(model, 0.0), "t"),
+            (lambda model: semigroup_apply(model, np.nan, [1.0, 1.0]), "t"),
+            (lambda model: rv_index_fit([1e3, 1e4, 1e5], [1.0, np.nan, 0.5]), "values"),
+        ],
+        ids=["g-closed-nan", "g-closed-inf", "eta-nan", "eta-zero", "semigroup-nan", "rv-fit-nan"],
+    )
+    def test_names_the_value(self, two_site_model, call, name):
+        with pytest.raises(ArgumentError) as info:
+            call(two_site_model)
+        assert info.value.name == name
 
 
 class TestSemigroup:
