@@ -67,6 +67,11 @@ Three differences touch only the Python around the arithmetic:
   z variable takes no max(u, 0), which leaves its u = z^(1/p) unchanged.
   Each value is what the replaced call gave.
 
+The dense output reads each time on its own step in one stacked matmul: bit
+for bit scipy's reading of that time alone, so a reading depends only on t.
+scipy's array call makes one product per step over all its times, which BLAS
+rounds otherwise.
+
 A smaller batch changes the arithmetic of its linear algebra, and only that:
 its Jacobian stays a (B, d, d) stack of dense blocks, each LU is the inverse
 of the real and of the complex stack (np.linalg.inv, after `_finite`'s
@@ -297,7 +302,9 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 
 def _dense_values(t_old, h, Q, y_old, t):
-    """A step's dense output (scipy's RadauDenseOutput) at the 1-d times t: (n, len(t))."""
+    """A step's dense output at the 1-d times t as scipy's RadauDenseOutput
+    gives it for an array, (n, len(t)): the stepper's prediction of the next
+    step's stages."""
     x = (t - t_old) / h
     # x, x^2, x^3: the rows of scipy's cumprod over np.tile(x, (3, 1))
     p = np.empty((3, x.size))
@@ -579,45 +586,45 @@ class OdeSolution:
     Returns (d,) per time for a single system and (B, d) for a batch, clipped
     to be nonnegative.  step_times holds the solver's step boundaries, from
     t_start to t_end: the dense output is one function per step, scipy's
-    cubic collocation polynomial, or for a z run from t_start > 0 `_log_log`.
+    cubic collocation polynomial, or for a z run `_log_log`.  Each time is
+    read on its own step, a time on a step boundary on the earlier one, so a
+    reading depends only on t, not on the other times asked for with it.
     """
 
     def __init__(self, stepper, shape, squeeze, to_u, report):
         self.step_times = np.array(stepper.ts)
         self.t_start = float(self.step_times[0])
         self.t_end = float(self.step_times[-1])
-        self._Qs = stepper.Qs
-        self._y_olds = stepper.y_olds
-        if report.variable == "z" and stepper.Qs:
-            self._Q_stack, self._y_old_stack = np.array(stepper.Qs), np.array(stepper.y_olds)
+        # one row per step: its polynomial's coefficients (steps, n, 3) and
+        # its start (steps, n)
+        self._Q, self._y_old = np.array(stepper.Qs), np.array(stepper.y_olds)
         self._shape = shape
         self._squeeze = squeeze
         self._to_u = to_u
         self.report = report
 
-    def _values(self, t):
-        """The solver's variable at the 1-d times t, (n, len(t)), as scipy's
-        OdeSolution gives it: each step's polynomial is evaluated on the run of
-        sorted times it holds, and a time on a step boundary takes the earlier
-        step."""
-        if self.t_start == self.t_end:  # a zero-length run holds its start
-            return np.repeat(self._y_olds[0][:, None], t.size, axis=1)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
+    def _steps(self, t):
+        """The step each of the 1-d times t is read on."""
+        k = np.searchsorted(self.step_times, t, side="left") - 1
+        np.clip(k, 0, self._y_old.shape[0] - 1, out=k)
+        return k
 
+    def _cubic(self, t):
+        """The solver's variable at the 1-d times t, (len(t), n): each time on
+        its step's polynomial, bit for bit scipy's reading of that time alone."""
+        k = self._steps(t)
+        if self.t_start == self.t_end:  # a zero-length run holds its start
+            return self._y_old[k]
         ts = self.step_times
-        segments = np.searchsorted(ts, t_sorted, side="left")
-        np.clip(segments - 1, 0, len(self._Qs) - 1, out=segments)
-        starts = np.flatnonzero(np.diff(segments)) + 1
-        bounds = zip(np.concatenate(([0], starts)), np.concatenate((starts, [t.size])))
-        ys = []
-        for start, end in bounds:
-            s = segments[start]
-            ys.append(_dense_values(ts[s], ts[s + 1] - ts[s], self._Qs[s],
-                                    self._y_olds[s], t_sorted[start:end]))
-        return np.hstack(ys)[:, reverse]
+        x = (t - ts[k]) / (ts[k + 1] - ts[k])
+        # x, x^2, x^3: the rows of scipy's cumprod over np.tile(x, 3)
+        p = np.empty((t.size, 3, 1))
+        p[:, 0, 0] = x
+        np.multiply(x, x, out=p[:, 1, 0])
+        np.multiply(p[:, 1, 0], x, out=p[:, 2, 0])
+        y = np.matmul(self._Q[k], p)[:, :, 0]
+        y += self._y_old[k]
+        return y
 
     def _log_log(self, t):
         """u of a z run at the 1-d times t, (len(t), n): on each step the cubic
@@ -627,9 +634,8 @@ class OdeSolution:
         early on, and there it read up to 3.2 rel_tol between the stages
         (three-site fixture at 1e-8), where the step ends read 0.47."""
         ts = self.step_times
-        k = np.searchsorted(ts, t, side="left") - 1
-        np.clip(k, 0, ts.size - 2, out=k)
-        Q, z_old, t_old = self._Q_stack[k], self._y_old_stack[k], ts[k]
+        k = self._steps(t)
+        Q, z_old, t_old = self._Q[k], self._y_old[k], ts[k]
         r = (ts[k + 1] - t_old) / t_old
         z = z_old[:, :, None] + (Q[:, :, 0:1] + (Q[:, :, 1:2] + Q[:, :, 2:3] * _NODES) * _NODES) * _NODES
         log_u = np.log(self._to_u(z))  # (m, n, 4)
@@ -648,15 +654,15 @@ class OdeSolution:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         lo = self.t_start - 1e-9 * max(1.0, abs(self.t_start))
         hi = self.t_end + 1e-9 * max(1.0, abs(self.t_end))
-        if t_arr.min() < lo or t_arr.max() > hi:
+        if t_arr.size and (t_arr.min() < lo or t_arr.max() > hi):
             raise ValueError(
                 f"dense evaluation outside [{self.t_start}, {self.t_end}]"
             )
         t_arr = np.clip(t_arr, self.t_start, self.t_end)
-        if self.report.variable == "z" and 0.0 < self.t_start < self.t_end:
+        if self.report.variable == "z" and self.t_start < self.t_end:
             u = self._log_log(t_arr)
         else:
-            u = np.clip(self._to_u(self._values(t_arr).T), 0.0, None)  # (size, n)
+            u = np.clip(self._to_u(self._cubic(t_arr)), 0.0, None)  # (size, n)
         out = u.reshape((t_arr.size,) + self._shape)
         if self._squeeze:
             out = out[:, 0, :]

@@ -132,8 +132,12 @@ def _check_horizon(T):
 
 
 def _check_thetas(thetas):
-    """thetas as a 1-d array; ArgumentError unless each is finite and nonnegative."""
+    """thetas as a 1-d array; ArgumentError unless they are a scalar or a 1-d
+    grid, each finite and nonnegative."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 1:
+        raise ArgumentError("theta", f"theta must be a scalar or a 1-d grid, got shape "
+                            f"{thetas.shape}")
     if not np.all((thetas >= 0.0) & (thetas < np.inf)):  # NaN fails both
         raise ArgumentError("theta", "theta must be finite and nonnegative")
     return thetas
@@ -171,9 +175,10 @@ def _warm_start(model, t):
     step at every site, at t and 2t, in log w, where the equation rises with
     slope in [gamma_x - 1, gamma_x]; c_x starts at 1/(gamma_x - 1) and then is
     log2(w(t)/w(2t)), the mean exponent over the octave that _certify spans.
-    F(w) = -(c/t) w < 0, so a run from either start is nonincreasing; with one
-    gamma and kappa = K phi^(1-gamma) the start is exact.  CertificationError
-    naming gamma0 when a value overflows.
+    F(w) = -(c/t) w, so where w(t) > w(2t) at every site a run from either
+    start is nonincreasing (solve_extinction refuses a try where it is not);
+    with one gamma and kappa = K phi^(1-gamma) the start is exact.
+    CertificationError naming gamma0 when a value overflows.
     """
     kappa = model.mechanism.kappa
     gamma = model.mechanism.gamma
@@ -220,7 +225,7 @@ def _cumulant_flow(model, F, T, opts, kappa=None, scale=None):
     )
 
 
-def _extinction_solution(model, t0, t_max, opts):
+def _extinction_solution(model, start, t0, t_max, opts):
     # Values traverse many decades and stay strictly positive: integrate the
     # Bernoulli variable z = u^(1-gamma0), whose tail is linear in t, under
     # purely relative control.
@@ -228,7 +233,7 @@ def _extinction_solution(model, t0, t_max, opts):
         model.A,
         model.mechanism.kappa,
         model.mechanism.gamma,
-        _warm_start(model, t0)[0],
+        start,
         (t0, t_max),
         rtol=opts.rel_tol,
         _bernoulli=True,
@@ -248,21 +253,36 @@ def _warm_start_time(model, t_first, rel_tol):
     return min(t_first / 10.0, max(1e-8, 10.0 ** float(np.floor(np.log10(t_star)))))
 
 
-def _certify(model, t0, t_first, returned, opts):
+def _refuse_rising_start(t0, start, w):
+    """CertificationError naming t0 and the first site where the balance's
+    start at t0/2 does not lie above w, its start at t0: there c_x <= 0, so
+    the start does not fall.  The balance misses this beyond the motion's
+    time scale, and a run from such a start leaves the domain of z.  The sign
+    is read from the two starts, not from F(start), which cancels to rounding
+    where a site's inflow dominates."""
+    rising = np.flatnonzero(~(start > w))  # NaN rises
+    if rising.size:
+        raise CertificationError(
+            f"warm-start certification failed at t0={t0:g}: the start at t0/2 does not "
+            f"decrease at site {rising[0]}"
+        )
+
+
+def _certify(model, t0, t_first, returned, w, opts):
     """The warm-start bound at t_first, read off `returned`, the run from the
-    start at t0/2, by comparison; CertificationError naming t0 and the bound
-    when it exceeds rel_tol (solve_extinction then tries a smaller t0).
+    start at t0/2, by comparison with w, the balance's start at t0;
+    CertificationError naming t0 and the bound when it exceeds rel_tol
+    (solve_extinction then tries a smaller t0).
 
     The flow is cooperative and autonomous, so time shifts of a run bracket
-    the run from any start they bracket (Kamke).  With w the balance's start
-    at t0, the shifts s+, s- <= t0/2 with R(t0 + s+) <= w <= R(t0 - s-) at
-    every site are the largest lags (R(t0) - w) / -R'(t0), R' a central
-    difference of R, each 1% and 1e-12 t0 longer so that rounding cannot undo
-    them (t0/2 if longer), and checked on R.  A run from w lies in
+    the run from any start they bracket (Kamke).  The shifts s+, s- <= t0/2
+    with R(t0 + s+) <= w <= R(t0 - s-) at every site are the largest lags
+    (R(t0) - w) / -R'(t0), R' a central difference of R, each 1% and 1e-12 t0
+    longer so that rounding cannot undo them (t0/2 if longer), and checked on
+    R.  A run from w lies in
     [R(t + s+), R(t - s-)]; the bound is their largest relative distance from
     R at t_first.  It covers the warm start, not R's own error.
     """
-    w = _warm_start(model, t0 / 2.0)[1]
     h = 1e-4 * t0
     early, r0, late = returned(t0 + np.array([-h, 0.0, h]))
     lag = (r0 - w) * (2.0 * h) / (early - late)
@@ -293,12 +313,14 @@ def solve_extinction(model, times, opts=None):
     measured warm-start error sits near rel_tol / 100, never earlier than
     min(1e-8, times[0]/10).  Each try is one run, from the start at t0/2 to
     the last time or to times[0] + t0/2, the later, and _certify reads off it
-    how much a start at t0 would change it at times[0].  Above rel_tol, try
-    k <= 6 starts at the decimal value of the first t0 times 10^-k (1e-9 /
-    10 / 10 misses 1e-11 by an ulp).  CertificationError when the last try
-    fails, or when the warm start overflows a double (gamma0 near 1).  The
-    curve's t_start is the t0/2 of the try that certified.  A grid past the
-    time where eta(t)^-gamma0 overflows a double is refused before any solve.
+    how much a start at t0 would change it at times[0]; a start that does
+    not decrease at every site is refused before its run.  Above rel_tol, or
+    on such a start, try k <= 6 starts at the decimal value of the first t0
+    times 10^-k (1e-9 / 10 / 10 misses 1e-11 by an ulp).  CertificationError
+    when the last try fails, or when the warm start overflows a double (gamma0
+    near 1).  The curve's t_start is the t0/2 of the try that certified.  A
+    grid past the time where eta(t)^-gamma0 overflows a double is refused
+    before any solve.
     """
     opts = opts or SolverOptions()
     times = _check_times(times)
@@ -316,9 +338,11 @@ def solve_extinction(model, times, opts=None):
     for tries in range(_WARM_START_REDUCTIONS + 1):
         t0 = float(first.scaleb(-tries))
         t_max = max(float(times[-1]), float(times[0]) + t0 / 2.0)
-        returned = _extinction_solution(model, t0 / 2.0, t_max, opts)
+        start, w = _warm_start(model, t0 / 2.0)
         try:
-            bound = _certify(model, t0, float(times[0]), returned, opts)
+            _refuse_rising_start(t0, start, w)
+            returned = _extinction_solution(model, start, t0 / 2.0, t_max, opts)
+            bound = _certify(model, t0, float(times[0]), returned, w, opts)
         except CertificationError:
             if tries == _WARM_START_REDUCTIONS:
                 raise

@@ -295,6 +295,8 @@ def feynman_kac_estimate(model, f, theta, T, n_paths, rng, opts=None):
     nonnegative, nontrivial field of length d.  Returns (estimate, stderr),
     each a field over start sites.
     """
+    if np.ndim(theta) != 0:
+        raise ArgumentError("theta", f"theta must be a scalar, got shape {np.shape(theta)}")
     _check_thetas(theta)
     n_paths = _count(n_paths, "n_paths", 2)
     _check_horizon(T)

@@ -132,6 +132,12 @@ def normalized_ones(model):
     return ones / model.inner_m(ones, model.phi_star)
 
 
+def extinction_run(model, t0, t_max, opts):
+    """solve_extinction's run from the balance's start at t0 to t_max."""
+    return cumulant._extinction_solution(model, cumulant._warm_start(model, t0)[0], t0, t_max,
+                                         opts)
+
+
 def use_cpus(monkeypatch, n):
     """Make the affinity mask read as n CPUs, so that forking code uses up to n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

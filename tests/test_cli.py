@@ -197,7 +197,7 @@ class TestRun:
         assert run(spec) == EXIT_SCHEMA
 
     def test_runtime_failure_exit_three(self, preset_dir, tmp_path, monkeypatch):
-        def never_certifies(model, t0, t_first, returned, opts):
+        def never_certifies(model, t0, t_first, returned, w, opts):
             raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
 
         # valid arguments whose warm start cannot be certified -> runtime failure

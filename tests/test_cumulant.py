@@ -3,6 +3,7 @@ import functools
 import importlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from stablebranch.model import (
     semigroup_apply,
 )
 
-from conftest import no_solver, normalized_ones
+from conftest import extinction_run, no_solver, normalized_ones
 
 
 def scalar_closed_form(c, kappa, gamma, t):
@@ -120,6 +121,13 @@ class TestSolveCumulant:
         for s, t in ((0.0, 4.0), (0.5, 2.0), (1.0, 3.5)):
             assert conservation_residual(two_site_model, curve, s, t) <= 1e-8
 
+    def test_empty_reading(self, two_site_model, loose_opts):
+        # no time, no row, from the u run's reader and the z run's
+        curves = (solve_cumulant(two_site_model, [0.8, 1.9], [1.0]),
+                  solve_extinction(two_site_model, [1.0], loose_opts))
+        for curve in curves:
+            assert curve.evaluate([]).shape == (0, 2)
+
     def test_rejects_negative_field(self, two_site_model):
         with pytest.raises(ValueError):
             solve_cumulant(two_site_model, np.array([-0.1, 1.0]), [1.0])
@@ -157,7 +165,7 @@ class TestSolveExtinction:
         # at t0 = 1e-9 (1.5e-11) and returns the run from t0/2
         model = coarse_warm_start_model()
         opts = SolverOptions()
-        fine = cumulant._extinction_solution(model, 5e-10, 1e-6, opts)
+        fine = extinction_run(model, 5e-10, 1e-6, opts)
         curve = solve_extinction(model, [1e-7, 1e-6], opts)
         assert curve.t_start == 5e-10
         assert curve.certification_bound <= opts.rel_tol
@@ -169,11 +177,11 @@ class TestSolveExtinction:
         tried = []
         certify = cumulant._certify
 
-        def failing_above_1e_11(model, t0, t_first, returned, opts):
+        def failing_above_1e_11(model, t0, t_first, returned, w, opts):
             tried.append(t0)
             if t0 > 1e-11:
                 raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
-            return certify(model, t0, t_first, returned, opts)
+            return certify(model, t0, t_first, returned, w, opts)
 
         monkeypatch.setattr(cumulant, "_certify", failing_above_1e_11)
         curve = solve_extinction(two_site_model, [1e-8, 1.0], SolverOptions(rel_tol=1e-10))
@@ -357,12 +365,25 @@ def never_certifies(monkeypatch):
     the t0 of each certification tried."""
     tried = []
 
-    def failing(model, t0, t_first, returned, opts):
+    def failing(model, t0, t_first, returned, w, opts):
         tried.append(t0)
         raise CertificationError(f"warm-start certification failed at t0={t0:g}: forced")
 
     monkeypatch.setattr(cumulant, "_certify", failing)
     return tried
+
+
+def record_runs(monkeypatch):
+    """Record (t0, t_max) of each extinction run, in the returned list."""
+    solution = cumulant._extinction_solution
+    runs = []
+
+    def recorded(model, start, t0, t_max, opts):
+        runs.append((t0, t_max))
+        return solution(model, start, t0, t_max, opts)
+
+    monkeypatch.setattr(cumulant, "_extinction_solution", recorded)
+    return runs
 
 
 class TestCertificationSearch:
@@ -386,10 +407,10 @@ class TestCertificationSearch:
         tried = never_certifies(monkeypatch)
         solution = cumulant._extinction_solution
 
-        def failing_returned_run(model, t0, t_max, opts):
+        def failing_returned_run(model, start, t0, t_max, opts):
             if t_max >= 1.0:
                 raise SolverError("returned solve failed")
-            return solution(model, t0, t_max, opts)
+            return solution(model, start, t0, t_max, opts)
 
         monkeypatch.setattr(cumulant, "_extinction_solution", failing_returned_run)
         with pytest.raises(SolverError, match="returned solve failed") as info:
@@ -400,22 +421,52 @@ class TestCertificationSearch:
 
     def test_each_try_is_one_run(self, monkeypatch):
         # the fast-motion model fails at t0 = 1e-8 and certifies at 1e-9: two
-        # tries, each exactly one run from t0/2 to the last time, and the
-        # certification solves nothing
-        solution = cumulant._extinction_solution
-        runs = []
+        # tries, each exactly one warm start and one run from t0/2 to the last
+        # time, and the certification solves nothing
+        runs = record_runs(monkeypatch)
+        warm_start, starts = cumulant._warm_start, []
 
-        def recorded(model, t0, t_max, opts):
-            runs.append((t0, t_max))
-            return solution(model, t0, t_max, opts)
+        def counted(model, t):
+            starts.append(t)
+            return warm_start(model, t)
 
-        monkeypatch.setattr(cumulant, "_extinction_solution", recorded)
+        monkeypatch.setattr(cumulant, "_warm_start", counted)
         model, opts = coarse_warm_start_model(), SolverOptions()
         curve = solve_extinction(model, [1e-7, 1e-6], opts)
         assert runs == [(5e-9, 1e-6), (5e-10, 1e-6)]
+        assert starts == [5e-9, 5e-10]
         no_solver(monkeypatch)
-        bound = cumulant._certify(model, 1e-9, 1e-7, curve._dense, opts)
+        bound = cumulant._certify(model, 1e-9, 1e-7, curve._dense, warm_start(model, 5e-10)[1],
+                                  opts)
         assert bound == curve.certification_bound
+
+    def test_rising_start_refused_before_its_run(self, monkeypatch):
+        # beyond the motion's time scale the balance's start at t0/2 = 0.05
+        # lies below its start at t0 = 0.1 at both sites, the flow there
+        # F(w) = (-69.2, +47.8) rises at site 1, and a run from it left the
+        # domain of z with two RuntimeWarnings; the try is
+        # refused without a run, and t0 = 0.01 certifies with the curve it gave
+        # before the refusal.  Its own run's Newton stages leave the domain at
+        # rel_tol 0.3 too: the search warns exactly as often as that run alone
+        model, times, opts = coarse_warm_start_model(), [1e4, 2e4], SolverOptions(rel_tol=0.3)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            certified = extinction_run(model, 0.005, 2e4, opts)
+        runs = record_runs(monkeypatch)
+        with warnings.catch_warnings(record=True) as search:
+            warnings.simplefilter("always")
+            curve = solve_extinction(model, times, opts)
+        assert runs == [(0.005, 2e4)]
+        assert [str(w.message) for w in search] == [str(w.message) for w in alone]
+        assert curve.values.tobytes() == certified(np.array(times)).tobytes()
+        monkeypatch.setattr(cumulant, "_WARM_START_REDUCTIONS", 0)
+        no_solver(monkeypatch)
+        with pytest.raises(CertificationError) as info:
+            solve_extinction(model, times, opts)
+        assert str(info.value) == (
+            "warm-start certification failed at t0=0.1: the start at t0/2 does not decrease "
+            "at site 0"
+        )
 
     @pytest.mark.parametrize("name,above", [("two_site_model", 2), ("three_site_model", 1)])
     def test_one_time_grid_runs_past_its_time(self, request, name, above):
@@ -436,8 +487,9 @@ class TestCertificationSearch:
         # rel_tol, and the curve is refused
         opts = SolverOptions(rel_tol=1e-8)
         t0, t_first = 1e-5, 1.0
-        returned = cumulant._extinction_solution(two_site_model, t0 / 2.0, t_first + t0, opts)
-        bound = cumulant._certify(two_site_model, t0, t_first, returned, opts)
+        returned = extinction_run(two_site_model, t0 / 2.0, t_first + t0, opts)
+        w = _warm_start(two_site_model, t0 / 2.0)[1]
+        bound = cumulant._certify(two_site_model, t0, t_first, returned, w, opts)
         assert bound <= 1e-2 * opts.rel_tol
 
         def delayed(delta):
@@ -446,10 +498,10 @@ class TestCertificationSearch:
         def moved(delta):
             return np.max(returned(t_first - delta) / returned(t_first) - 1.0)
 
-        slight = cumulant._certify(two_site_model, t0, t_first, delayed(1e-10), opts)
+        slight = cumulant._certify(two_site_model, t0, t_first, delayed(1e-10), w, opts)
         assert slight == pytest.approx(moved(1e-10), rel=0.05)
         with pytest.raises(CertificationError) as info:
-            cumulant._certify(two_site_model, t0, t_first, delayed(4e-9), opts)
+            cumulant._certify(two_site_model, t0, t_first, delayed(4e-9), w, opts)
         found = re.fullmatch(
             r"warm-start certification failed at t0=1e-05: projected relative change "
             r"(\S+) at t=1 exceeds 1\.0e-08",
@@ -459,7 +511,7 @@ class TestCertificationSearch:
         assert float(found.group(1)) == pytest.approx(moved(4e-9), rel=0.05)
         # advanced by 0.6 t0, the start at t0 lies further back than t0/2
         with pytest.raises(CertificationError, match="t0=1e-05: the run from t0/2 does not bracket"):
-            cumulant._certify(two_site_model, t0, t_first, delayed(-0.6 * t0), opts)
+            cumulant._certify(two_site_model, t0, t_first, delayed(-0.6 * t0), w, opts)
 
 
 class StopAtCertification(Exception):
@@ -480,11 +532,11 @@ class TestFirstTry:
 
     @staticmethod
     def certifications(runs):
-        """(model, t0, t_first, returned, opts) of the first certification of each run."""
+        """(model, t0, t_first, returned, w, opts) of the first certification of each run."""
         found = []
 
-        def recording(model, t0, t_first, returned, opts):
-            found.append((model, t0, t_first, returned, opts))
+        def recording(model, t0, t_first, returned, w, opts):
+            found.append((model, t0, t_first, returned, w, opts))
             raise StopAtCertification
 
         with pytest.MonkeyPatch.context() as patch:
@@ -497,10 +549,10 @@ class TestFirstTry:
     @staticmethod
     def assert_first_try(found):
         assert found
-        for model, t0, t_first, returned, opts in found:
+        for model, t0, t_first, returned, w, opts in found:
             assert t0 == cumulant._warm_start_time(model, t_first, opts.rel_tol)
             assert returned.t_start == t0 / 2.0
-            bound = cumulant._certify(model, t0, t_first, returned, opts)
+            bound = cumulant._certify(model, t0, t_first, returned, w, opts)
             assert bound <= opts.rel_tol / 10
 
     def test_preset_grids(self, tmp_path):
@@ -663,11 +715,14 @@ class TestNonFiniteTimes:
             (lambda m: yaglom_table(m, normalized_ones(m), [1.0, NAN], 10.0), "theta"),
             (lambda m: yaglom_table(m, normalized_ones(m), [INF], 10.0), "theta"),
             (lambda m: yaglom_table(m, normalized_ones(m), [-1.0], 10.0), "theta"),
+            (lambda m: yaglom_table(m, normalized_ones(m), [[1.0, 2.0]], 10.0),
+             "theta must be a scalar or a 1-d grid"),
         ],
         ids=["cumulant-inf", "cumulant-nan", "extinction-inf", "extinction-nan",
              "norm-inf", "survival-inf", "survival-nan", "extinction-past-double-range",
              "yaglom-horizon-inf", "yaglom-horizon-nan", "yaglom-horizon-zero",
-             "yaglom-theta-nan", "yaglom-theta-inf", "yaglom-theta-negative"],
+             "yaglom-theta-nan", "yaglom-theta-inf", "yaglom-theta-negative",
+             "yaglom-theta-2d"],
     )
     def test_refused_before_solving(self, two_site_model, monkeypatch, call, match):
         no_solver(monkeypatch)

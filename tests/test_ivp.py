@@ -20,14 +20,14 @@ from stablebranch._ivp import solve_branching_ode
 from stablebranch.analysis import kolmogorov_table, yaglom_table
 from stablebranch.cumulant import (
     SolverOptions,
-    _extinction_solution,
     _warm_start,
+    solve_cumulant,
     solve_extinction,
     weighted_extinction_norm,
 )
 from stablebranch.model import eta
 
-from conftest import normalized_ones, reflecting_diffusion
+from conftest import extinction_run, normalized_ones, reflecting_diffusion
 
 
 def digest(a):
@@ -188,10 +188,10 @@ class TestDirectLapack:
         monkeypatch.setattr(radau, "solve_collocation_system", logged)
         ref = scipy_reference(system)
         assert bits(sol.step_times) == bits(ref.t)
-        grid = np.linspace(sol.t_start, sol.t_end, 97)
-        assert bits(sol._values(grid)) == bits(ref.sol(grid))
-        # a step boundary takes the earlier step's polynomial, as in scipy
-        assert bits(sol._values(sol.step_times)) == bits(ref.sol(ref.t))
+        # scipy reading one time at a time; a step boundary takes the earlier
+        # step's polynomial, as in scipy
+        for grid in (np.linspace(sol.t_start, sol.t_end, 97), sol.step_times):
+            assert bits(sol._cubic(grid)) == bits([ref.sol(t) for t in grid])
         rep = sol.report
         assert (rep.accepted, rep.nfev, rep.njev, rep.nlu) == (
             ref.t.size - 1, ref.nfev, ref.njev, ref.nlu
@@ -275,7 +275,7 @@ class TestDirectLapack:
         assert np.max(np.abs(sol.step_times - ref.t)) <= 1e-6 * sol.t_end
         grid = np.linspace(sol.t_start, sol.t_end, 97)
         ref_values = ref.sol(grid)
-        assert np.max(np.abs(sol._values(grid) / ref_values - 1.0)) <= 1e-13
+        assert np.max(np.abs(sol._cubic(grid) / ref_values.T - 1.0)) <= 1e-13
 
     def test_scales_of_one_are_the_unscaled_batch(self, models):
         args, kwargs = batch_two_site(models)
@@ -283,7 +283,7 @@ class TestDirectLapack:
         scaled = solve_branching_ode(*args, **kwargs, _scale=np.ones(4))
         assert bits(scaled.step_times) == bits(plain.step_times)
         grid = np.linspace(0.0, plain.t_end, 97)
-        assert bits(scaled._values(grid)) == bits(plain._values(grid))
+        assert bits(scaled._cubic(grid)) == bits(plain._cubic(grid))
         assert scaled.report == plain.report
 
     def test_scaled_member_is_the_member_at_its_own_horizon(self, models):
@@ -377,6 +377,17 @@ def test_step_times_bound_every_step(case, models):
     assert (steps[0], steps[-1]) == (sol.t_start, sol.t_end)
 
 
+@pytest.mark.parametrize("d", [None, 10, 40], ids=["three", "diffusion-10", "diffusion-40"])
+def test_reading_depends_only_on_its_time(d, models):
+    # a u run read at 2,000 times in one call, against each time read alone:
+    # BLAS rounds a product over several times of one step otherwise than a
+    # product over one, which moved single rows by an ulp
+    model = models["three"] if d is None else reflecting_diffusion(d)
+    curve = solve_cumulant(model, np.ones(model.d), [100.0], SolverOptions(rel_tol=1e-6))
+    grid = np.linspace(50.0, 100.0, 2000)
+    assert bits(curve.evaluate(grid)) == bits([curve.evaluate(t) for t in grid])
+
+
 class _LoggedStepper(_ivp._RadauIIA):
     """The engine's stepper, logging each accepted step: (a Newton solve
     failed in it, its size, the size proposed next, it ended the solve)."""
@@ -407,7 +418,7 @@ class _ScipyStepLog:
 def tight_extinction(models):
     """The returned extinction solve of each model at rel_tol 1e-11."""
     return {
-        name: _extinction_solution(models[name], 5e-9, 1e6, SolverOptions(rel_tol=1e-11))
+        name: extinction_run(models[name], 5e-9, 1e6, SolverOptions(rel_tol=1e-11))
         for name in ("two", "three")
     }
 
@@ -453,7 +464,7 @@ class TestStepRule:
         # returned run against a 1e-11 run, relative, from 1e-7 to 1e6
         model = models[name]
         grid = np.geomspace(1e-7, 1e6, 40)
-        sol = _extinction_solution(model, 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
+        sol = extinction_run(model, 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
         err = np.max(np.abs(sol(grid) / tight_extinction[name](grid) - 1.0))
         assert err <= rel_tol
 
@@ -480,7 +491,7 @@ class TestExtinctionAccuracy:
         if T == 1e6:  # the runs tight_extinction holds
             reference = tight_extinction[name]
         else:
-            reference = _extinction_solution(model, 5e-9, T, SolverOptions(rel_tol=1e-11))
+            reference = extinction_run(model, 5e-9, T, SolverOptions(rel_tol=1e-11))
         curve = solve_extinction(model, times, SolverOptions(rel_tol=rel_tol))
         grid = np.geomspace(times[0], T, 2000)
         err = np.max(np.abs(curve.evaluate(grid) / reference(grid) - 1.0))
@@ -491,7 +502,7 @@ class TestExtinctionAccuracy:
     def test_between_the_stages(self, models, tight_extinction, name, rel_tol):
         # the returned run at 9 points inside each of its steps from 1e-7 to
         # 1e6; scipy's cubic in z read up to 3.2 rel_tol there on three sites
-        sol = _extinction_solution(models[name], 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
+        sol = extinction_run(models[name], 5e-9, 1e6, SolverOptions(rel_tol=rel_tol))
         ends = sol.step_times[sol.step_times >= 1e-7]
         grid = (ends[:-1, None] + np.diff(ends)[:, None] * np.linspace(0.1, 0.9, 9)).ravel()
         err = np.max(np.abs(sol(grid) / tight_extinction[name](grid) - 1.0))
@@ -506,23 +517,24 @@ class TestOdeGoldenDigests:
     to dense blocks; its values moved by at most 7.8e-16 relative.  The four
     extinction digests were re-recorded when the warm start became the flow's
     quasi-steady balance, the run from t0 went and z runs took the log-log
-    dense output.  test_digests_do_not_depend_on_blas_threads checks three of
-    them on 2 BLAS threads and on one (`taskset -c 0` or
+    dense output.  test_digests_do_not_depend_on_blas_threads checks four of
+    them, and the Feynman-Kac digest whose tables read a u run at many times
+    per step, on 2 BLAS threads and on one (`taskset -c 0` or
     OPENBLAS_NUM_THREADS=1).  OpenBLAS zgetrs returns other bits on one
     thread, and the weighted-norm run meets them: its digest holds on the
     default threads only."""
 
     def test_digests_do_not_depend_on_blas_threads(self):
         # OpenBLAS reads its thread count when it loads, so each setting runs
-        # three of the digest tests in a fresh process: one thread, and the
-        # library's default (one per CPU)
+        # five digest tests in a fresh process: one thread, and the library's
+        # default (one per CPU)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src = os.path.dirname(os.path.dirname(_ivp.__file__))
         cases = [
             f"tests/test_ivp.py::TestOdeGoldenDigests::{case}"
             for case in ("test_two_site_extinction", "test_three_site_survival",
-                         "test_two_site_yaglom_surface")
-        ]
+                         "test_two_site_live_share_grid", "test_two_site_yaglom_surface")
+        ] + ["tests/test_spine.py::TestGoldenDigests::test_default_nodes"]
         for threads in ("1", None):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -533,7 +545,7 @@ class TestOdeGoldenDigests:
                 capture_output=True, text=True, timeout=300, env=env, cwd=root,
             )
             assert proc.returncode == 0, (threads, proc.stdout[-2000:])
-            assert "3 passed" in proc.stdout, (threads, proc.stdout[-2000:])
+            assert "5 passed" in proc.stdout, (threads, proc.stdout[-2000:])
 
     def test_two_site_extinction(self, two_site_model):
         curve = solve_extinction(two_site_model, [1.0], SolverOptions(rel_tol=1e-8))

@@ -257,8 +257,9 @@ class TestFeynmanKac:
     @pytest.mark.parametrize(
         "theta, T, match",
         [(1.0, np.nan, "horizon"), (1.0, np.inf, "horizon"),
-         (np.nan, 2.0, "theta"), (np.inf, 2.0, "theta")],
-        ids=["horizon-nan", "horizon-inf", "theta-nan", "theta-inf"],
+         (np.nan, 2.0, "theta"), (np.inf, 2.0, "theta"),
+         ([1.0, 2.0], 2.0, "theta must be a scalar")],
+        ids=["horizon-nan", "horizon-inf", "theta-nan", "theta-inf", "theta-array"],
     )
     def test_non_finite_horizon_or_theta_rejected(self, two_site_model, monkeypatch,
                                                   theta, T, match):
