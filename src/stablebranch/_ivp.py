@@ -11,10 +11,11 @@ stiffness the flow has: the linear spectrum of A on long near-linear tails,
 and the nonlinear relaxation of sites with a large stable index slaved to the
 inflow of faster-blowing sites after an infinite-initial-condition warm start.
 
-Extinction runs integrate in the Bernoulli variable z = u^(1-gamma0), with
-gamma0 = min(gamma) (private argument `_bernoulli`).  Along the tail
-u ~ c t^(-1/(gamma0-1)) the variable z grows linearly in t, so the step size
-is limited by accuracy only where the solution actually bends.  There
+Extinction runs, and Yaglom runs from a field positive at every site,
+integrate in the Bernoulli variable z = u^(1-gamma0), with gamma0 = min(gamma)
+(private argument `_bernoulli`).  Along the tail u ~ c t^(-1/(gamma0-1)) the
+variable z grows linearly in t, so the step size is limited by accuracy only
+where the solution actually bends.  There
 
     z' = (1-gamma0) u^(-gamma0) F(u),
     J_z = diag(u^-gamma0) J(u) diag(u^gamma0) - diag(gamma0 F(u) / u),
@@ -23,7 +24,10 @@ with F(u) = A u - kappa u^gamma.  A relative error e in z is a relative error
 e / (gamma0-1) in u, so z is controlled purely relatively with
 rtol_z = (gamma0-1) * rtol.  The state must be strictly positive there; the
 plain variable u is used wherever it may vanish.  Between its step ends a z
-run is read as log u against log t (OdeSolution._log_log).
+run is read as log u against log t (OdeSolution._log_log), save on a step
+from t = 0, which is read on z's cubic.  A z run's Newton stages may leave
+z's domain before the stepper rejects them; the run steps under one
+np.errstate that silences their floating-point warnings.
 
 State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
@@ -290,10 +294,12 @@ def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     """Predict by which factor to increase/decrease the step size: the
     two-step rule of Hairer & Wanner, section IV.8, or the one-step rule where
-    no previous step or error is at hand."""
+    no previous step or error is at hand.  A previous step of zero (a zero
+    factor, from an error_norm_old of 0, proposes one) is no step at hand:
+    scipy's numpy scalars divide by it to inf or NaN, and min(1, either) is 1."""
     if error_norm == 0:
         return math.inf  # error_norm ** -0.25
-    if error_norm_old is None or h_abs_old is None:
+    if error_norm_old is None or not h_abs_old:
         multiplier = 1
     else:
         multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
@@ -586,7 +592,9 @@ class OdeSolution:
     Returns (d,) per time for a single system and (B, d) for a batch, clipped
     to be nonnegative.  step_times holds the solver's step boundaries, from
     t_start to t_end: the dense output is one function per step, scipy's
-    cubic collocation polynomial, or for a z run `_log_log`.  Each time is
+    cubic collocation polynomial, or for a z run `_log_log`, save on a z
+    run's step from t = 0, where log t is unbounded and z's cubic is read
+    (at the step's end, z's state to rounding).  Each time is
     read on its own step, a time on a step boundary on the earlier one, so a
     reading depends only on t, not on the other times asked for with it.
     """
@@ -659,10 +667,14 @@ class OdeSolution:
                 f"dense evaluation outside [{self.t_start}, {self.t_end}]"
             )
         t_arr = np.clip(t_arr, self.t_start, self.t_end)
-        if self.report.variable == "z" and self.t_start < self.t_end:
+        z_run = self.report.variable == "z" and self.t_start < self.t_end
+        if z_run and self.t_start > 0.0:
             u = self._log_log(t_arr)
         else:
             u = np.clip(self._to_u(self._cubic(t_arr)), 0.0, None)  # (size, n)
+            if z_run:  # a step from t = 0 has no log t: z's cubic reads it
+                later = t_arr > self.step_times[1]
+                u[later] = self._log_log(t_arr[later])
         out = u.reshape((t_arr.size,) + self._shape)
         if self._squeeze:
             out = out[:, 0, :]
@@ -679,6 +691,19 @@ def _assemble(blocks):
     if blocks.shape[1] <= _DENSE_BLOCK_SITES:
         return blocks
     return scipy.sparse.block_diag(blocks, format="csc")
+
+
+def _step_to_end(stepper):
+    """Step until the stepper reaches its t_bound."""
+    while stepper.t < stepper.t_bound:
+        stepper.step()
+
+
+# A z run's Newton stages may leave z's domain (a negative z's power is NaN, a
+# zero one's inf), which the stepper rejects as a Newton failure: the run's
+# floating-point warnings say nothing a caller can act on.  The errstate is
+# built here and entered once per run, not per step.
+_step_z_to_end = np.errstate(divide="ignore", over="ignore", invalid="ignore")(_step_to_end)
 
 
 def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _bernoulli=False,
@@ -765,8 +790,7 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
     if t_end == t0:  # one step of length zero, as scipy's solve_ivp records it
         stepper.ts.append(t0)
         stepper.y_olds.append(y_start)
-    while stepper.t < t_end:
-        stepper.step()
+    (_step_z_to_end if _bernoulli else _step_to_end)(stepper)
     report = SolverReport(accepted=len(stepper.ts) - 1, rejected=stepper.rejected,
                           variable="z" if _bernoulli else "u",
                           nfev=stepper.nfev, njev=stepper.njev, nlu=stepper.nlu)

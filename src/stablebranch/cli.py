@@ -443,10 +443,11 @@ def _sampled(key):
 
 
 # SolverOptions fields under their camelCase names, each for the kinds whose
-# solve reads it; absent means its default.  Extinction runs control z purely
-# relatively and never read absTol.
+# solve reads it; absent means its default.  Runs in z (extinction, and Yaglom
+# from a field positive at every site) control z purely relatively and never
+# read absTol; a Yaglom field with a zero site runs in u at the default absTol.
 _FLOW_SOLVER = (("relTol", _float, None), ("absTol", _float, None))
-_EXTINCTION_SOLVER = _FLOW_SOLVER[:1]
+_Z_SOLVER = _FLOW_SOLVER[:1]
 
 
 _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},))
@@ -461,11 +462,11 @@ _KINDS = {
         _run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_FLOW_SOLVER)
     ),
     "survival": _Kind(_run_survival, True, (
-        ("mu", _floats, REQUIRED), *_sampled("times"), *_EXTINCTION_SOLVER,
+        ("mu", _floats, REQUIRED), *_sampled("times"), *_Z_SOLVER,
         ("ratioTolerance", _float, None),
     )),
     "yaglom": _Kind(_run_yaglom, True, (
-        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_FLOW_SOLVER,
+        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_Z_SOLVER,
         ("supTolerance", _float, None),
     ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
@@ -478,7 +479,7 @@ _KINDS = {
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True,
-        (*_sampled("times"), *_EXTINCTION_SOLVER, ("slopeRelTolerance", _float, None)),
+        (*_sampled("times"), *_Z_SOLVER, ("slopeRelTolerance", _float, None)),
     ),
     "delay-eq": _Kind(_run_delay_eq, False, (
         ("a", _float, REQUIRED), ("thetaMax", _float, 10.0), ("step", _float, 0.01),

@@ -10,8 +10,11 @@ with A the calibrated mean generator, integrated by the Radau IIA engine of
 started from the flow's quasi-steady balance at t0/2 (_warm_start); time
 shifts of that one run bound the change a start at t0 would make (_certify).
 Extinction runs integrate the Bernoulli variable z = v^(1-gamma0), in which
-the tail v ~ c t^(-1/(gamma0-1)) is linear in t; runs from a finite field f
-stay in u, because f may vanish on some sites.
+the tail v ~ c t^(-1/(gamma0-1)) is linear in t, and so do the Yaglom runs
+from a field f positive at every site.  The other runs from a finite field
+stay in u, because f may vanish on some sites: solve_cumulant, a Yaglom
+field with a zero site, and the spine's exponent tables, which are read
+between steps from t = 0, where z's log-log reading is undefined.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ _WARM_START_CONSTANT = 35.0
 class SolverOptions:
     """Tolerances of the ODE engine.
 
-    rel_tol applies to every solve.  abs_tol applies only to solves from a
-    finite field (solve_cumulant, the Yaglom and spine flows): extinction
-    runs control z purely relatively and never read it.  Every value must be
+    rel_tol applies to every solve.  abs_tol applies only to the solves in
+    u (solve_cumulant, the spine flows, and a Yaglom field with a zero site):
+    extinction runs and Yaglom runs from a positive field control z purely
+    relatively and never read it.  Every value must be
     finite; a value out of range raises ArgumentError naming its field.
     """
 
@@ -209,19 +213,17 @@ def _warm_start(model, t):
     return w
 
 
-def _cumulant_flow(model, F, T, opts, kappa=None, scale=None):
+def _cumulant_flow(model, F, T, opts):
     """Dense solution of the u-flow over [0, T] from F, one field (d,) or a
-    batch (B, d); kappa defaults to the model's, and a batch may scale each
-    member's time (see _yaglom_batch)."""
+    batch (B, d)."""
     return solve_branching_ode(
         model.A,
-        model.mechanism.kappa if kappa is None else kappa,
+        model.mechanism.kappa,
         model.mechanism.gamma,
         F,
         (0.0, float(T)),
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
-        _scale=scale,
     )
 
 
@@ -375,6 +377,11 @@ def _yaglom_batch(model, f, thetas, horizons, opts):
     (T, theta) pair is one member of a batch run on s in [0, T_max], the
     longest horizon: its flow is multiplied by T / T_max, so its value at
     s = T_max is w(T).  The longest horizon's scale is exactly 1.
+
+    Where f > 0 at every site the run integrates z = w^(1-gamma0) under
+    purely relative control (opts.abs_tol is not read), in which w's power-law
+    tail is linear: the scalar preset's three horizons take 6 steps, not 392.
+    A field with a zero site, where z is infinite at s = 0, runs in w.
     """
     opts = opts or SolverOptions()
     thetas = _check_thetas(thetas)
@@ -397,7 +404,8 @@ def _yaglom_batch(model, f, thetas, horizons, opts):
     t_max = max(horizons)
     scale = np.repeat([T / t_max for T in horizons], thetas.size)
     u0 = np.broadcast_to(f, kappa_eff.shape).copy()
-    sol = _cumulant_flow(model, u0, t_max, opts, kappa=kappa_eff, scale=scale)
+    sol = solve_branching_ode(model.A, kappa_eff, gamma, u0, (0.0, t_max), rtol=opts.rel_tol,
+                              atol=opts.abs_tol, _bernoulli=bool(np.all(f > 0.0)), _scale=scale)
     w = sol(t_max).reshape(len(horizons), thetas.size, model.d)
     return thetas[:, None] * w / model.phi[None, :], sol.report
 

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,7 +132,8 @@ class TestYaglomTables:
     def test_one_index_surface_is_the_limit_at_every_horizon(self, one_index_models, name,
                                                              rel_tol):
         # from f = phi the surface equals g_closed at every T, not only in the
-        # limit; read 0.027 and 0.0077 rel_tol at most
+        # limit; the run is in z, where this flow is linear, and read 1e-4
+        # rel_tol at most (0.027 and 0.0077 in w)
         model = one_index_models[name]
         tables = yaglom_tables(model, model.phi, self.THETAS, [1.0, 10.0, 100.0],
                                SolverOptions(rel_tol=rel_tol))
@@ -145,6 +149,28 @@ class TestYaglomTables:
         for table in tables:
             assert table.sup_error.max() <= 10.0 * SolverOptions().rel_tol
             assert table.sup_error[0] == 0.0  # theta = 0 row
+
+    @pytest.mark.parametrize("T", [1e-9, 1e-6])
+    def test_one_step_run_from_zero_read_at_its_end(self, scalar_model, T):
+        # the run in z is one step from s = 0, where log s is unbounded: the
+        # surface is read on z's cubic, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = yaglom_table(scalar_model, normalized_ones(scalar_model), [1.0], T)
+        assert (table.solver_report.variable, table.solver_report.accepted) == ("z", 1)
+        assert table.sup_error.max() <= 10.0 * SolverOptions().rel_tol
+
+    def test_field_with_a_zero_site_stays_in_u(self, two_site_model):
+        # z = w^(1-gamma0) is infinite at a zero site at s = 0: the run is the
+        # u run of before z, bit for bit
+        f = np.array([1.0, 0.0]) / two_site_model.inner_m([1.0, 0.0], two_site_model.phi_star)
+        tables = yaglom_tables(two_site_model, f, self.THETAS, [1e2, 1e3],
+                               SolverOptions(rel_tol=1e-7))
+        assert tables[0].solver_report.variable == "u"
+        surfaces = np.ascontiguousarray([t.surface for t in tables], dtype="<f8")
+        assert hashlib.sha256(surfaces.tobytes()).hexdigest() == (
+            "08188f50de925cedb82fbc6f0bbb51e1e81ef80787fa88f2179ba019b2c38fb3"
+        )
 
     @pytest.mark.parametrize("name, horizons, rel_tol", [
         ("scalar", [1.0, 10.0, 100.0], 1e-10),

@@ -319,7 +319,7 @@ class TestYaglomKind:
         assert counts == {key: getattr(report, key) for key in counts}
         assert list(counts) == ["engine", "variable", "accepted", "rejected", "nfev", "njev",
                                 "nlu"]
-        assert counts["variable"] == "u" and counts["accepted"] > 0
+        assert counts["variable"] == "z" and counts["accepted"] > 0
 
     def test_solver_error_writes_no_table(self, preset_dir, tmp_path, monkeypatch):
         def failing(model, f, thetas, horizons, opts):
@@ -487,6 +487,7 @@ class TestSchema:
             ("cumulant", {"f": [1.0], "times": [1.0], "warmStartTime": 1e-9}, "warmStartTime"),
             ("survival", {"mu": [1.0], "times": [1.0], "absTol": 1e-6}, "absTol"),
             ("rv-fit", {"times": [1.0, 10.0], "absTol": 1e-6}, "absTol"),
+            ("yaglom", {"theta": [1.0], "horizons": [1.0], "absTol": 1e-6}, "absTol"),
             ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 10.0, "max": 1.0, "count": 5}}, "timesGrid"),
@@ -550,6 +551,7 @@ class TestSchema:
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
              "cumulant-warm-start", "survival-abs-tol", "rv-fit-abs-tol",
+             "yaglom-abs-tol",
              "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
              "step-nan", "horizon-inf", "paths-zero", "mu-nan", "mu-negative", "mu-zero",
              "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
@@ -690,10 +692,11 @@ SOLVER_SETTINGS = [
 
 class TestSolverSettings:
     def test_settable_values(self):
-        # the flow kinds take relTol and absTol, the extinction kinds relTol only
+        # the u-flow kinds take relTol and absTol, the kinds that run in z
+        # (extinction and Yaglom) relTol only
         assert SOLVER_FIELDS == set(SOLVER_VALUES)
         assert {kind for kind, _ in SOLVER_SETTINGS} == set(SOLVER_RUNS)
-        assert len(SOLVER_SETTINGS) == 8
+        assert len(SOLVER_SETTINGS) == 7
 
     @pytest.mark.parametrize("kind, name", SOLVER_SETTINGS, ids=[f"{k}-{n}" for k, n in SOLVER_SETTINGS])
     def test_every_setting_reaches_its_solve(self, kind, name, preset_dir, tmp_path):

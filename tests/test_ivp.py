@@ -202,6 +202,33 @@ class TestDirectLapack:
         tried = sum(1 for k, a in enumerate(attempts) if k == 0 or a != attempts[k - 1])
         assert rep.rejected == (tried - rep.accepted if attempts else 0)
 
+    def test_zero_previous_step_as_stock_radau(self, models, monkeypatch):
+        # the two-site Yaglom u system at T = 1e-6, theta = 1, on [0, 2e-11]:
+        # a zero error_norm_old makes a zero factor, and the two-step rule
+        # divided by the zero step (ZeroDivisionError) two steps later;
+        # scipy's numpy scalars take the one-step rule
+        model = models["two"]
+        gamma = model.mechanism.gamma
+        kappa = model.mechanism.kappa * np.power(eta(model, 1e-6), gamma - 1.0)
+        zero_steps, predict = [], _ivp._predict_factor
+
+        def recorded(h_abs, h_abs_old, *errors):
+            zero_steps.append(h_abs_old == 0.0)
+            return predict(h_abs, h_abs_old, *errors)
+
+        monkeypatch.setattr(_ivp, "_predict_factor", recorded)
+        system = capture_system(monkeypatch)
+        sol = solve_branching_ode(model.A, kappa, gamma, normalized_ones(model), (0.0, 2e-11))
+        assert any(zero_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's division by zero
+            ref = scipy_reference(system)
+        assert bits(sol.step_times) == bits(ref.t)
+        rep = sol.report
+        assert (rep.accepted, rep.nfev, rep.njev, rep.nlu) == (
+            ref.t.size - 1, ref.nfev, ref.njev, ref.nlu
+        )
+
     def test_dense_path_never_calls_scipy_lu_wrappers(self, models, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("scipy's LU wrapper was called")
@@ -514,7 +541,9 @@ class TestOdeGoldenDigests:
     under the no-growth-after-rejection rule (scipy 1.17.1, numpy 2.4.6).  Any
     change to the engine's arithmetic, the step control or the warm start shows
     here.  The Yaglom surface's digest was re-recorded when small batches went
-    to dense blocks; its values moved by at most 7.8e-16 relative.  The four
+    to dense blocks (its values moved by at most 7.8e-16 relative), and again
+    when a Yaglom run from a positive f went to z (0.0022 rel_tol from a
+    1e-13 run).  The four
     extinction digests were re-recorded when the warm start became the flow's
     quasi-steady balance, the run from t0 went and z runs took the log-log
     dense output.  test_digests_do_not_depend_on_blas_threads checks four of
@@ -583,11 +612,11 @@ class TestOdeGoldenDigests:
         )
 
     def test_two_site_yaglom_surface(self, two_site_model):
-        # 21 thetas in one batch: the dense-block path
+        # 21 thetas in one batch in z: the dense-block path
         table = yaglom_table(
             two_site_model, normalized_ones(two_site_model), np.geomspace(0.1, 10.0, 21),
             1e3, SolverOptions(rel_tol=1e-7),
         )
         assert digest(table.surface) == (
-            "72cd0f819d657f6d193f2f58393386f88e1d7f27eb8586f5cb6ade2fc54648de"
+            "c9bb0ba718444bb6136d5efd3fc27d248369c1e42128852cd82539924f84cfc5"
         )
