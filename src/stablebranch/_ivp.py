@@ -21,13 +21,18 @@ where the solution actually bends.  There
     J_z = diag(u^-gamma0) J(u) diag(u^gamma0) - diag(gamma0 F(u) / u),
 
 with F(u) = A u - kappa u^gamma.  A relative error e in z is a relative error
-e / (gamma0-1) in u, so z is controlled purely relatively with
-rtol_z = (gamma0-1) * rtol.  The state must be strictly positive there; the
-plain variable u is used wherever it may vanish.  Between its step ends a z
+e / (gamma0-1) in u, so z runs with rtol_z = (gamma0-1) * rtol.  A start
+with a zero site, where z is infinite, runs in u.  Between its step ends a z
 run is read as log u against log t (OdeSolution._log_log), save on a step
 from t = 0, which is read on z's cubic.  A z run's Newton stages may leave
 z's domain before the stepper rejects them; the run steps under one
 np.errstate that silences their floating-point warnings.
+
+The start sets the absolute tolerance: a start positive at every site runs
+purely relatively (atol 0), in u or z, so rtol holds however far u decays.
+Relative control is undefined at an exact zero (Hairer & Wanner, IV.8): a
+start with a zero site runs under _ZERO_SITE_ATOL, which, not rtol, bounds
+the error at a site whose value falls near it.
 
 State may be a single vector (d,) or a batch (B, d) of independent systems
 sharing A; kappa may be (d,) or (B, d) (per-batch coefficients), gamma is (d,).
@@ -179,6 +184,8 @@ MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 # any batch size, else splu: in BENCH_yaglom_batch.json's dense_rule_sweep
 # dense was the faster up to d = 30 and splu from d = 40, at 21 and 63 members.
 _DENSE_BLOCK_SITES = 30
+
+_ZERO_SITE_ATOL = 1e-12  # the absolute tolerance of a start with a zero site
 
 
 class SolverError(RuntimeError):
@@ -340,8 +347,6 @@ class _RadauIIA:
         if rtol < 100 * EPS:
             warnings.warn(f"`rtol` is too small. Setting `rtol = {100 * EPS}`.", stacklevel=3)
             self.rtol = 100 * EPS
-        if atol < 0:
-            raise ValueError("`atol` must be positive.")
         self.fun, self.jac_fun = fun, jac
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.atol = atol
@@ -706,14 +711,14 @@ def _step_to_end(stepper):
 _step_z_to_end = np.errstate(divide="ignore", over="ignore", invalid="ignore")(_step_to_end)
 
 
-def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _bernoulli=False,
-                        _scale=None):
+def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, _bernoulli=False, _scale=None):
     """Integrate u' = A u - kappa * max(u,0)^gamma over t_span with dense output.
 
-    `_bernoulli=True` integrates z = u^(1-min(gamma)) under purely relative
-    control (atol is not used); u0 must then be strictly positive.  `_scale`,
-    one positive factor per member of a batch, multiplies that member's
-    right-hand side.
+    The absolute tolerance follows from u0 (see the module docstring).
+    `_bernoulli=True` integrates z = u^(1-min(gamma)) from a u0 positive at
+    every site, and u from one with a zero site, where z is infinite.
+    `_scale`, one positive factor per member of a batch, multiplies that
+    member's right-hand side.
     """
     A = np.asarray(A, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -731,6 +736,8 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
     A_blocks = np.broadcast_to(A, (B, d, d))
     kappa_gamma, gamma_1 = kappa * gamma, gamma - 1.0
     scale = None if _scale is None else np.asarray(_scale, dtype=float).reshape(B, 1)
+    atol = 0.0 if np.all(y0 > 0.0) else _ZERO_SITE_ATOL
+    bernoulli = _bernoulli and not atol
 
     # F takes a state u, (B, d) or a stack of states (k, B, d), and v = max(u, 0).
     def F(u, v):
@@ -748,9 +755,7 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
         return blocks
 
     # fun and jac see the flat state (B d,); fun also a stack of them (k, B d).
-    if _bernoulli:
-        if np.any(y0 <= 0.0):
-            raise ValueError("the z = u^(1-gamma0) variable needs a strictly positive state")
+    if bernoulli:
         g0 = float(gamma.min())
         p = 1.0 - g0
         inv_p = 1.0 / p
@@ -770,7 +775,7 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
             blocks[:, diag, diag] -= g0 * F(u, u) / u
             return _assemble(blocks)
 
-        y_start, tols = np.power(y0, p), dict(rtol=(g0 - 1.0) * rtol, atol=0.0)
+        y0, rtol = np.power(y0, p), (g0 - 1.0) * rtol
     else:
         to_u = np.asarray
 
@@ -781,17 +786,15 @@ def solve_branching_ode(A, kappa, gamma, u0, t_span, rtol=1e-10, atol=1e-12, _be
         def jac(y):
             return _assemble(J(np.maximum(y.reshape(shape), 0.0)))
 
-        y_start, tols = y0, dict(rtol=rtol, atol=atol)
-
-    y_start = y_start.ravel()
-    if not np.isfinite(y_start).all():
+    y0 = y0.ravel()  # the solver's variable, u or z
+    if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    stepper = _RadauIIA(fun, jac, t0, y_start, t_end, **tols)
+    stepper = _RadauIIA(fun, jac, t0, y0, t_end, rtol, atol)
     if t_end == t0:  # one step of length zero, as scipy's solve_ivp records it
         stepper.ts.append(t0)
-        stepper.y_olds.append(y_start)
-    (_step_z_to_end if _bernoulli else _step_to_end)(stepper)
+        stepper.y_olds.append(y0)
+    (_step_z_to_end if bernoulli else _step_to_end)(stepper)
     report = SolverReport(accepted=len(stepper.ts) - 1, rejected=stepper.rejected,
-                          variable="z" if _bernoulli else "u",
+                          variable="z" if bernoulli else "u",
                           nfev=stepper.nfev, njev=stepper.njev, nlu=stepper.nlu)
     return OdeSolution(stepper, shape, squeeze, to_u, report)

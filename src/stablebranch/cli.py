@@ -124,9 +124,8 @@ def _words(name, sep):
 
 def _solver_options(params):
     """The spec's SolverOptions, None when it sets none."""
-    names = [name for name, _, _ in _FLOW_SOLVER if params.get(name) is not None]
-    kwargs = {_words(name, "_"): params[name] for name in names}
-    return SolverOptions(**kwargs) if kwargs else None
+    rel_tol = params.get("relTol")
+    return None if rel_tol is None else SolverOptions(rel_tol=rel_tol)
 
 
 def _field(params, key, default=None):
@@ -442,12 +441,9 @@ def _sampled(key):
     return ((key, _floats, None), (f"{key}Grid", _grid, None))
 
 
-# SolverOptions fields under their camelCase names, each for the kinds whose
-# solve reads it; absent means its default.  Runs in z (extinction, and Yaglom
-# from a field positive at every site) control z purely relatively and never
-# read absTol; a Yaglom field with a zero site runs in u at the default absTol.
-_FLOW_SOLVER = (("relTol", _float, None), ("absTol", _float, None))
-_Z_SOLVER = _FLOW_SOLVER[:1]
+# SolverOptions' one field under its camelCase name, for every kind with an
+# ODE solve; absent means its default.
+_SOLVER = (("relTol", _float, None),)
 
 
 _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},))
@@ -459,14 +455,14 @@ _Kind = namedtuple("_Kind", "handler needs_model params aliases", defaults=({},)
 _KINDS = {
     "calibrate": _Kind(_run_calibrate, True, ()),
     "cumulant": _Kind(
-        _run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_FLOW_SOLVER)
+        _run_cumulant, True, (("f", _floats, REQUIRED), *_sampled("times"), *_SOLVER)
     ),
     "survival": _Kind(_run_survival, True, (
-        ("mu", _floats, REQUIRED), *_sampled("times"), *_Z_SOLVER,
+        ("mu", _floats, REQUIRED), *_sampled("times"), *_SOLVER,
         ("ratioTolerance", _float, None),
     )),
     "yaglom": _Kind(_run_yaglom, True, (
-        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_Z_SOLVER,
+        ("f", _floats, None), *_sampled("theta"), ("horizons", _floats, REQUIRED), *_SOLVER,
         ("supTolerance", _float, None),
     ), {"horizon": "horizons"}),
     "simulate": _Kind(_run_simulate, True, (
@@ -475,11 +471,11 @@ _KINDS = {
     ), {"step_size": "step", "replicates": "paths"}),
     "spine-check": _Kind(_run_spine_check, True, (
         ("f", _floats, None), ("theta", _float, 1.0), ("horizon", _float, 2.0),
-        ("paths", _int, 10000), *_FLOW_SOLVER, ("zMax", _float, None),
+        ("paths", _int, 10000), *_SOLVER, ("zMax", _float, None),
     ), {"n_paths": "paths"}),
     "rv-fit": _Kind(
         _run_rv_fit, True,
-        (*_sampled("times"), *_Z_SOLVER, ("slopeRelTolerance", _float, None)),
+        (*_sampled("times"), *_SOLVER, ("slopeRelTolerance", _float, None)),
     ),
     "delay-eq": _Kind(_run_delay_eq, False, (
         ("a", _float, REQUIRED), ("thetaMax", _float, 10.0), ("step", _float, 0.01),

@@ -12,9 +12,12 @@ shifts of that one run bound the change a start at t0 would make (_certify).
 Extinction runs integrate the Bernoulli variable z = v^(1-gamma0), in which
 the tail v ~ c t^(-1/(gamma0-1)) is linear in t, and so do the Yaglom runs
 from a field f positive at every site.  The other runs from a finite field
-stay in u, because f may vanish on some sites: solve_cumulant, a Yaglom
-field with a zero site, and the spine's exponent tables, which are read
-between steps from t = 0, where z's log-log reading is undefined.
+stay in u (solve_cumulant, the spine's tables, a Yaglom field with a zero
+site): z is read between steps by _ivp's _log_log, which assumes a power law
+on each step, and a flow from f is none until it forgets f.  In z on [1e-2,
+1e3] at rel_tol 1e-7, the scalar closed form (kappa 0.7, gamma 1.3, f = 2.5)
+read 5.8e4 rel_tol between steps, the two-site fixture from (0.5, 2) 149; in
+u, 0.12 and 0.15.
 """
 
 from __future__ import annotations
@@ -54,27 +57,19 @@ _WARM_START_CONSTANT = 35.0
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances of the ODE engine.
-
-    rel_tol applies to every solve.  abs_tol applies only to the solves in
-    u (solve_cumulant, the spine flows, and a Yaglom field with a zero site):
-    extinction runs and Yaglom runs from a positive field control z purely
-    relatively and never read it.  Every value must be
-    finite; a value out of range raises ArgumentError naming its field.
-    """
+    """The tolerance of the ODE engine: rel_tol, finite and positive (else
+    ArgumentError naming it), bounds the relative error of every run from a
+    start positive at every site, however far it decays.  A field with a zero
+    site keeps the floor `_ivp._ZERO_SITE_ATOL` (1e-12), which, not rel_tol,
+    bounds the error at a site whose value falls near it."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
-        # Written so that NaN fails every rule.
-        rules = (
-            ("rel_tol", 0.0 < self.rel_tol < np.inf, "finite and positive"),
-            ("abs_tol", 0.0 <= self.abs_tol < np.inf, "finite and nonnegative"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ArgumentError(name, f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not 0.0 < self.rel_tol < np.inf:  # written so that NaN fails
+            raise ArgumentError(
+                "rel_tol", f"rel_tol must be finite and positive, got {self.rel_tol!r}"
+            )
 
 
 @dataclass
@@ -223,7 +218,6 @@ def _cumulant_flow(model, F, T, opts):
         F,
         (0.0, float(T)),
         rtol=opts.rel_tol,
-        atol=opts.abs_tol,
     )
 
 
@@ -378,10 +372,10 @@ def _yaglom_batch(model, f, thetas, horizons, opts):
     longest horizon: its flow is multiplied by T / T_max, so its value at
     s = T_max is w(T).  The longest horizon's scale is exactly 1.
 
-    Where f > 0 at every site the run integrates z = w^(1-gamma0) under
-    purely relative control (opts.abs_tol is not read), in which w's power-law
-    tail is linear: the scalar preset's three horizons take 6 steps, not 392.
-    A field with a zero site, where z is infinite at s = 0, runs in w.
+    Where f > 0 at every site the run integrates z = w^(1-gamma0), in which
+    w's power-law tail is linear: the scalar preset's three horizons take 6
+    steps, not 392.  A field with a zero site, where z is infinite at s = 0,
+    runs in w, under the absolute floor.
     """
     opts = opts or SolverOptions()
     thetas = _check_thetas(thetas)
@@ -405,7 +399,7 @@ def _yaglom_batch(model, f, thetas, horizons, opts):
     scale = np.repeat([T / t_max for T in horizons], thetas.size)
     u0 = np.broadcast_to(f, kappa_eff.shape).copy()
     sol = solve_branching_ode(model.A, kappa_eff, gamma, u0, (0.0, t_max), rtol=opts.rel_tol,
-                              atol=opts.abs_tol, _bernoulli=bool(np.all(f > 0.0)), _scale=scale)
+                              _bernoulli=True, _scale=scale)
     w = sol(t_max).reshape(len(horizons), thetas.size, model.d)
     return thetas[:, None] * w / model.phi[None, :], sol.report
 

@@ -68,14 +68,18 @@ class SpineChain:
     def exit_rates(self):
         return -np.diag(self.q_phi)
 
-    def jump_matrix(self):
-        """Row-normalized off-diagonal jump distribution (zero rows for traps)."""
+    @property
+    def jump_table(self):
+        """jump_table[x, y] = P(a jump from x lands at or below y), zero for a
+        trap; exactly 1.0 from a live row's last positive jump probability on,
+        where the running sum may round below a uniform in [0, 1)."""
         off = self.q_phi - np.diag(np.diag(self.q_phi))
-        rates = off.sum(axis=1)
-        P = np.zeros_like(off)
-        live = rates > 0
-        P[live] = off[live] / rates[live, None]
-        return P
+        rates = off.sum(axis=1, keepdims=True)
+        P = np.divide(off, rates, out=np.zeros_like(off), where=rates > 0)
+        table = np.cumsum(P, axis=1)
+        last = self.d - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+        table[(rates > 0) & (np.arange(self.d) >= last[:, None])] = 1.0
+        return table
 
 
 @dataclass
@@ -135,8 +139,7 @@ def simulate_spine(chain, x0, T, rng):
     _check_horizon(T)
     x0 = _start_site(chain, x0)
     rates = chain.exit_rates
-    P = chain.jump_matrix()
-    cumP = np.cumsum(P, axis=1)
+    cumP = chain.jump_table
     t = 0.0
     site = x0
     jump_times = []
@@ -174,8 +177,10 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
     trap = rates <= 0
     any_trap = trap.any()
     # transposed, so that one gather reads the rows of the jumping paths' sites
-    # as contiguous columns: cumPT[j, s] = P(jump from s lands at or below j)
-    cumPT = np.ascontiguousarray(np.cumsum(chain.jump_matrix(), axis=1).T)
+    # as contiguous columns: cumPT[j, s] = P(jump from s lands at or below j).
+    # A jump lands past every entry at or below its uniform, as in
+    # simulate_spine's searchsorted(side="right"): u = 0 skips a zero column.
+    cumPT = np.ascontiguousarray(chain.jump_table.T)
     final = starts.copy()
     idx = np.arange(starts.size)
     site = starts.copy()
@@ -196,7 +201,7 @@ def _batch_paths_accumulate(chain, starts, T, rng, segment_hook):
             idx, site, t = idx[jumped], site[jumped], t[jumped]
         if idx.size:
             u = rng.random(idx.size)
-            site = np.add.reduce(cumPT.take(site, axis=1) < u, axis=0, dtype=np.intp)
+            site = np.add.reduce(cumPT.take(site, axis=1) <= u, axis=0, dtype=np.intp)
     return final
 
 

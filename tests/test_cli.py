@@ -488,6 +488,7 @@ class TestSchema:
             ("survival", {"mu": [1.0], "times": [1.0], "absTol": 1e-6}, "absTol"),
             ("rv-fit", {"times": [1.0, 10.0], "absTol": 1e-6}, "absTol"),
             ("yaglom", {"theta": [1.0], "horizons": [1.0], "absTol": 1e-6}, "absTol"),
+            ("spine-check", {"paths": 10, "absTol": 1e-6}, "absTol"),
             ("rv-fit", {"timesGrid": {"min": 0, "max": 10.0, "count": 5}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 1.0, "max": 10.0, "count": 0}}, "timesGrid"),
             ("rv-fit", {"timesGrid": {"min": 10.0, "max": 1.0, "count": 5}}, "timesGrid"),
@@ -551,7 +552,7 @@ class TestSchema:
         ids=["no-step", "no-a", "grid-no-count", "no-horizon", "bad-int", "unknown-key",
              "rel-tol-zero", "rel-tol-nan", "abs-tol-inf", "warm-start-inf",
              "cumulant-warm-start", "survival-abs-tol", "rv-fit-abs-tol",
-             "yaglom-abs-tol",
+             "yaglom-abs-tol", "spine-check-abs-tol",
              "grid-min-zero", "grid-count-zero", "grid-max-below-min", "grid-max-inf",
              "step-nan", "horizon-inf", "paths-zero", "mu-nan", "mu-negative", "mu-zero",
              "f-nan", "f-negative", "simulate-f-negative", "yaglom-f-nan",
@@ -683,7 +684,7 @@ SOLVER_RUNS = {
 SOLVER_FIELDS = {
     re.sub("_([a-z])", lambda m: m[1].upper(), f.name) for f in dataclasses.fields(SolverOptions)
 }
-SOLVER_VALUES = {"relTol": (1e-4, 1e-10), "absTol": (1e-2, 1e-12)}
+SOLVER_VALUES = {"relTol": (1e-4, 1e-10)}
 SOLVER_SETTINGS = [
     (kind, name) for kind, entry in _KINDS.items() for name, _, _ in entry.params
     if name in SOLVER_FIELDS
@@ -692,11 +693,10 @@ SOLVER_SETTINGS = [
 
 class TestSolverSettings:
     def test_settable_values(self):
-        # the u-flow kinds take relTol and absTol, the kinds that run in z
-        # (extinction and Yaglom) relTol only
+        # every kind with an ODE solve takes relTol, its one setting
         assert SOLVER_FIELDS == set(SOLVER_VALUES)
         assert {kind for kind, _ in SOLVER_SETTINGS} == set(SOLVER_RUNS)
-        assert len(SOLVER_SETTINGS) == 7
+        assert len(SOLVER_SETTINGS) == 5
 
     @pytest.mark.parametrize("kind, name", SOLVER_SETTINGS, ids=[f"{k}-{n}" for k, n in SOLVER_SETTINGS])
     def test_every_setting_reaches_its_solve(self, kind, name, preset_dir, tmp_path):

@@ -203,8 +203,9 @@ class TestDirectLapack:
         assert rep.rejected == (tried - rep.accepted if attempts else 0)
 
     def test_zero_previous_step_as_stock_radau(self, models, monkeypatch):
-        # the two-site Yaglom u system at T = 1e-6, theta = 1, on [0, 2e-11]:
-        # a zero error_norm_old makes a zero factor, and the two-step rule
+        # the two-site Yaglom u system at T = 1e-6, theta = 1, on [0, 2e-11],
+        # from (3, 0): under the absolute floor of a zero site an error norm
+        # underflows to 0, which makes a zero factor, and the two-step rule
         # divided by the zero step (ZeroDivisionError) two steps later;
         # scipy's numpy scalars take the one-step rule
         model = models["two"]
@@ -218,7 +219,7 @@ class TestDirectLapack:
 
         monkeypatch.setattr(_ivp, "_predict_factor", recorded)
         system = capture_system(monkeypatch)
-        sol = solve_branching_ode(model.A, kappa, gamma, normalized_ones(model), (0.0, 2e-11))
+        sol = solve_branching_ode(model.A, kappa, gamma, [3.0, 0.0], (0.0, 2e-11))
         assert any(zero_steps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # scipy's division by zero

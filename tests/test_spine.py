@@ -9,6 +9,7 @@ import stablebranch.spine as spine_module
 from stablebranch.cumulant import SolverOptions, solve_cumulant
 from stablebranch.model import ArgumentError, CriticalModel, semigroup_apply
 from stablebranch.spine import (
+    SpineChain,
     _batch_paths_accumulate,
     _composite_geometric_nodes,
     _exponent_tables,
@@ -144,6 +145,62 @@ class TestBatchPaths:
             chain, np.zeros(300, dtype=np.intp), 1e3, np.random.default_rng(100)
         )
         assert digest == "58f8b65c36a45723e95ba8f41b42ae731fc5f5641b7d446878ecbaa21e25ff5b"
+
+
+class FixedUniform:
+    """A generator whose every uniform is u and whose every hold is 0.5."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_exponential(self, size=None):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def circulant_chain():
+    """A conservative 4-site chain whose row x jumps to x+1, x+2 and x+3 (mod
+    4) at rates 0.1, 0.3 and 0.2: row 0's running sum of jump probabilities
+    ends at 0.9999999999999998, below the top uniform."""
+    q = np.zeros((4, 4))
+    for k, rate in enumerate((0.1, 0.3, 0.2), start=1):
+        q[np.arange(4), (np.arange(4) + k) % 4] = rate
+    q -= np.diag(q.sum(axis=1))
+    return SpineChain(q_phi=q, stationary=np.full(4, 0.25), m=np.ones(4))
+
+
+class TestJumpTable:
+    def test_live_rows_end_at_exactly_one(self):
+        chain = circulant_chain()
+        off = chain.q_phi - np.diag(np.diag(chain.q_phi))
+        running = np.cumsum(off / off.sum(axis=1)[:, None], axis=1)
+        assert running[0, 3] < 1.0 - 2.0**-53
+        table = chain.jump_table
+        # from the last positive jump probability on, 1.0; before it, the sum
+        last = np.array([3, 3, 3, 2])
+        for x in range(4):
+            assert np.all(table[x, last[x]:] == 1.0)
+            assert table[x, :last[x]].tobytes() == running[x, :last[x]].tobytes()
+
+    def test_trap_row_is_zero(self, scalar_model):
+        assert spine_generator(scalar_model).jump_table.tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("u, states, waves", [
+        # the largest uniform, 1 - 2^-53, lands on a row's last site of
+        # positive probability: both simulators raised IndexError from site 0
+        (1.0 - 2.0**-53, [3, 2, 3, 2], [[0, 1], [3, 3], [2, 2], [3, 3], [2, 2]]),
+        # the smallest, 0, on its first: the batch jumped from site 0 to 0
+        (0.0, [1, 0, 1, 0], [[0, 1], [1, 0], [0, 1], [1, 0], [0, 1]]),
+    ], ids=["top", "zero"])
+    def test_extreme_uniform_lands_on_a_site(self, u, states, waves):
+        chain = circulant_chain()
+        assert simulate_spine(chain, 0, 4.0, FixedUniform(u)).states.tolist() == states
+        seen = []
+        final = _batch_paths_accumulate(chain, np.array([0, 1]), 4.0, FixedUniform(u),
+                                        lambda sites, t0, t1, idx: seen.append(sites.tolist()))
+        assert seen == waves and final.tolist() == waves[-1]
 
 
 class TestFeynmanKac:
@@ -306,14 +363,17 @@ class TestGoldenDigests:
     The default-node digest was recorded with one np.interp call per site,
     node and wave on per-node tables; the stacked, direct-indexed tables must
     reproduce it.  It was re-recorded when the node batch's Jacobian went to
-    dense blocks: the estimate moved by at most 1.1e-16 relative.
+    dense blocks: the estimate moved by at most 1.1e-16 relative.  It was
+    re-recorded when a positive field's tables went to purely relative
+    control (no absolute tolerance): the estimate moved by at most 5.6e-14
+    relative, its stderr by 8.4e-14, and the node batch's step count held.
     """
 
     def test_default_nodes(self, two_site_model):
         f = normalized_ones(two_site_model)
         out = feynman_kac_estimate(two_site_model, f, 1.0, 2.0, 2000, np.random.default_rng(42))
         assert fk_digest(*out) == (
-            "b90ebf0ac886563f12eed4db25be5e4963d3dc37ff91dc29ea35e2bcfcb3bfda"
+            "b47f2d5c609536087507dd30908321bc1e7fa7e2df02daf28145df9c68c66fd3"
         )
 
 
