@@ -379,9 +379,11 @@ def _yaglom_batch(model, f, thetas, horizons, opts):
     """
     opts = opts or SolverOptions()
     thetas = _check_thetas(thetas)
-    horizons = [_check_horizon(T) for T in np.atleast_1d(np.asarray(horizons, dtype=float))]
-    if not horizons:
-        raise ArgumentError("horizon", "horizons must not be empty")
+    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
+    if horizons.ndim != 1 or horizons.size == 0:
+        raise ArgumentError("horizon", f"horizons must be a scalar or a nonempty 1-d list, "
+                            f"got shape {horizons.shape}")
+    horizons = [_check_horizon(T) for T in horizons]
     f = _density(f, model.d, "f")
     norm = model.inner_m(f, model.phi_star)
     if abs(norm - 1.0) > 1e-10:
@@ -414,8 +416,13 @@ def conservation_residual(model, curve, s, t, quad_tol=None):
     doubled until two successive rules agree within quad_tol (default
     1e-12 |<V_s, phi*>_m|); RuntimeError if 32 nodes per step do not.
     """
-    if not (curve.t_start <= s < t <= curve.t_end):
-        raise ValueError("need t_start <= s < t <= t_end of the solved span")
+    # written so that NaN fails
+    if not curve.t_start <= s < curve.t_end:
+        raise ArgumentError("s", f"s must lie in [t_start, t_end) = "
+                            f"[{curve.t_start:g}, {curve.t_end:g}), got {s!r}")
+    if not s < t <= curve.t_end:
+        raise ArgumentError("t", f"t must lie in (s, t_end] = ({s:g}, {curve.t_end:g}], "
+                            f"got {t!r}")
     w = model.phi_star * model.m
     kappa, gamma = model.mechanism.kappa, model.mechanism.gamma
     base = float(curve.evaluate(s) @ w)

@@ -1,8 +1,8 @@
-"""Limit random variable of the conditioned mass: transform, delay equation, diagnostics.
+"""Limit random variable of the conditioned mass: its law and its delay equation.
 
-The limiting law with index alpha in (0, 1] has Laplace transform
-1 - (1 + u^-alpha)^(-1/alpha); its distributional complement G solves a
-nonlinear delay equation whose unique solution has the closed form
+The limiting law with index alpha in (0, 1) has Laplace transform
+1 - (1 + u^-alpha)^(-1/alpha); its complement G, evaluated by g_closed, solves
+a nonlinear delay equation whose unique solution has the closed form
 (1 + theta^-(a-1))^(-1/(a-1)) with a = alpha + 1 in (1, 2).  The Picard solver
 here recovers G from the equation alone, so the closed form stays an
 independent cross-check.
@@ -17,13 +17,10 @@ import numpy as np
 from .model import ArgumentError
 
 __all__ = [
-    "ZolotarevLaw",
-    "laplace",
     "g_closed",
     "DelayEquationProblem",
     "DelaySolution",
     "solve_delay_equation",
-    "mean_diagnostic",
 ]
 
 PICARD_ITERATION_CAP = 1000
@@ -31,59 +28,25 @@ PICARD_ITERATION_CAP = 1000
 _DELAY_GRID_POINTS = 20001
 
 
-@dataclass(frozen=True)
-class ZolotarevLaw:
-    """Heavy-tailed limit law parameterized by its transform index alpha in (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-
-
-def _stable_complement(alpha, u):
-    """(1 + u^-alpha)^(-1/alpha) evaluated without cancellation; 0 at u = 0."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("argument must be nonnegative")
-    out = np.zeros_like(u)
-    pos = u > 0
-    up = u[pos]
-    # u * exp(-log1p(u^alpha)/alpha); for large u^alpha switch to the direct form.
-    ua = np.power(up, alpha)
-    big = ua > 1e302
-    val = np.empty_like(up)
-    val[~big] = up[~big] * np.exp(-np.log1p(ua[~big]) / alpha)
-    val[big] = np.exp(
-        np.log(up[big]) - (alpha * np.log(up[big]) + np.log1p(1.0 / ua[big])) / alpha
-    )
-    out[pos] = val
-    return out
-
-
-def laplace(law, u):
-    """E[exp(-u Z)] = 1 - (1 + u^-alpha)^(-1/alpha); equals 1 at u = 0.
-
-    Direct textbook evaluation (g_closed uses an independent cancellation-free
-    form, so the complementarity identity is a genuine cross-check).
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0):
-        raise ValueError("argument must be nonnegative")
-    with np.errstate(divide="ignore"):
-        val = 1.0 - (1.0 + u_arr ** -law.alpha) ** (-1.0 / law.alpha)
-    return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
-
-
 def g_closed(gamma0, theta):
-    """(1 + theta^-(gamma0-1))^(-1/(gamma0-1)), 0 at theta = 0; theta finite, >= 0."""
-    if not 1.0 < gamma0 < 2.0:
-        raise ValueError("gamma0 must lie in (1, 2)")
+    """(1 + theta^-a)^(-1/a) with a = gamma0 - 1, 0 at theta = 0; theta finite, >= 0.
+
+    Each branch raises a ratio at most 1 to the power +-a, so nothing
+    overflows or cancels: theta exp(-log1p(theta^a)/a) up to theta = 1, and
+    exp(-log1p(theta^-a)/a) above, which never exceeds 1.
+    """
+    if not 1.0 < gamma0 < 2.0:  # written so that NaN fails
+        raise ArgumentError("gamma0", f"gamma0 must lie in (1, 2), got {gamma0!r}")
     theta_arr = np.asarray(theta, dtype=float)
     if not np.all((theta_arr >= 0.0) & (theta_arr < np.inf)):  # NaN fails both
         raise ArgumentError("theta", "theta must be finite and nonnegative")
-    val = _stable_complement(gamma0 - 1.0, theta_arr)
+    a = gamma0 - 1.0
+    val = np.empty_like(theta_arr)
+    low = theta_arr <= 1.0
+    t = theta_arr[low]
+    val[low] = t * np.exp(-np.log1p(np.power(t, a)) / a)
+    t = theta_arr[~low]
+    val[~low] = np.exp(-np.log1p(np.power(t, -a)) / a)
     return float(val) if np.isscalar(theta) or theta_arr.ndim == 0 else val
 
 
@@ -109,8 +72,8 @@ class DelayEquationProblem:
             raise ArgumentError(
                 "theta_grid", "theta_grid must be 1-d, start at 0, and have >= 2 points"
             )
-        if not np.all(np.diff(grid) > 0):
-            raise ArgumentError("theta_grid", "theta_grid must be strictly increasing")
+        if not (np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
+            raise ArgumentError("theta_grid", "theta_grid must be finite and strictly increasing")
         if not 0.0 < self.tol < np.inf:
             raise ArgumentError("tol", f"tol must be finite and positive, got {self.tol!r}")
         grid.setflags(write=False)
@@ -223,28 +186,3 @@ def solve_delay_equation(prob):
         values=values, iterations=iteration, sup_changes=np.asarray(sup_changes)
     )
 
-
-def mean_diagnostic(law):
-    """Numerical right-derivative of 1 - laplace at 0 (the unit-mean check).
-
-    Uses the forward quotient D(u) = (1 - laplace(u))/u at three nodes chosen
-    so that w = u^alpha sits at {1e-2, 10^-2.5, 1e-3} regardless of alpha (at
-    alpha = 1/2 these are u = 1e-4, 1e-5, 1e-6), then extrapolates the
-    expansion D = m0 + m1 w + m2 w^2 to w = 0.  Fixed u nodes would leave an
-    O(u^alpha) error that violates the 1e-3 contract for small alpha.
-    """
-    alpha = law.alpha
-    w = np.array([1e-2, 10**-2.5, 1e-3])
-    u = w ** (1.0 / alpha)
-    # 1 - laplace(u) by the code g_closed runs
-    D = _stable_complement(alpha, u) / u
-    m0 = 0.0
-    for i in range(3):
-        num = 1.0
-        den = 1.0
-        for k in range(3):
-            if k != i:
-                num *= w[k]
-                den *= w[k] - w[i]
-        m0 += D[i] * num / den
-    return float(m0)

@@ -188,7 +188,8 @@ class TestYaglomTables:
         # the one run takes fewer steps than the three
         assert tables[0].solver_report.accepted < sum(t.solver_report.accepted for t in singles)
 
-    @pytest.mark.parametrize("horizons", [[], [1.0, np.inf], [np.nan], [10.0, 0.0]])
+    @pytest.mark.parametrize("horizons", [[], [1.0, np.inf], [np.nan], [10.0, 0.0],
+                                          [[1.0, 2.0]]])
     def test_bad_horizons_refused_before_any_solve(self, two_site_model, horizons, monkeypatch):
         no_solver(monkeypatch)
         with pytest.raises(ArgumentError) as err:

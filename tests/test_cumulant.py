@@ -374,6 +374,16 @@ class TestMultiSiteAccuracy:
         with pytest.raises(RuntimeError, match="32 nodes per step"):
             conservation_residual(two_site_model, curve, 0.0, 1.0)
 
+    @pytest.mark.parametrize("s, t, name", [
+        (-0.5, 0.5, "s"), (1.0, 1.5, "s"), (np.nan, 0.5, "s"),
+        (0.5, 0.5, "t"), (0.5, 1.5, "t"), (0.5, np.nan, "t"),
+    ])
+    def test_span_outside_the_solve_named(self, two_site_model, s, t, name):
+        curve = solve_cumulant(two_site_model, [0.8, 1.9], [0.0, 1.0])
+        with pytest.raises(ArgumentError) as info:
+            conservation_residual(two_site_model, curve, s, t)
+        assert info.value.name == name
+
 
 class TestSolverTelemetry:
     def test_extinction_report_and_bound(self, two_site_model):

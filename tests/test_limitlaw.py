@@ -1,57 +1,51 @@
 import numpy as np
 import pytest
 
-from stablebranch import limitlaw
-from stablebranch.limitlaw import (
-    DelayEquationProblem,
-    ZolotarevLaw,
-    g_closed,
-    laplace,
-    mean_diagnostic,
-    solve_delay_equation,
-)
+from stablebranch.limitlaw import DelayEquationProblem, g_closed, solve_delay_equation
 from stablebranch.model import ArgumentError
 
 
+def transform(alpha, u):
+    """E exp(-u Z) for the law of index alpha: 1 - G with G = g_closed(alpha + 1, u)."""
+    return 1.0 - g_closed(alpha + 1.0, u)
+
+
 class TestLaplace:
-    def test_alpha_one_is_unit_mean_exponential(self):
-        law = ZolotarevLaw(alpha=1.0)
-        for u in (0.0, 0.3, 1.0, 10.0):
-            assert laplace(law, u) == pytest.approx(1.0 / (1.0 + u), rel=1e-14)
+    """The law's Laplace transform, read through its complement g_closed."""
 
     def test_total_mass_at_zero(self):
-        assert laplace(ZolotarevLaw(alpha=0.3), 0.0) == 1.0
+        assert transform(0.3, 0.0) == 1.0
 
     def test_half_point(self):
-        assert laplace(ZolotarevLaw(alpha=0.5), 1.0) == pytest.approx(0.75, rel=1e-14)
+        assert transform(0.5, 1.0) == pytest.approx(0.75, rel=1e-14)
 
     def test_strictly_decreasing(self):
-        law = ZolotarevLaw(alpha=0.4)
         u = np.linspace(0.0, 50.0, 2001)
-        assert np.all(np.diff(laplace(law, u)) < 0)
+        assert np.all(np.diff(transform(0.4, u)) < 0)
 
     def test_complement_stable_at_tiny_u(self):
-        # 1 - laplace(u) for alpha = 0.2 is g_closed at gamma0 = 1.2
+        # 1 - transform(0.2, u) is g_closed at gamma0 = 1.2
         val = g_closed(1.2, 1e-20)
         # complement ~ u * (1 - u^alpha/alpha) near 0: positive and tiny
         assert 0 < val < 1e-19
         assert val == pytest.approx(1e-20 * np.exp(-np.log1p(1e-4) / 0.2), rel=1e-12)
 
     def test_alpha_range(self):
-        for bad in (0.0, 1.2, -0.5):
-            with pytest.raises(ValueError):
-                ZolotarevLaw(alpha=bad)
+        # alpha = 1 is gamma0 = 2, which no model reaches
+        for bad in (0.0, 1.0, 1.2, -0.5):
+            with pytest.raises(ArgumentError) as info:
+                transform(bad, 1.0)
+            assert info.value.name == "gamma0"
 
     def test_complete_monotonicity_spot_check(self):
-        law = ZolotarevLaw(alpha=0.6)
+        # the transform's differences alternate -, +, -; its complement's +, -, +
         u = np.linspace(0.5, 8.0, 401)
-        vals = laplace(law, u)
-        d1 = np.diff(vals)
+        d1 = np.diff(g_closed(1.6, u))
         d2 = np.diff(d1)
         d3 = np.diff(d2)
-        assert np.all(d1 < 0)
-        assert np.all(d2 > 0)
-        assert np.all(d3 < 0)
+        assert np.all(d1 > 0)
+        assert np.all(d2 < 0)
+        assert np.all(d3 > 0)
 
 
 class TestGClosed:
@@ -73,9 +67,25 @@ class TestGClosed:
     @pytest.mark.parametrize("gamma0", [1.2, 1.5, 1.8])
     def test_complementarity_identity(self, gamma0):
         th = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 1000)])
-        law = ZolotarevLaw(alpha=gamma0 - 1.0)
-        total = g_closed(gamma0, th) + laplace(law, th)
-        assert np.abs(total - 1.0).max() <= 1e-14
+        a = gamma0 - 1.0
+        with np.errstate(divide="ignore"):
+            textbook = 1.0 - (1.0 + th**-a) ** (-1.0 / a)  # E exp(-theta Z), 1 at 0
+        assert np.abs(g_closed(gamma0, th) + textbook - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("gamma0", [1.05, 1.2, 1.5, 1.8, 1.95])
+    def test_at_most_one(self, gamma0):
+        # the complement of a Laplace transform; it reads exactly 1 once
+        # theta^-a / a, its distance from 1 to first order, is below half an ulp
+        th = np.geomspace(1.0, 1.7e308, 2001)
+        g = g_closed(gamma0, th)
+        assert np.all(g <= 1.0)
+        a = gamma0 - 1.0
+        assert np.all(g[th**-a / a < 1e-17] == 1.0)
+
+    def test_gamma0_nan_named(self):
+        with pytest.raises(ArgumentError) as info:
+            g_closed(np.nan, 1.0)
+        assert info.value.name == "gamma0"
 
 
 class TestDelayEquation:
@@ -138,11 +148,12 @@ class TestDelayEquation:
     @pytest.mark.parametrize(
         "kwargs, name",
         [({"a": np.nan}, "a"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
-         ({"tol": -1.0}, "tol"), ({"theta_grid": np.array([0.0, 1.0, 1.0])}, "theta_grid")],
-        ids=["a-nan", "tol-nan", "tol-inf", "tol-negative", "grid-repeated"],
+         ({"tol": -1.0}, "tol"), ({"theta_grid": np.array([0.0, 1.0, 1.0])}, "theta_grid"),
+         ({"theta_grid": np.array([0.0, 1.0, np.inf])}, "theta_grid")],
+        ids=["a-nan", "tol-nan", "tol-inf", "tol-negative", "grid-repeated", "grid-inf"],
     )
     def test_bad_argument_named(self, kwargs, name):
-        # a NaN tol used to run the Picard cap out before failing
+        # a NaN tol or an infinite theta would run the Picard cap out on NaN
         args = {"a": 1.5, "theta_grid": np.array([0.0, 1.0]), **kwargs}
         with pytest.raises(ArgumentError) as info:
             DelayEquationProblem(**args)
@@ -150,19 +161,12 @@ class TestDelayEquation:
 
 
 class TestMeanDiagnostic:
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 0.05, 0.85])
+    """The law's unit mean: G(theta)/theta -> 1 as theta -> 0, read off g_closed
+    at theta^alpha = 1e-8, where it is 1 - 1e-8/alpha to first order."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.05, 0.85])
     def test_unit_mean_contract(self, alpha):
-        assert mean_diagnostic(ZolotarevLaw(alpha)) == pytest.approx(1.0, abs=1e-3)
-
-    def test_exponential_case_tight(self):
-        assert mean_diagnostic(ZolotarevLaw(1.0)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_reads_the_code_g_closed_runs(self, monkeypatch):
-        # a 1% error in the complement g_closed evaluates must show in the check
-        complement = limitlaw._stable_complement
-        monkeypatch.setattr(
-            limitlaw, "_stable_complement", lambda alpha, u: 1.01 * complement(alpha, u)
-        )
-        assert abs(g_closed(1.5, 1.0) - 0.2525) < 1e-12
-        for alpha in (0.2, 0.5, 1.0):
-            assert abs(mean_diagnostic(ZolotarevLaw(alpha)) - 1.0) > 5e-3
+        theta = 1e-8 ** (1.0 / alpha)
+        mean = g_closed(alpha + 1.0, theta) / theta
+        assert mean == pytest.approx(1.0, abs=1e-3)
+        assert mean == pytest.approx(1.0 - 1e-8 / alpha, rel=1e-12)

@@ -16,9 +16,6 @@ LIBRARY_MODULES = (model, cumulant, limitlaw, simulate, spine, analysis)
 # because the tests compare against them.
 TEST_REFERENCES = {
     "semigroup_apply": "exp(t A) f: the mean flow the cumulant, spine and AC11 tests bound against",
-    "ZolotarevLaw": "the limit law whose transform AC10 checks against g_closed",
-    "laplace": "the textbook transform that AC10 adds to g_closed to make 1",
-    "mean_diagnostic": "AC10's unit-mean check of the complement g_closed evaluates",
 }
 
 
